@@ -14,12 +14,14 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotFullDeterminant, OrbitTooLarge
-from .subgroups import (ORBIT_CAP, SL2Part, SubgroupSpec, adjoin_minus_i,
-                        gl2_order, identity_quad, index_via_orbit, level,
-                        lift_subgroup, reduce_subgroup, sigma_quad, sl2_order,
-                        subgroup_of, tau_quad)
-from .zmod import Mat2, quad_mul
+from .errors import (InvariantFailed, NonIntegral, NotFullDeterminant,
+                     OrbitTooLarge, TooLarge)
+from .subgroups import (ENUMERATION_CAP, ORBIT_CAP, SL2Part, SubgroupSpec,
+                        adjoin_minus_i, gl2_order, identity_quad,
+                        index_via_orbit, level, lift_subgroup,
+                        reduce_subgroup, sigma_quad, sl2_order, subgroup_of,
+                        tau_quad)
+from .zmod import Quad, quad_mul
 
 
 def sl2_part(h: SubgroupSpec) -> SubgroupSpec:
@@ -38,7 +40,7 @@ class CosetSpace:
 
     n: int
     base: SubgroupSpec
-    reps: tuple[Mat2, ...]
+    reps: tuple[Quad, ...]
     perm_s: tuple[int, ...]
     perm_t: tuple[int, ...]
 
@@ -81,7 +83,9 @@ class CosetSpace:
     @cached_property
     def genus(self) -> int:
         twelve_g = 12 + self.mu - 3 * self.nu2 - 4 * self.nu3 - 6 * self.nu_inf
-        assert twelve_g % 12 == 0 and twelve_g >= 0, (self.n, self.mu)
+        if twelve_g % 12 or twelve_g < 0:
+            raise NonIntegral(f"12 * genus = {twelve_g} mod {self.n} is not "
+                              "12 times a non-negative integer")
         return twelve_g // 12
 
 
@@ -116,9 +120,11 @@ def coset_space(h: SubgroupSpec) -> CosetSpace:
             perm.append(j)
         i += 1
 
-    space = CosetSpace(n=n, base=s, reps=tuple(Mat2(n, *q) for q in reps),
+    space = CosetSpace(n=n, base=s, reps=tuple(reps),
                        perm_s=tuple(perm_s), perm_t=tuple(perm_t))
-    assert space.mu * s.order == sl2_order(n)
+    if space.mu * s.order != sl2_order(n):
+        raise InvariantFailed(f"{space.mu} cosets of a group of order {s.order} "
+                              f"do not fill SL2(Z/{n})")
     return space
 
 
@@ -145,7 +151,8 @@ def curve_data(h: SubgroupSpec) -> CurveData:
     lvl = level(hpm)
     reduced = reduce_subgroup(hpm, lvl)
     ambient = gl2_order(lvl)
-    assert ambient % reduced.order == 0
+    if ambient % reduced.order:
+        raise NonIntegral(f"order {reduced.order} does not divide #GL2(Z/{lvl})")
     idx = ambient // reduced.order
     return CurveData(
         mu=space.mu,
@@ -171,13 +178,20 @@ def map_degree(h1: SubgroupSpec, h2: SubgroupSpec) -> int:
 
 def label_prefix(h: SubgroupSpec) -> str:
     """Level.index.genus label, then a content hash in place of the final
-    disambiguator (which follows an ordering convention we do not compute)."""
+    disambiguator (which follows an ordering convention we do not compute).
+
+    The hash covers the sorted element set of the group at its level, so
+    equal groups get equal labels however they were built; TooLarge when
+    that set exceeds the enumeration cap.
+    """
     data = curve_data(h)
     hpm = adjoin_minus_i(h)
     lvl = int(data.label_prefix.split(".", 1)[0])
     reduced = reduce_subgroup(hpm, lvl)
-    gens = sorted(reduced.generator_quads())
-    blob = f"{lvl}|" + ";".join(",".join(map(str, g)) for g in gens)
+    if reduced.order > ENUMERATION_CAP:
+        raise TooLarge(f"label hash needs {reduced.order} elements mod {lvl}")
+    els = sorted(reduced.element_quads)
+    blob = f"{lvl}|" + ";".join(",".join(map(str, q)) for q in els)
     digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:8]
     return f"{data.label_prefix}#{digest}"
 

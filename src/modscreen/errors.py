@@ -33,6 +33,10 @@ class NonIntegral(ModscreenError):
     """A closed-form quotient that must be an integer is not."""
 
 
+class InvariantFailed(ModscreenError):
+    """An identity that holds for every valid group failed: a defect, not bad input."""
+
+
 class ComputationCap(ModscreenError):
     """Base class for deliberate resource limits."""
 

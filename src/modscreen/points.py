@@ -216,7 +216,8 @@ def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
     h_prime = lift_subgroup(reduce_subgroup(h, target), h.n)
     fine = index_via_orbit(r, h)
     coarse = index_via_orbit(r, h_prime)
-    assert fine % coarse == 0
+    if fine % coarse:
+        raise NonIntegral(f"index {coarse} does not divide index {fine}")
     lhs = fine // coarse
     rhs = index_via_orbit(h_prime, h)
     return LevelReductionResult(

@@ -10,7 +10,7 @@ are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 from typing import Hashable, Iterable
 
@@ -244,31 +244,37 @@ class BorelGroup(SubgroupSpec):
         _check_divisor(self.n, m)
         return BorelGroup(m, self.delta.reduced(m))
 
+    @cached_property
+    def _delta_class(self) -> list[int]:
+        """Unit t -> least element of the coset t*Delta (0 at non-units)."""
+        n = self.n
+        out = [0] * n
+        dels = self.delta.elements
+        # ascending walk: the first unit to reach a coset is its least element
+        for t in units(n):
+            if not out[t]:
+                for dl in dels:
+                    out[t * dl % n] = t
+        return out
+
     def coset_key(self, q: Quad) -> Hashable:
         # A right coset B*g is pinned by the bottom row up to unit scaling
         # together with the Delta-class of (matching scalar * det). Bottom rows
-        # of invertible matrices are unimodular, so the minimizing unit is
-        # unique and the pair below is a complete invariant.
+        # of invertible matrices are unimodular, so the unit u taking the row
+        # to its normal form is unique and the pair below is a complete
+        # invariant, packed into one int (a tuple key costs far more memory
+        # in tables of 10^5 cosets).
         n = self.n
-        c, d = q[2], q[3]
-        best = None
-        best_u = 1
-        for u in units(n):
-            cand = (u * c % n, u * d % n)
-            if best is None or cand < best:
-                best = cand
-                best_u = u
-        t = best_u * quad_det(n, q) % n
-        dels = self.delta.elements
-        dcls = min(dl * t % n for dl in dels)
-        return (best, dcls)
+        a, b, c, d = q
+        code, u = _p1_normalize(n, c, d)
+        return code * n + self._delta_class[u * (a * d - b * c) % n]
 
     def sl2_coset_key(self, q: Quad) -> Hashable:
         # For det-1 inputs the invariant collapses to the bottom row up to
-        # scaling by Delta itself.
+        # scaling by Delta itself: the coset_key formula with det = 1.
         n = self.n
-        c, d = q[2], q[3]
-        return min((dl * c % n, dl * d % n) for dl in self.delta.elements)
+        code, u = _p1_normalize(n, q[2], q[3])
+        return code * n + self._delta_class[u]
 
 
 class CartanNormalizer(SubgroupSpec):
@@ -840,6 +846,42 @@ def _p_adic_valuation(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
+
+
+@cache
+def _p1_tables(n: int) -> tuple[tuple[int, list[int], int], ...]:
+    """(p^e, inverse table mod p^e with 0 at non-units, CRT idempotent)
+    for each prime power p^e exactly dividing n."""
+    out = []
+    for p, e in factorize(n):
+        pe = p**e
+        inv = [0] * pe
+        for x in units(pe):
+            inv[x] = pow(x, -1, pe)
+        out.append((pe, inv, _crt2(1, pe, 0, n // pe)))
+    return tuple(out)
+
+
+def _p1_normalize(n: int, c: int, d: int) -> tuple[int, int]:
+    """Normal form of the unimodular row (c, d) as a point of P^1(Z/nZ).
+
+    Returns (code, u): u is the unique unit with u*(c, d) in normal form, and
+    code numbers that form. At each p^e | n the form is (1, d/c) when p does
+    not divide c, else (c/d, 1); the code packs the local forms in mixed radix
+    2*p^e, so equal codes mean equal points (Cremona, Algorithms for Modular
+    Elliptic Curves, 2.2).
+    """
+    code = 0
+    u = 0
+    for pe, inv, idem in _p1_tables(n):
+        s = inv[c % pe]
+        if s:
+            code = code * 2 * pe + d * s % pe
+        else:
+            s = inv[d % pe]
+            code = code * 2 * pe + pe + c * s % pe
+        u += s * idem
+    return code, u % n
 
 
 def _crt2(a: int, m: int, b: int, k: int) -> int:

@@ -188,13 +188,10 @@ class UnitSubgroup:
             raise ValueError(f"non-unit element mod {self.n}")
         if 1 % self.n not in els:
             raise ValueError("subgroup must contain 1")
-        # closure check is quadratic; trust construction above this size
-        if len(els) <= 2000:
-            s = set(els)
-            for x in els:
-                for y in els:
-                    if x * y % self.n not in s:
-                        raise ValueError(f"{x}*{y} escapes the set mod {self.n}")
+        # the greedy generators reach every element, so their closure is the
+        # set exactly when the set is closed under multiplication
+        if _unit_closure(self.n, self.generators) != self._set:
+            raise ValueError(f"not closed under multiplication mod {self.n}")
 
     @property
     def order(self) -> int:

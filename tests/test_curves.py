@@ -5,12 +5,15 @@ import warnings
 
 import pytest
 
+from modscreen import curves
 from modscreen.curves import (CosetSpace, CurveData, coset_space, curve_data,
                               curve_genus, label_prefix, map_degree, sl2_part)
-from modscreen.errors import NotASubgroup, NotFullDeterminant
-from modscreen.subgroups import (EnumeratedGroup, FullGroup, borel,
-                                 borel_index, gl2_order, lift_subgroup,
-                                 nonsplit_cartan_normalizer, sl2_order)
+from modscreen.errors import (InvariantFailed, NonIntegral, NotASubgroup,
+                              NotFullDeterminant)
+from modscreen.subgroups import (EnumeratedGroup, FullGroup, GeneratedGroup,
+                                 borel, borel_index, gl2_order, identity_quad,
+                                 lift_subgroup, nonsplit_cartan_normalizer,
+                                 sl2_order)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,
                             unit_subgroup)
 
@@ -200,11 +203,49 @@ def test_label_prefix_deterministic_across_instances():
     int(suffix, 16)  # hex digest chunk
 
 
+def test_label_is_the_same_for_every_construction_route():
+    b = borel(5, delta_full(5))
+    routes = [
+        b,
+        GeneratedGroup(5, b.generator_quads() + ((2, 0, 0, 3),)),
+        GeneratedGroup(5, reversed(b.generator_quads())),
+        EnumeratedGroup(5, b.element_quads),
+        lift_subgroup(b, 25),
+    ]
+    labels = {label_prefix(h) for h in routes}
+    assert len(labels) == 1, labels
+    assert labels.pop().startswith("5.6.0#")
+
+
 def test_label_uses_reduced_group_at_its_level():
     thin = borel(25, delta_full(25))
     preimage = lift_subgroup(borel(5, delta_full(5)), 25)
     assert label_prefix(thin).split("#")[0] == "25.30.0"
     assert label_prefix(preimage).split("#")[0] == "5.6.0"
+
+
+# ------------------------------------------------ invariants raise typed
+
+def test_non_integral_genus_raises():
+    n = 5
+    q = identity_quad(n)
+    # 12 + 2 - 0 - 0 - 6 * 2 = 2, not a multiple of 12
+    space = CosetSpace(n=n, base=FullGroup(n), reps=(q, q),
+                       perm_s=(1, 0), perm_t=(0, 1))
+    with pytest.raises(NonIntegral):
+        space.genus
+
+
+def test_coset_count_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(curves, "sl2_order", lambda n: 7)
+    with pytest.raises(InvariantFailed):
+        coset_space(borel(5, delta_full(5)))
+
+
+def test_ambient_order_not_divisible_raises(monkeypatch):
+    monkeypatch.setattr(curves, "gl2_order", lambda n: 81)
+    with pytest.raises(NonIntegral):
+        curve_data(borel(5, delta_full(5)))
 
 
 # ------------------------------------------------------------ genus tables

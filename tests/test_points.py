@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from modscreen import points
 from modscreen.curves import curve_genus, map_degree
 from modscreen.errors import ModulusMismatch, NonIntegral
 from modscreen.points import (PointDegreeReport, Verdict,
@@ -193,6 +194,15 @@ def test_level_reduction_without_hypothesis_is_advisory():
     res = level_reduction(ctx, borel(25, delta_pm1(25)), 1)
     assert not res.hypothesis_holds
     assert res.lhs == res.rhs == 25
+
+
+def test_level_reduction_non_dividing_indices_raise(monkeypatch):
+    # fine index 5 over coarse index 3
+    indices = iter([5, 3, 1])
+    monkeypatch.setattr(points, "index_via_orbit", lambda r, h: next(indices))
+    ctx = galois_context(FullGroup(25))
+    with pytest.raises(NonIntegral):
+        level_reduction(ctx, borel(25, delta_full(25)), 1)
 
 
 def test_level_reduction_randomized_structural_suite():

@@ -162,6 +162,38 @@ def test_cartan_coset_key_separates_exactly():
             assert bucket == coset
 
 
+def _key_classes_are_cosets(key, elements, subgroup, n):
+    """True when equal keys on `elements` mean exactly equal cosets H*g."""
+    buckets = {}
+    for g in elements:
+        buckets.setdefault(key(g), set()).add(g)
+    for bucket in buckets.values():
+        g = next(iter(bucket))
+        if bucket != {quad_mul(n, h, g) for h in subgroup}:
+            return False
+    return True
+
+
+def test_borel_coset_keys_separate_exactly():
+    """Both Borel keys induce the right-coset partition, by brute force, for
+    every modulus to 16 and every Delta that is trivial, cyclic or holds -1."""
+    pairs = 0
+    for n in range(2, 17):
+        deltas = {unit_subgroup(n, [u]).elements for u in units(n)}
+        if n >= 3:
+            deltas |= {d.elements for d in unit_subgroups_containing_minus_one(n)}
+        gl2 = FullGroup(n).element_quads
+        sl2 = [q for q in gl2 if (q[0] * q[3] - q[1] * q[2]) % n == 1 % n]
+        for els in sorted(deltas):
+            b = BorelGroup(n, unit_subgroup(n, els))
+            whole = [(x, y, 0, z) for x in els for y in range(n) for z in units(n)]
+            det_one = [(x, y, 0, pow(x, -1, n)) for x in els for y in range(n)]
+            assert _key_classes_are_cosets(b.coset_key, gl2, whole, n), (n, els)
+            assert _key_classes_are_cosets(b.sl2_coset_key, sl2, det_one, n), (n, els)
+            pairs += 1
+    assert pairs == 61
+
+
 def test_cartan_preimage_variant():
     pre = nonsplit_cartan_normalizer_preimage(25)
     thin = nonsplit_cartan_normalizer(25)

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from modscreen.zmod import (Mat2, delta_full, delta_pm1, delta_trivial,
-                            divisors, euler_phi, factorize, is_prime,
-                            quad_det, quad_inv, quad_is_invertible, quad_mul,
-                            quad_reduce, unit_group_generators, unit_subgroup,
-                            unit_subgroups_containing_minus_one, units)
+from modscreen.zmod import (Mat2, UnitSubgroup, delta_full, delta_pm1,
+                            delta_trivial, divisors, euler_phi, factorize,
+                            is_prime, quad_det, quad_inv, quad_is_invertible,
+                            quad_mul, quad_reduce, unit_group_generators,
+                            unit_subgroup, unit_subgroups_containing_minus_one,
+                            units)
 
 import _oracles
 
@@ -100,6 +101,15 @@ def test_unit_subgroup_closure_is_a_group():
         els = set(d.elements)
         assert 1 in els
         assert all(a * b % n in els for a in els for b in els)
+
+
+def test_unit_subgroup_rejects_sets_not_closed():
+    with pytest.raises(ValueError):
+        UnitSubgroup(7, (1, 2))
+    # above 2000 elements too: every unit mod the prime 4099 but -1
+    with pytest.raises(ValueError):
+        UnitSubgroup(4099, tuple(range(1, 4098)))
+    assert UnitSubgroup(4099, tuple(range(1, 4099))).order == 4098
 
 
 def test_unit_subgroup_rejects_nonunit():
