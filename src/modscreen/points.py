@@ -18,10 +18,10 @@ from .curves import curve_data
 from .errors import ModulusMismatch, NonIntegral, TooLarge
 from .subgroups import (ENUMERATION_CAP, EnumeratedGroup, FullGroup,
                         SubgroupSpec, adjoin_minus_i, contains_minus_i,
-                        factorize, identity_quad, index_via_orbit,
-                        level, lift_subgroup, minus_identity_quad,
-                        reduce_subgroup)
-from .zmod import Quad, is_prime, quad_mul
+                        coset_action, factorize, identity_quad,
+                        index_via_orbit, level, lift_subgroup,
+                        minus_identity_quad, reduce_subgroup)
+from .zmod import is_prime, quad_mul
 
 
 class Verdict(str, Enum):
@@ -105,34 +105,14 @@ def point_degree_general(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
     return ctx.d_j * (len(ra) // len(meet))
 
 
-def _full_coset_table(h: SubgroupSpec) -> tuple[list[Quad], dict]:
-    """BFS table of all right cosets of H in the ambient group."""
-    n = h.n
-    gens = FullGroup(n).generator_quads()
-    key = h.coset_key
-    reps = [identity_quad(n)]
-    table = {key(reps[0]): 0}
-    i = 0
-    while i < len(reps):
-        x = reps[i]
-        for g in gens:
-            y = quad_mul(n, x, g)
-            ky = key(y)
-            if ky not in table:
-                if len(reps) >= ENUMERATION_CAP:
-                    raise TooLarge(f"coset table mod {n} exceeds cap")
-                table[ky] = len(reps)
-                reps.append(y)
-        i += 1
-    return reps, table
-
-
 def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     """Degrees of every closed point over the j-class, sorted ascending.
 
-    One degree per orbit of R on the full coset table of H; the orbit of the
+    One degree per orbit of R on all right cosets of H; the orbit of the
     identity coset carries the distinguished point, whose degree is exactly
-    point_degree(ctx, h).
+    point_degree(ctx, h). A single coset walk under R's generators, then the
+    ambient ones, reaches every coset; the orbits are the components of R's
+    permutations.
     """
     if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
         raise ValueError("fiber decomposition needs the +- automorphism convention")
@@ -140,10 +120,11 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     r = ctx.image
     if r.n != h.n:
         raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
-    n = h.n
-    reps, table = _full_coset_table(h)
-    key = h.coset_key
     rgens = r.generator_quads()
+    gens = rgens + tuple(g for g in FullGroup(h.n).generator_quads()
+                         if g not in rgens)
+    reps, perms = coset_action(h, gens)
+    rperms = perms[:len(rgens)]
 
     degrees = []
     assigned = [False] * len(reps)
@@ -152,18 +133,12 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
             continue
         assigned[start] = True
         orbit = [start]
-        frontier = [start]
-        while frontier:
-            new = []
-            for i in frontier:
-                x = reps[i]
-                for g in rgens:
-                    j = table[key(quad_mul(n, x, g))]
-                    if not assigned[j]:
-                        assigned[j] = True
-                        orbit.append(j)
-                        new.append(j)
-            frontier = new
+        for i in orbit:  # orbit grows while it is walked
+            for perm in rperms:
+                j = perm[i]
+                if not assigned[j]:
+                    assigned[j] = True
+                    orbit.append(j)
         degrees.append(ctx.d_j * len(orbit))
     return tuple(sorted(degrees))
 

@@ -2,8 +2,9 @@
 
 Every group is carried two ways at once: a membership predicate and a small
 generating set. Index computations never enumerate the ambient group; they
-walk right cosets H*g under the other group's generators and identify a coset
-by a canonical key (equal keys exactly when the cosets are equal). Instances
+walk right cosets H*g under the other group's generators (coset_action, the
+one walk behind index, genus and fiber computations) and identify a coset by
+a canonical key (equal keys exactly when the cosets are equal). Instances
 are immutable after construction and safe to share.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
                      NonInvertible, NotASubgroup, OrbitTooLarge, TooLarge)
@@ -600,29 +601,42 @@ def adjoin_minus_i(h: SubgroupSpec) -> SubgroupSpec:
                           label=h.label)
 
 
+def coset_action(h: SubgroupSpec,
+                 gens: Sequence[Quad]) -> tuple[list[Quad], list[list[int]]]:
+    """The right cosets of H reached from H*1 under gens, and how gens act on them.
+
+    One BFS from the identity coset: reps[i] represents the i-th coset in
+    discovery order and perms[k][i] is the index of reps[i] * gens[k], so each
+    (coset, generator) pair costs exactly one key. OrbitTooLarge once the walk
+    would pass ORBIT_CAP cosets.
+    """
+    n = h.n
+    key = h.coset_key
+    reps = [identity_quad(n)]
+    index = {key(reps[0]): 0}
+    perms: list[list[int]] = [[] for _ in gens]
+    for x in reps:  # reps grows while it is walked: it is the BFS queue
+        for g, perm in zip(gens, perms):
+            y = quad_mul(n, x, g)
+            k = key(y)
+            j = index.get(k)
+            if j is None:
+                j = len(reps)
+                if j >= ORBIT_CAP:
+                    raise OrbitTooLarge(f"coset walk of {h.kind} mod {n} "
+                                        f"reached {j} cosets, cap {ORBIT_CAP}")
+                index[k] = j
+                reps.append(y)
+            perm.append(j)
+    return reps, perms
+
+
 def index_via_orbit(r: SubgroupSpec, h: SubgroupSpec) -> int:
     """[R : R meet H], the size of the orbit of the coset H*1 under R's generators."""
     if r.n != h.n:
         raise ModulusMismatch(f"groups live mod {r.n} and mod {h.n}")
-    n = r.n
-    gens = r.generator_quads()
-    key = h.coset_key
-    start = identity_quad(n)
-    seen = {key(start)}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = quad_mul(n, x, g)
-                k = key(y)
-                if k not in seen:
-                    if len(seen) >= ORBIT_CAP:
-                        raise OrbitTooLarge(f"coset orbit mod {n} exceeds cap")
-                    seen.add(k)
-                    new.append(y)
-        frontier = new
-    return len(seen)
+    reps, _ = coset_action(h, r.generator_quads())
+    return len(reps)
 
 
 def reduce_subgroup(h: SubgroupSpec, m: int) -> SubgroupSpec:

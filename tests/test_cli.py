@@ -237,9 +237,14 @@ def test_incompatible_modulus_is_a_usage_error(capsys):
     assert "neither a multiple nor a divisor" in err
 
 
-def test_orbit_cap_maps_to_exit_three(capsys, monkeypatch):
+@pytest.mark.parametrize("argv, walked", [
+    (("point-degree", "--image", "cns:5", "--group", "borel:5:all"), "borel"),
+    (("genus", "--group", "borel:5:all"), "sl2_part"),
+    (("fiber-degrees", "--image", "cns:5", "--group", "borel:5:all"), "borel"),
+], ids=["point-degree", "genus", "fiber-degrees"])
+def test_orbit_cap_maps_to_exit_three(capsys, monkeypatch, argv, walked):
+    # every coset walk reads the one cap at call time
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 2)
-    code, _, err = run(capsys, "point-degree", "--image", "cns:5",
-                       "--group", "borel:5:all")
+    code, _, err = run(capsys, *argv)
     assert code == 3
-    assert "error:" in err
+    assert err == f"error: coset walk of {walked} mod 5 reached 2 cosets, cap 2\n"

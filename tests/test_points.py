@@ -146,6 +146,42 @@ def test_fiber_degrees_partition_the_coset_space():
         assert sum(degs) == gl2_order(n) // h.order, (n, r.kind, h.kind)
 
 
+def _brute_fiber(r, h):
+    """Sorted sizes of the R-orbits on H's right cosets, every coset and
+    every orbit enumerated element by element."""
+    n = h.n
+    coset_of = {}
+    reps = []
+    for g in sorted(FullGroup(n).element_quads):
+        if g not in coset_of:
+            for x in h.element_quads:
+                coset_of[quad_mul(n, x, g)] = len(reps)
+            reps.append(g)
+    sizes = []
+    done = set()
+    for c, g in enumerate(reps):
+        if c not in done:
+            orbit = {coset_of[quad_mul(n, g, y)] for y in r.element_quads}
+            done |= orbit
+            sizes.append(len(orbit))
+    return tuple(sorted(sizes))
+
+
+def test_fiber_degrees_match_brute_force_orbits():
+    rng = random.Random(111)
+    for n in (5, 7, 8, 9):
+        pool = _helpers.structural_pool(n, max_order=5000)
+        # a context built directly keeps R = {I} without -I, so R walks
+        # with no generators at all; FullGroup's generators are the ambient ones
+        trivial = EnumeratedGroup(n, [(1, 0, 0, 1)])
+        assert trivial.generator_quads() == ()
+        images = [FullGroup(n), trivial] + rng.sample(pool, 2)
+        for r in images:
+            ctx = points.GaloisImageContext(image=r)
+            for h in rng.sample(pool, 3):
+                assert fiber_degrees(ctx, h) == _brute_fiber(r, h), (n, r.kind, h.kind)
+
+
 def test_fiber_degrees_scale_with_dj():
     ctx1 = galois_context(nonsplit_cartan_normalizer(5))
     ctx2 = galois_context(nonsplit_cartan_normalizer(5), d_j=2)

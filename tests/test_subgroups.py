@@ -10,7 +10,8 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  FullGroup, GeneratedGroup, LiftedGroup,
                                  adjoin_minus_i, borel, borel_index,
                                  borel_order, closure_quads, contains_minus_i,
-                                 gl2_order, index_via_orbit,
+                                 coset_action, gl2_order, identity_quad,
+                                 index_via_orbit,
                                  kernel_generator_quads, kernel_subgroup,
                                  level, lift_subgroup, minus_identity_quad,
                                  nonsplit_cartan_normalizer,
@@ -247,7 +248,17 @@ def test_index_against_naive_coset_scan():
         h = rng.choice(pools[n])
         if r.kind == "full" and n > 5:
             continue  # keep the quadratic scan small
-        assert index_via_orbit(r, h) == _helpers.naive_coset_count(r, h), (n, r.kind, h.kind)
+        index = index_via_orbit(r, h)
+        assert index == _helpers.naive_coset_count(r, h), (n, r.kind, h.kind)
+        # the walk behind the index: one permutation of the cosets per generator
+        gens = r.generator_quads()
+        reps, perms = coset_action(h, gens)
+        assert len(reps) == index and len(perms) == len(gens)
+        for g, perm in zip(gens, perms):
+            assert sorted(perm) == list(range(index)), (n, r.kind, h.kind)
+            for x, j in zip(reps, perm):
+                assert h.coset_key(quad_mul(n, x, g)) == h.coset_key(reps[j])
+        assert coset_action(h, ()) == ([identity_quad(n)], [])
 
 
 def test_index_times_intersection_is_group_order():
