@@ -104,8 +104,12 @@ def serialize_catalog(entries: Iterable[CatalogEntry]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+@cache
 def intermediate_deltas(n: int) -> tuple[UnitSubgroup, ...]:
-    """Unit subgroups strictly between the +-1 pair and the full unit group."""
+    """Unit subgroups strictly between the +-1 pair and the full unit group.
+
+    Cached per modulus: screen asks again for every entry at every level.
+    """
     if n < 3:
         return ()
     phi = euler_phi(n)

@@ -16,11 +16,11 @@ from enum import Enum
 
 from .curves import curve_data
 from .errors import ModulusMismatch, NonIntegral, TooLarge
-from .subgroups import (ENUMERATION_CAP, EnumeratedGroup, FullGroup,
-                        SubgroupSpec, adjoin_minus_i, contains_minus_i,
-                        coset_action, factorize, identity_quad,
-                        index_via_orbit, level, lift_subgroup,
-                        minus_identity_quad, reduce_subgroup)
+from . import subgroups
+from .subgroups import (EnumeratedGroup, FullGroup, SubgroupSpec,
+                        adjoin_minus_i, contains_minus_i, coset_action,
+                        factorize, identity_quad, index_via_orbit, level,
+                        lift_subgroup, minus_identity_quad, reduce_subgroup)
 from .zmod import is_prime, quad_mul
 
 
@@ -93,7 +93,8 @@ def point_degree_general(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
             n, [identity_quad(n), minus_identity_quad(n)])
     else:
         aut = ctx.aut
-    if r.order * aut.order > ENUMERATION_CAP or aut.order * h.order > ENUMERATION_CAP:
+    cap = subgroups.ENUMERATION_CAP
+    if r.order * aut.order > cap or aut.order * h.order > cap:
         raise TooLarge("product sets exceed the enumeration cap")
     ra = frozenset(quad_mul(n, x, a) for x in r.element_quads
                    for a in aut.element_quads)

@@ -63,38 +63,74 @@ def tau3_quad(n: int) -> Quad:
     return (0, (-1) % n, 1 % n, (-1) % n)
 
 
-def closure_quads(n: int, gen_quads: Iterable[Quad], cap: int = ENUMERATION_CAP) -> frozenset[Quad]:
-    """All products of the generators (the generated subgroup, groups being finite)."""
-    start = identity_quad(n)
-    seen = {start}
-    frontier = [start]
-    gens = list(gen_quads)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = quad_mul(n, x, g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise TooLarge(f"closure mod {n} exceeds cap {cap}")
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(seen)
+def closure_quads(n: int, gen_quads: Iterable[Quad],
+                  cap: int | None = None) -> frozenset[Quad]:
+    """The subgroup generated by gen_quads, closed coset by coset (Dimino).
+
+    Each generator not yet inside grows the closed group H to <H, g> as a
+    union of right cosets of H, so every element is made once, as h*r, and
+    one product per (coset, generator) pair decides whether a coset is new:
+    about |G| products instead of |G| * #gens. The greedy generator sets are
+    built from the same step and are the ones an element-by-element closure
+    picks. TooLarge exactly when the order exceeds cap (ENUMERATION_CAP,
+    read at call time, by default).
+    """
+    cap = ENUMERATION_CAP if cap is None else cap
+    group = [identity_quad(n)]
+    seen = set(group)
+    gens: list[Quad] = []
+    for g in gen_quads:
+        if g not in seen:
+            gens.append(g)
+            _adjoin_generator(n, group, seen, gens, cap)
+    del seen  # the list holds the same elements: free the set before the copy
+    return frozenset(group)
+
+
+def _adjoin_generator(n: int, group: list[Quad], seen: set[Quad],
+                      gens: list[Quad], cap: int) -> None:
+    """One Dimino step: grow the closed group H (group, seen) to <H, gens[-1]>.
+
+    Walks the right cosets H*r from H*1 under gens; (H*r)*s = H*(r*s), so
+    r*s is new exactly when it is not yet seen. The old generators fix H*1,
+    so only the new one moves it. Both containers grow in place.
+    """
+    h = group[:]
+    reps = [group[0]]
+    for i, r in enumerate(reps):  # reps grows while it is walked
+        for s in gens if i else gens[-1:]:
+            y = quad_mul(n, r, s)
+            if y in seen:
+                continue
+            if len(group) + len(h) > cap:
+                raise TooLarge(f"closure mod {n} exceeds cap {cap}")
+            reps.append(y)
+            coset = [quad_mul(n, x, y) for x in h]
+            group += coset
+            seen.update(coset)
 
 
 def _greedy_generator_quads(n: int, element_quads: Iterable[Quad]) -> tuple[Quad, ...]:
-    """Small generating set extracted from a full element list, deterministically."""
+    """Small generating set extracted from a full element list, deterministically.
+
+    Each element not yet generated is kept and adjoined with one Dimino step.
+    NotASubgroup when the kept generators do not close to exactly the given
+    set, i.e. when the set is not closed under multiplication.
+    """
     elements = sorted(element_quads)
     total = len(elements)
     gens: list[Quad] = []
-    closed: frozenset[Quad] = frozenset({identity_quad(n)})
+    group = [identity_quad(n)]
+    seen = set(group)
     for q in elements:
-        if q not in closed:
+        if q not in seen:
             gens.append(q)
-            closed = closure_quads(n, gens)
-            if len(closed) == total:
+            _adjoin_generator(n, group, seen, gens, ENUMERATION_CAP)
+            if len(seen) == total:
                 break
+    if len(seen) != total or not all(q in seen for q in elements):
+        raise NotASubgroup(f"the {total} elements mod {n} are not closed "
+                           "under multiplication")
     return tuple(gens)
 
 
@@ -370,6 +406,8 @@ class EnumeratedGroup(SubgroupSpec):
             if not quad_is_invertible(n, q):
                 raise NonInvertible(f"element {q} is singular mod {n}")
         self._elements = els
+        # NotASubgroup unless the set is closed under multiplication
+        self._gens = _greedy_generator_quads(n, els)
 
     def member_quad(self, q: Quad) -> bool:
         return q in self._elements
@@ -384,10 +422,6 @@ class EnumeratedGroup(SubgroupSpec):
 
     def generator_quads(self) -> tuple[Quad, ...]:
         return self._gens
-
-    @cached_property
-    def _gens(self) -> tuple[Quad, ...]:
-        return _greedy_generator_quads(self.n, self._elements)
 
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)

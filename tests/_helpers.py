@@ -6,9 +6,49 @@ through an explicit random.Random so runs are reproducible.
 
 import itertools
 
-from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
-                                 gl2_order, lift_subgroup)
+from modscreen.errors import TooLarge
+from modscreen.subgroups import (ENUMERATION_CAP, BorelGroup, CartanNormalizer,
+                                 FullGroup, gl2_order, identity_quad,
+                                 lift_subgroup)
 from modscreen.zmod import quad_inv, quad_mul, unit_subgroup, units
+
+
+# Reference closure and greedy generator loop: the element-by-element BFS
+# that the coset-by-coset closure replaced, kept verbatim for comparison.
+
+def reference_closure_quads(n, gen_quads, cap=ENUMERATION_CAP):
+    """All products of the generators (the generated subgroup, groups being finite)."""
+    start = identity_quad(n)
+    seen = {start}
+    frontier = [start]
+    gens = list(gen_quads)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = quad_mul(n, x, g)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise TooLarge(f"closure mod {n} exceeds cap {cap}")
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(seen)
+
+
+def reference_greedy_generator_quads(n, element_quads):
+    """Small generating set extracted from a full element list, deterministically."""
+    elements = sorted(element_quads)
+    total = len(elements)
+    gens = []
+    closed = frozenset({identity_quad(n)})
+    for q in elements:
+        if q not in closed:
+            gens.append(q)
+            closed = reference_closure_quads(n, gens)
+            if len(closed) == total:
+                break
+    return tuple(gens)
 
 
 def naive_coset_count(r, h):

@@ -124,6 +124,15 @@ def test_group_resolved_from_catalog(capsys, catalog_path):
     assert (code, out) == (0, "80\n")
 
 
+def test_enumeration_cap_maps_to_exit_three(capsys, monkeypatch, catalog_path):
+    # the closure behind a catalog group's order reads the cap at call time
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
+    code, out, err = run(capsys, "order", "--group", "file:5.B",
+                         "--catalog", catalog_path)
+    assert (code, out) == (3, "")
+    assert err == "error: closure mod 5 exceeds cap 10\n"
+
+
 # ----------------------------------------------------------------- screen
 
 def test_screen_summary_table(capsys, catalog_path):

@@ -1,11 +1,16 @@
 """Subgroup families, orders, indices, lifts, levels, and product sets."""
 
+import itertools
 import random
 
 import pytest
 
+import modscreen.subgroups
+from modscreen.curves import label_prefix
 from modscreen.errors import (EvenPrimeUnsupported, ModulusMismatch,
-                              NonDivisor, NonInvertible, NotASubgroup)
+                              NonDivisor, NonInvertible, NotASubgroup,
+                              TooLarge)
+from modscreen.points import galois_context, point_degree_general
 from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  FullGroup, GeneratedGroup, LiftedGroup,
                                  adjoin_minus_i, borel, borel_index,
@@ -18,9 +23,11 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  nonsplit_cartan_normalizer_preimage, order,
                                  product_set_check, product_set_quads,
                                  reduce_subgroup, sl2_order,
-                                 surjective_image_index_check)
+                                 surjective_image_index_check,
+                                 _greedy_generator_quads)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,
-                            euler_phi, quad_mul, unit_subgroup,
+                            euler_phi, quad_is_invertible, quad_mul,
+                            unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
 import _helpers
@@ -114,6 +121,58 @@ def test_lifted_group_closure_equals_predicate():
 def test_cached_order_equals_enumerated_order():
     for g in _helpers.structural_pool(12):
         assert g.order == len(g.element_quads), g.kind
+
+
+def test_closure_and_greedy_generators_match_the_reference_bfs():
+    """The coset-by-coset closure gives the element BFS's group, and the
+    greedy generator tuple is unchanged, on seeded random generator lists
+    with repeats, the identity and both orders."""
+    rng = random.Random(4)
+    for n in range(2, 13):
+        pool = [q for q in itertools.product(range(n), repeat=4)
+                if quad_is_invertible(n, q)]
+        lists = [[], [identity_quad(n)]]
+        for _ in range(10):
+            gens = rng.sample(pool, rng.randint(1, 3))
+            gens += [rng.choice(gens), identity_quad(n)]
+            rng.shuffle(gens)
+            lists += [gens, gens[::-1]]
+        for gens in lists:
+            want = _helpers.reference_closure_quads(n, gens)
+            assert closure_quads(n, gens) == want, (n, gens)
+            assert (_greedy_generator_quads(n, want)
+                    == _helpers.reference_greedy_generator_quads(n, want)), (n, gens)
+
+
+@pytest.mark.parametrize("ell, d", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1)])
+def test_cartan_generators_match_the_reference_greedy(ell, d):
+    c = CartanNormalizer(ell, d)
+    want = _helpers.reference_greedy_generator_quads(c.n, c.element_quads)
+    assert c.generator_quads() == want
+
+
+@pytest.mark.parametrize("group", [borel(5, delta_full(5)), CartanNormalizer(3, 2),
+                                   lift_subgroup(borel(2, delta_full(2)), 4)],
+                         ids=["borel-5", "cns-9", "lifted-4"])
+def test_closure_cap_is_exact(group):
+    """cap = |G| closes the group; one less raises before the last coset."""
+    n, gens, size = group.n, group.generator_quads(), group.order
+    assert closure_quads(n, gens, cap=size) == group.element_quads
+    with pytest.raises(TooLarge) as err:
+        closure_quads(n, gens, cap=size - 1)
+    assert str(err.value) == f"closure mod {n} exceeds cap {size - 1}"
+
+
+def test_enumeration_cap_is_read_at_call_time(monkeypatch):
+    b = borel(5, delta_full(5))
+    ctx = galois_context(nonsplit_cartan_normalizer(5))
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
+    with pytest.raises(TooLarge, match="^closure mod 5 exceeds cap 10$"):
+        GeneratedGroup(5, b.generator_quads()).order
+    with pytest.raises(TooLarge, match="label hash needs 80 elements mod 5"):
+        label_prefix(b)
+    with pytest.raises(TooLarge, match="product sets exceed"):
+        point_degree_general(ctx, b)
 
 
 # ---------------------------------------------------------------- cartan
@@ -210,6 +269,13 @@ def test_cartan_preimage_variant():
 def test_enumerated_group_requires_identity():
     with pytest.raises(ValueError):
         EnumeratedGroup(5, [(2, 0, 0, 1)])
+
+
+def test_enumerated_group_rejects_a_set_that_is_not_closed():
+    # (2 0; 0 1) has order 4 mod 5, so {I, it} is not a group
+    with pytest.raises(NotASubgroup):
+        EnumeratedGroup(5, [(1, 0, 0, 1), (2, 0, 0, 1)])
+    assert EnumeratedGroup(5, [(1, 0, 0, 1), (4, 0, 0, 1)]).order == 2
 
 
 def test_generated_group_rejects_singular_generator():
