@@ -3,9 +3,11 @@
 The degree of a point is the residue field degree of the j-coordinate times
 a coset index: the image R acting on cosets of the structure group H. The
 whole fiber decomposes into R-orbits on the coset table, one closed point per
-orbit. On top of that sit the closed-form degree identities for the nonsplit
-Cartan normalizer tower and the Riemann-Roch screen that rules isolation out
-(never in).
+orbit. When R is the full preimage of a group at a lower modulus m, the
+orbits are walked at m and scaled by [K : K meet H], K the kernel of
+reduction to m (subgroups.preimage_descent). On top of that sit the
+closed-form degree identities for the nonsplit Cartan normalizer tower and
+the Riemann-Roch screen that rules isolation out (never in).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from . import subgroups
 from .subgroups import (EnumeratedGroup, FullGroup, SubgroupSpec,
                         adjoin_minus_i, contains_minus_i, coset_action,
                         factorize, identity_quad, index_via_orbit, level,
-                        lift_subgroup, minus_identity_quad, reduce_subgroup)
+                        lift_subgroup, minus_identity_quad, preimage_descent,
+                        reduce_subgroup)
 from .zmod import is_prime, quad_mul
 
 
@@ -111,9 +114,10 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
 
     One degree per orbit of R on all right cosets of H; the orbit of the
     identity coset carries the distinguished point, whose degree is exactly
-    point_degree(ctx, h). A single coset walk under R's generators, then the
-    ambient ones, reaches every coset; the orbits are the components of R's
-    permutations.
+    point_degree(ctx, h). A coset walk under R's generators, then the ambient
+    ones, reaches every coset; the orbits are the components of R's
+    permutations. Over a lifted image the walk runs at the image's level and
+    every orbit is scaled by [K : K meet H] (subgroups.preimage_descent).
     """
     if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
         raise ValueError("fiber decomposition needs the +- automorphism convention")
@@ -121,6 +125,7 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     r = ctx.image
     if r.n != h.n:
         raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
+    r, h, scale = preimage_descent(r, h)
     rgens = r.generator_quads()
     gens = rgens + tuple(g for g in FullGroup(h.n).generator_quads()
                          if g not in rgens)
@@ -140,7 +145,7 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
                 if not assigned[j]:
                     assigned[j] = True
                     orbit.append(j)
-        degrees.append(ctx.d_j * len(orbit))
+        degrees.append(ctx.d_j * scale * len(orbit))
     return tuple(sorted(degrees))
 
 

@@ -105,7 +105,10 @@ def _adjoin_generator(n: int, group: list[Quad], seen: set[Quad],
             if len(group) + len(h) > cap:
                 raise TooLarge(f"closure mod {n} exceeds cap {cap}")
             reps.append(y)
-            coset = [quad_mul(n, x, y) for x in h]
+            e, f, g, k = y
+            coset = [((a * e + b * g) % n, (a * f + b * k) % n,
+                      (c * e + d * g) % n, (c * f + d * k) % n)
+                     for a, b, c, d in h]
             group += coset
             seen.update(coset)
 
@@ -184,6 +187,12 @@ class SubgroupSpec:
 
     def reduced(self, m: int) -> "SubgroupSpec":
         raise NotImplementedError
+
+    @property
+    def preimage_base(self) -> "SubgroupSpec":
+        """A group at a divisor modulus whose full preimage this group is,
+        known from how it was built: the group itself unless it is a lift."""
+        return self
 
     def coset_key(self, q: Quad) -> Hashable:
         els = self.element_quads
@@ -480,6 +489,10 @@ class LiftedGroup(SubgroupSpec):
     def order(self) -> int:
         return self.base.order * (gl2_order(self.n) // gl2_order(self.base.n))
 
+    @property
+    def preimage_base(self) -> SubgroupSpec:
+        return self.base
+
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
         g = gcd(m, self.base.n)
@@ -544,8 +557,10 @@ class SL2Part(SubgroupSpec):
         return (d, p.coset_key(q))
 
     def reduced(self, m: int) -> SubgroupSpec:
-        # the image of a det-1 part need not be the det-1 part of the image
-        raise NotImplementedError("reduce the parent group instead")
+        # the image of a det-1 part need not be the det-1 part of the image,
+        # but it is generated by the images of the generators
+        _check_divisor(self.n, m)
+        return GeneratedGroup(m, (quad_reduce(q, m) for q in self.generator_quads()))
 
 
 # constructors named for what they build
@@ -665,12 +680,31 @@ def coset_action(h: SubgroupSpec,
     return reps, perms
 
 
+def preimage_descent(r: SubgroupSpec,
+                     h: SubgroupSpec) -> tuple[SubgroupSpec, SubgroupSpec, int]:
+    """(R_m, H_m, s): R's orbits on the right cosets of H mod n are those of
+    R_m on the cosets of H_m mod m, each s times larger.
+
+    When R is the full preimage of R_m = r.preimage_base at m < n, the kernel
+    K of reduction to m is normal and inside R, so H*g*R is the preimage of
+    pi(H)*pi(g)*R_m: the orbits match one to one and each grows by
+    s = [K : K meet H], the orbit of H*1 under K's generators; H_m = pi(H).
+    Otherwise (R, H, 1), and the orbits are walked at n.
+    """
+    base = r.preimage_base
+    if base.n == h.n:
+        return r, h, 1
+    reps, _ = coset_action(h, kernel_generator_quads(h.n, base.n))
+    return base, reduce_subgroup(h, base.n), len(reps)
+
+
 def index_via_orbit(r: SubgroupSpec, h: SubgroupSpec) -> int:
     """[R : R meet H], the size of the orbit of the coset H*1 under R's generators."""
     if r.n != h.n:
         raise ModulusMismatch(f"groups live mod {r.n} and mod {h.n}")
+    r, h, scale = preimage_descent(r, h)
     reps, _ = coset_action(h, r.generator_quads())
-    return len(reps)
+    return scale * len(reps)
 
 
 def reduce_subgroup(h: SubgroupSpec, m: int) -> SubgroupSpec:

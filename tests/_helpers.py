@@ -6,10 +6,11 @@ through an explicit random.Random so runs are reproducible.
 
 import itertools
 
-from modscreen.errors import TooLarge
+from modscreen.errors import ModulusMismatch, TooLarge
+from modscreen.points import _aut_is_plus_minus, _require_minus_i
 from modscreen.subgroups import (ENUMERATION_CAP, BorelGroup, CartanNormalizer,
-                                 FullGroup, gl2_order, identity_quad,
-                                 lift_subgroup)
+                                 FullGroup, coset_action, gl2_order,
+                                 identity_quad, lift_subgroup)
 from modscreen.zmod import quad_inv, quad_mul, unit_subgroup, units
 
 
@@ -49,6 +50,54 @@ def reference_greedy_generator_quads(n, element_quads):
             if len(closed) == total:
                 break
     return tuple(gens)
+
+
+# Reference orbit walks: every coset at the image's modulus n, with no descent
+# to the level of a lifted image, kept verbatim for comparison.
+
+def reference_index(r, h):
+    """[R : R meet H], the size of the orbit of the coset H*1 under R's generators."""
+    if r.n != h.n:
+        raise ModulusMismatch(f"groups live mod {r.n} and mod {h.n}")
+    reps, _ = coset_action(h, r.generator_quads())
+    return len(reps)
+
+
+def reference_fiber_degrees(ctx, h):
+    """Degrees of every closed point over the j-class, sorted ascending."""
+    if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
+        raise ValueError("fiber decomposition needs the +- automorphism convention")
+    h = _require_minus_i(h)
+    r = ctx.image
+    if r.n != h.n:
+        raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
+    rgens = r.generator_quads()
+    gens = rgens + tuple(g for g in FullGroup(h.n).generator_quads()
+                         if g not in rgens)
+    reps, perms = coset_action(h, gens)
+    rperms = perms[:len(rgens)]
+
+    degrees = []
+    assigned = [False] * len(reps)
+    for start in range(len(reps)):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        orbit = [start]
+        for i in orbit:  # orbit grows while it is walked
+            for perm in rperms:
+                j = perm[i]
+                if not assigned[j]:
+                    assigned[j] = True
+                    orbit.append(j)
+        degrees.append(ctx.d_j * len(orbit))
+    return tuple(sorted(degrees))
+
+
+def reference_point_degree(ctx, h):
+    """d_j times the index of R meet H in R, for the +-convention."""
+    h = _require_minus_i(h)
+    return ctx.d_j * reference_index(ctx.image, h)
 
 
 def naive_coset_count(r, h):

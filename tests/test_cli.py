@@ -257,3 +257,35 @@ def test_orbit_cap_maps_to_exit_three(capsys, monkeypatch, argv, walked):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err == f"error: coset walk of {walked} mod 5 reached 2 cosets, cap 2\n"
+
+
+@pytest.mark.parametrize("command, printed", [
+    ("fiber-degrees", "degree\tmultiplicity\n300\t1\n"),
+    ("point-degree", "300\n"),
+], ids=["fiber-degrees", "point-degree"])
+def test_lifted_image_walks_at_its_own_level_under_the_cap(capsys, monkeypatch,
+                                                           recwarn, command,
+                                                           printed):
+    # over the preimage of CNS(5) the 300 cosets mod 25 are 12 cosets mod 5
+    # times the 25 kernel cosets, and neither walk reaches a cap of 100
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 100)
+    group = ("--group", "borel:25:")
+    code, out, _ = run(capsys, command, "--image", "cnspre:5:2", *group)
+    assert (code, out) == (0, printed)
+    # -I is adjoined to H once, not again by the walk mod 5
+    assert [str(w.message) for w in recwarn] == [
+        "adjoined -I to a subgroup mod 25 before the degree computation"]
+    # the thin normalizer at 25 is no preimage: one walk over all 300 cosets
+    code, _, err = run(capsys, command, "--image", "cns:5:2", *group)
+    assert code == 3
+    assert err == "error: coset walk of borel mod 25 reached 100 cosets, cap 100\n"
+    # the cap is checked in the kernel walk mod 25 and in the walk mod 5
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 20)
+    code, _, err = run(capsys, command, "--image", "cnspre:5:2", *group)
+    assert code == 3
+    assert err == "error: coset walk of borel mod 25 reached 20 cosets, cap 20\n"
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 10)
+    code, _, err = run(capsys, command, "--image", "cnspre:5:1",
+                       "--group", "borel:5:", "--modulus", "25")
+    assert code == 3
+    assert err == "error: coset walk of borel mod 5 reached 10 cosets, cap 10\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import warnings
 
 import pytest
 
@@ -14,12 +15,13 @@ from modscreen.points import (PointDegreeReport, Verdict,
                               point_degree, point_degree_general, point_report,
                               rr_screen, semidirect_lower_bound)
 from modscreen.subgroups import (EnumeratedGroup, FullGroup, GeneratedGroup,
-                                 borel, closure_quads, gl2_order,
-                                 index_via_orbit, lift_subgroup,
-                                 nonsplit_cartan_normalizer, reduce_subgroup)
-from modscreen.zmod import (delta_full, delta_pm1, quad_inv, quad_mul,
-                            unit_subgroup, unit_subgroups_containing_minus_one,
-                            units)
+                                 LiftedGroup, SL2Part, borel, closure_quads,
+                                 gl2_order, index_via_orbit, lift_subgroup,
+                                 nonsplit_cartan_normalizer, preimage_descent,
+                                 reduce_subgroup)
+from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
+                            quad_inv, quad_mul, unit_subgroup,
+                            unit_subgroups_containing_minus_one, units)
 
 import _helpers
 
@@ -194,6 +196,63 @@ def test_fiber_degrees_reject_general_aut():
     ctx = galois_context(FullGroup(5), aut=aut)
     with pytest.raises(ValueError):
         fiber_degrees(ctx, borel(5, delta_full(5)))
+
+
+# ------------------------------------------- descent to a lifted image's level
+
+def _lifted_images(n):
+    """Full preimages at n of a base at every proper divisor m: Borel with
+    trivial Delta and up to three Delta containing -1, and the Cartan
+    normalizer at m in (3, 5, 7, 9). m = 1 is built directly, since
+    lift_subgroup turns it into FullGroup(n)."""
+    out = [LiftedGroup(FullGroup(1), n)]
+    for m in divisors(n)[1:-1]:
+        bases = [borel(m, delta_trivial(m))]
+        bases += [borel(m, d) for d in _helpers.deltas_with_minus_one(m)[:3]]
+        if m in (3, 5, 7, 9):
+            bases.append(nonsplit_cartan_normalizer(m))
+        out += [LiftedGroup(b, n) for b in bases]
+    return out
+
+
+def _structure_groups(n):
+    """One H of each kind at n; generated ones only where keys stay cheap."""
+    p = _helpers.least_prime_factor(n)
+    out = [borel(n, delta_pm1(n)), borel(n, delta_trivial(n)),
+           lift_subgroup(borel(p, delta_pm1(p)), n), SL2Part(borel(n, delta_pm1(n)))]
+    if _helpers.is_odd_prime_power(n):
+        out.append(nonsplit_cartan_normalizer(n))
+    if gl2_order(n) <= 5_000:
+        g = (1, 1, 1, 2)  # det 1: conjugate B(n) by it
+        out.append(GeneratedGroup(n, [quad_mul(n, quad_mul(n, quad_inv(n, g), q), g)
+                                      for q in borel(n, delta_pm1(n)).generator_quads()]))
+    return out
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, len(caught)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 14, 16, 18, 25, 27])
+def test_descent_matches_the_walk_at_the_image_modulus(n):
+    for r in _lifted_images(n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ctx = galois_context(r)
+        for i, h in enumerate(_structure_groups(n)):
+            case = (n, r.base.n, r.base.kind, i, h.kind)
+            # the walk descends to the base object itself
+            assert preimage_descent(r, h)[0] is r.base, case
+            assert (_with_warnings(fiber_degrees, ctx, h)
+                    == _with_warnings(_helpers.reference_fiber_degrees, ctx, h)), case
+            assert (_with_warnings(point_degree, ctx, h)
+                    == _with_warnings(_helpers.reference_point_degree, ctx, h)), case
+            assert index_via_orbit(r, h) == _helpers.reference_index(r, h), case
+            assert (index_via_orbit(ctx.image, h)
+                    == _helpers.reference_index(ctx.image, h)), case
 
 
 # --------------------------------------------------------- level reduction

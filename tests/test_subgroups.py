@@ -12,7 +12,7 @@ from modscreen.errors import (EvenPrimeUnsupported, ModulusMismatch,
                               TooLarge)
 from modscreen.points import galois_context, point_degree_general
 from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
-                                 FullGroup, GeneratedGroup, LiftedGroup,
+                                 FullGroup, GeneratedGroup, LiftedGroup, SL2Part,
                                  adjoin_minus_i, borel, borel_index,
                                  borel_order, closure_quads, contains_minus_i,
                                  coset_action, gl2_order, identity_quad,
@@ -25,8 +25,8 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  reduce_subgroup, sl2_order,
                                  surjective_image_index_check,
                                  _greedy_generator_quads)
-from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,
-                            euler_phi, quad_is_invertible, quad_mul,
+from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
+                            euler_phi, quad_is_invertible, quad_mul, quad_reduce,
                             unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
@@ -352,6 +352,21 @@ def test_reduce_structural_families():
     assert reduce_subgroup(FullGroup(12), 4).kind == "full"
     c = reduce_subgroup(nonsplit_cartan_normalizer(25), 5)
     assert c.element_quads == nonsplit_cartan_normalizer(5).element_quads
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 25])
+def test_sl2_part_reduces_to_the_image_of_its_elements(n):
+    p = _helpers.least_prime_factor(n)
+    parents = [borel(n, delta_pm1(n)), borel(n, delta_trivial(n)),
+               lift_subgroup(borel(p, delta_full(p)), n)]
+    if _helpers.is_odd_prime_power(n):
+        parents += [nonsplit_cartan_normalizer(n),
+                    nonsplit_cartan_normalizer_preimage(n)]
+    for parent in parents:
+        s = SL2Part(parent)
+        for m in divisors(n)[:-1]:
+            image = {quad_reduce(q, m) for q in s.element_quads}
+            assert reduce_subgroup(s, m).element_quads == image, (n, parent, m)
 
 
 def test_reduce_rejects_non_divisor():
