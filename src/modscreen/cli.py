@@ -11,19 +11,21 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
 from itertools import product
 from math import gcd
 from typing import Sequence
 
 from .catalog import (CatalogEntry, emit_table1, emit_table2, load_catalog,
                       screen_entry)
-from .curves import curve_data, label_prefix, map_degree
+from .curves import coset_space, curve_data, label_prefix, map_degree
 from .errors import CatalogError, ComputationCap, ModscreenError
 from .points import (fiber_degrees, galois_context, level_reduction,
                      point_degree)
-from .subgroups import (CartanNormalizer, FullGroup, SubgroupSpec, borel,
-                        borel_index, borel_order, factorize, gl2_order, level,
-                        lift_subgroup, nonsplit_cartan_normalizer,
+from .subgroups import (CartanNormalizer, FullGroup, SubgroupSpec,
+                        adjoin_minus_i, borel, borel_index, borel_order,
+                        factorize, gl2_order, level, lift_subgroup,
+                        nonsplit_cartan_normalizer,
                         nonsplit_cartan_normalizer_preimage, reduce_subgroup,
                         sl2_order)
 from .zmod import (delta_full, delta_pm1, delta_trivial, quad_det,
@@ -277,6 +279,9 @@ def _cmd_verify_formulae(args) -> int:
                   len(grp.element_quads), borel_order(n, delta))
             check(f"borel_lagrange({n},{delta.order})",
                   borel_order(n, delta) * borel_index(n, delta), gl2_order(n))
+            pm = adjoin_minus_i(grp)
+            check(f"borel_curve({n},{delta.order})",
+                  pm.curve_counts(), coset_space(pm).counts)
     for ell in (3, 5, 7):
         for d in (1, 2):
             grp = CartanNormalizer(ell, d)
@@ -286,7 +291,9 @@ def _cmd_verify_formulae(args) -> int:
     return 1 if failures else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="modscreen",
         description="Subgroup arithmetic, curve invariants, and isolation "

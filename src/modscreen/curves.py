@@ -1,10 +1,14 @@
 """Geometry of the modular curve attached to a subgroup of GL2(Z/NZ).
 
-The engine is one permutation representation: right cosets of the
-determinant-1 part inside SL2(Z/NZ), acted on by the two standard unipotent
-and rotation generators. Point counts of the three special fiber types and
-the cusp count drop out of that action, and the genus follows from the usual
-Euler characteristic bookkeeping. Everything is exact integer arithmetic.
+A curve is pinned by four counts: mu, the index of the determinant-1 part in
+SL2(Z/NZ), the points of the two elliptic fiber types (nu2, nu3) and the cusps
+(nu_inf). The genus follows from them by the usual Euler characteristic
+bookkeeping, in one place (genus_from_counts). A group kind with closed forms
+for the counts supplies them through SubgroupSpec.curve_counts (the Borel-type
+groups do); every other kind gets them from one permutation representation,
+the right cosets of the determinant-1 part inside SL2(Z/NZ) acted on by the
+rotation and translation generators (coset_space), which is also the oracle
+the closed forms are tested against. Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -79,13 +83,23 @@ class CosetSpace:
             widths.append(length)
         return tuple(sorted(widths))
 
+    @property
+    def counts(self) -> tuple[int, int, int, int]:
+        return self.mu, self.nu2, self.nu3, self.nu_inf
+
     @cached_property
     def genus(self) -> int:
-        twelve_g = 12 + self.mu - 3 * self.nu2 - 4 * self.nu3 - 6 * self.nu_inf
-        if twelve_g % 12 or twelve_g < 0:
-            raise NonIntegral(f"12 * genus = {twelve_g} mod {self.n} is not "
-                              "12 times a non-negative integer")
-        return twelve_g // 12
+        return genus_from_counts(self.n, *self.counts)
+
+
+def genus_from_counts(n: int, mu: int, nu2: int, nu3: int, nu_inf: int) -> int:
+    """Genus from 12(g - 1) = mu - 3 nu2 - 4 nu3 - 6 nu_inf; NonIntegral when
+    the counts give no non-negative integer."""
+    twelve_g = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * nu_inf
+    if twelve_g % 12 or twelve_g < 0:
+        raise NonIntegral(f"12 * genus = {twelve_g} mod {n} is not "
+                          "12 times a non-negative integer")
+    return twelve_g // 12
 
 
 def coset_space(h: SubgroupSpec) -> CosetSpace:
@@ -102,6 +116,15 @@ def coset_space(h: SubgroupSpec) -> CosetSpace:
         raise InvariantFailed(f"{space.mu} cosets of a group of order {s.order} "
                               f"do not fill SL2(Z/{n})")
     return space
+
+
+def _counts(hpm: SubgroupSpec) -> tuple[int, int, int, int]:
+    """(mu, nu2, nu3, nu_inf) of a group containing -I: its kind's closed form
+    when it has one, else the coset walk."""
+    counts = hpm.curve_counts()
+    if counts is None:
+        counts = coset_space(hpm).counts
+    return counts
 
 
 @dataclass(frozen=True)
@@ -123,20 +146,21 @@ def curve_data(h: SubgroupSpec) -> CurveData:
     if hpm is not h:
         warnings.warn(f"adjoined -I to a subgroup mod {h.n} before computing "
                       "curve data", stacklevel=2)
-    space = coset_space(hpm)
+    mu, nu2, nu3, nu_inf = _counts(hpm)
     lvl = level(hpm)
     reduced = reduce_subgroup(hpm, lvl)
     ambient = gl2_order(lvl)
     if ambient % reduced.order:
         raise NonIntegral(f"order {reduced.order} does not divide #GL2(Z/{lvl})")
     idx = ambient // reduced.order
+    genus = genus_from_counts(h.n, mu, nu2, nu3, nu_inf)
     return CurveData(
-        mu=space.mu,
-        nu2=space.nu2,
-        nu3=space.nu3,
-        nu_inf=space.nu_inf,
-        genus=space.genus,
-        label_prefix=f"{lvl}.{idx}.{space.genus}",
+        mu=mu,
+        nu2=nu2,
+        nu3=nu3,
+        nu_inf=nu_inf,
+        genus=genus,
+        label_prefix=f"{lvl}.{idx}.{genus}",
         adjoined_minus_i=hpm is not h,
     )
 
@@ -174,11 +198,10 @@ def label_prefix(h: SubgroupSpec) -> str:
 
 def curve_genus(h: SubgroupSpec) -> int:
     """Genus alone, skipping the level and index bookkeeping of curve_data."""
-    hpm = adjoin_minus_i(h)
-    return coset_space(hpm).genus
+    return genus_from_counts(h.n, *_counts(adjoin_minus_i(h)))
 
 
 __all__ = [
     "CosetSpace", "CurveData", "coset_space", "curve_data", "curve_genus",
-    "label_prefix", "map_degree", "sl2_part",
+    "genus_from_counts", "label_prefix", "map_degree", "sl2_part",
 ]

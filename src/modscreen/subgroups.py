@@ -58,11 +58,6 @@ def tau_quad(n: int) -> Quad:
     return (1 % n, 1 % n, 0, 1 % n)
 
 
-def tau3_quad(n: int) -> Quad:
-    """(0 -1; 1 -1), order 3; its fixed cosets count the order-3 points."""
-    return (0, (-1) % n, 1 % n, (-1) % n)
-
-
 def closure_quads(n: int, gen_quads: Iterable[Quad],
                   cap: int | None = None) -> frozenset[Quad]:
     """The subgroup generated by gen_quads, closed coset by coset (Dimino).
@@ -143,7 +138,8 @@ class SubgroupSpec:
     Concrete kinds supply membership, generators, exact order, reduction to a
     divisor modulus, and a canonical right-coset key. The default key is the
     minimum of h*g over the enumerated elements, which is exact but requires
-    the group to fit under the enumeration cap; structured kinds override it.
+    the group to fit under the enumeration cap; structured kinds override it,
+    and kinds with closed-form curve counts override curve_counts.
     """
 
     kind = "abstract"
@@ -198,6 +194,11 @@ class SubgroupSpec:
         els = self.element_quads
         n = self.n
         return min(quad_mul(n, h, q) for h in els)
+
+    def curve_counts(self) -> tuple[int, int, int, int] | None:
+        """(mu, nu2, nu3, nu_inf) of the curve of +-H in closed form, or None
+        when the kind has no closed form and the cosets must be walked."""
+        return None
 
     @cached_property
     def det_image(self) -> UnitSubgroup:
@@ -321,6 +322,29 @@ class BorelGroup(SubgroupSpec):
         n = self.n
         code, u = _p1_normalize(n, q[2], q[3])
         return code * n + self._delta_class[u]
+
+    def curve_counts(self) -> tuple[int, int, int, int]:
+        # The det-1 part of B with -I adjoined is Gamma_H for H = +-Delta
+        # (upper-triangular; conjugating by sigma gives the usual c = 0 form).
+        # Gamma_H is normal in Gamma_0 with quotient (Z/n)^x / H, so each
+        # elliptic point of Gamma_0 has k = [units : H] preimages, all elliptic
+        # when the diagonal entry x of its stabilizer lies in H, none otherwise;
+        # mu = [GL2 : B_H] = k * psi(n).
+        n = self.n
+        h = adjoin_minus_i(self).delta
+        k = euler_phi(n) // h.order
+        nu2 = k * sum(1 for x in h.elements if (x * x + 1) % n == 0)
+        nu3 = k * sum(1 for x in h.elements if (x * x + x + 1) % n == 0)
+        # Cusps are the H-orbits on the pairs (a mod gcd(c, n), c mod n) with
+        # gcd(a, c, n) = 1, under (a, c) -> (a/h, h*c). The pairs with
+        # gcd(c, n) = d number phi(d) * phi(n/d), and H acts on them through
+        # its image mod lcm(d, n/d), freely, so each block splits evenly.
+        nu_inf = 0
+        for d in divisors(n):
+            m = d * (n // d) // gcd(d, n // d)
+            image = len({x % m for x in h.elements})
+            nu_inf += euler_phi(d) * euler_phi(n // d) // image
+        return borel_index(n, h), nu2, nu3, nu_inf
 
 
 class CartanNormalizer(SubgroupSpec):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import modscreen.subgroups
-from modscreen.cli import main
+from modscreen.cli import build_parser, main
 
 
 CATALOG = "\n".join((
@@ -248,7 +248,7 @@ def test_incompatible_modulus_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("argv, walked", [
     (("point-degree", "--image", "cns:5", "--group", "borel:5:all"), "borel"),
-    (("genus", "--group", "borel:5:all"), "sl2_part"),
+    (("genus", "--group", "cns:5"), "sl2_part"),
     (("fiber-degrees", "--image", "cns:5", "--group", "borel:5:all"), "borel"),
 ], ids=["point-degree", "genus", "fiber-degrees"])
 def test_orbit_cap_maps_to_exit_three(capsys, monkeypatch, argv, walked):
@@ -257,6 +257,28 @@ def test_orbit_cap_maps_to_exit_three(capsys, monkeypatch, argv, walked):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err == f"error: coset walk of {walked} mod 5 reached 2 cosets, cap 2\n"
+
+
+def test_borel_genus_uses_no_coset_walk(capsys, monkeypatch):
+    # Borel curve counts are closed forms, so a cap that stops every walk
+    # leaves the genus row as it is uncapped
+    uncapped = run(capsys, "genus", "--group", "borel:5:all")
+    assert uncapped == (0, "mu\tnu2\tnu3\tnu_inf\tgenus\tlabel_prefix\n"
+                           "6\t2\t0\t2\t0\t5.6.0\n", "")
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 2)
+    assert run(capsys, "genus", "--group", "borel:5:all") == uncapped
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # a usage error between two calls leaves the shared parser intact
+    assert build_parser() is build_parser()
+    assert run(capsys, "order", "--group", "borel:5:all") == (0, "80\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["order"])
+    assert exc.value.code == 2
+    assert "--group" in capsys.readouterr().err
+    assert run(capsys, "order", "--group", "borel:5:all", "--json") == \
+        (0, '{"order": 80}\n', "")
 
 
 @pytest.mark.parametrize("command, printed", [

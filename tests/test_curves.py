@@ -7,15 +7,16 @@ import pytest
 
 from modscreen import curves
 from modscreen.curves import (CosetSpace, CurveData, coset_space, curve_data,
-                              curve_genus, label_prefix, map_degree, sl2_part)
+                              curve_genus, genus_from_counts, label_prefix,
+                              map_degree, sl2_part)
 from modscreen.errors import (InvariantFailed, NonIntegral, NotASubgroup,
                               NotFullDeterminant)
 from modscreen.subgroups import (EnumeratedGroup, FullGroup, GeneratedGroup,
-                                 borel, borel_index, gl2_order, identity_quad,
-                                 lift_subgroup, nonsplit_cartan_normalizer,
-                                 sl2_order)
-from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,
-                            unit_subgroup)
+                                 adjoin_minus_i, borel, borel_index, gl2_order,
+                                 identity_quad, lift_subgroup,
+                                 nonsplit_cartan_normalizer, sl2_order)
+from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, factorize,
+                            unit_subgroup, unit_subgroups_containing_minus_one)
 
 import _helpers
 import _oracles
@@ -146,6 +147,50 @@ def test_curve_genus_silent_helper_agrees():
         warnings.simplefilter("error")
         g = curve_genus(borel(25, delta_trivial(25)))
     assert g == curve_data(borel(25, delta_pm1(25))).genus
+
+
+# ------------------------------------------------ closed-form Borel counts
+
+def _deltas_with_minus_one(n):
+    return (unit_subgroups_containing_minus_one(n) if n >= 3
+            else (delta_full(n),))
+
+
+def _walked_counts(n, delta):
+    return coset_space(adjoin_minus_i(borel(n, delta))).counts
+
+
+def test_borel_curve_counts_match_the_walk_to_level_64():
+    # every Delta containing -1, and the trivial Delta (+-1 once -I is
+    # adjoined), composite levels included
+    wrong = []
+    for n in range(1, 65):
+        for delta in _deltas_with_minus_one(n) + (delta_trivial(n),):
+            got, walked = borel(n, delta).curve_counts(), _walked_counts(n, delta)
+            if got != walked:
+                wrong.append((n, delta.elements, got, walked))
+    assert wrong == []
+
+
+@pytest.mark.parametrize("n", [125, 243, 256])
+def test_borel_curve_counts_match_the_walk_at_deep_levels(n):
+    for delta in _deltas_with_minus_one(n):
+        assert borel(n, delta).curve_counts() == _walked_counts(n, delta), delta
+
+
+def test_borel_curve_counts_against_classical_formulas_at_prime_powers():
+    prime_powers = [n for n in range(2, 626) if len(factorize(n)) == 1]
+    for n in prime_powers:
+        for delta, classical in ((delta_full(n), _oracles.gamma0_data),
+                                 (delta_trivial(n), _oracles.gamma1_data)):
+            counts = borel(n, delta).curve_counts()
+            assert counts + (genus_from_counts(n, *counts),) == classical(n), n
+
+
+def test_kinds_without_a_closed_form_return_none():
+    for h in (FullGroup(5), nonsplit_cartan_normalizer(5),
+              lift_subgroup(borel(3, delta_pm1(3)), 9)):
+        assert h.curve_counts() is None
 
 
 # ------------------------------------------------------------- map degrees
