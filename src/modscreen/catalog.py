@@ -22,7 +22,7 @@ from .points import (Verdict, fiber_degrees, galois_context,
                      semidirect_lower_bound)
 from .subgroups import (FullGroup, GeneratedGroup, SubgroupSpec, borel,
                         factorize, lift_subgroup, reduce_subgroup)
-from .zmod import (Quad, UnitSubgroup, delta_pm1, euler_phi,
+from .zmod import (Quad, UnitSubgroup, delta_pm1, euler_phi, is_prime,
                    quad_is_invertible, unit_subgroups_containing_minus_one)
 
 
@@ -155,8 +155,8 @@ def screen_entry(entry: CatalogEntry, n_max: int,
     """
     group = entry.subgroup()
     if entry.level == 1:
-        if ell is None:
-            raise ValueError("a prime must be supplied for a level-1 entry")
+        if ell is None or not is_prime(ell):
+            raise ValueError(f"a level-1 entry needs a prime ell, got {ell}")
         k = 0
     else:
         fac = factorize(entry.level)

@@ -233,11 +233,7 @@ def _cmd_screen(args) -> int:
 
 
 def _cmd_table(args, table) -> int:
-    if args.json:
-        for record in table.to_records():
-            print(json.dumps(record))
-        return 0
-    sys.stdout.write(table.to_tsv())
+    _emit(args, table.to_records(), table.header)
     return 0
 
 
@@ -367,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ComputationCap as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CatalogError, ModscreenError, ValueError) as exc:
+    except (CatalogError, ModscreenError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -120,10 +120,12 @@ def coset_space(h: SubgroupSpec) -> CosetSpace:
 
 def _counts(hpm: SubgroupSpec) -> tuple[int, int, int, int]:
     """(mu, nu2, nu3, nu_inf) of a group containing -I: its kind's closed form
-    when it has one, else the coset walk."""
-    counts = hpm.curve_counts()
+    when it has one, else the coset walk. A full preimage has its base's
+    curve, so the counts come from the base."""
+    base = hpm.preimage_base
+    counts = base.curve_counts()
     if counts is None:
-        counts = coset_space(hpm).counts
+        counts = coset_space(base).counts
     return counts
 
 
@@ -142,10 +144,16 @@ class CurveData:
 
 def curve_data(h: SubgroupSpec) -> CurveData:
     """Invariants of the curve attached to H (with -I adjoined if missing)."""
+    return _curve_data(h)[0]
+
+
+def _curve_data(h: SubgroupSpec) -> tuple[CurveData, SubgroupSpec]:
+    """curve_data(h), and +-H reduced to its level; warns at the public
+    function's caller."""
     hpm = adjoin_minus_i(h)
     if hpm is not h:
         warnings.warn(f"adjoined -I to a subgroup mod {h.n} before computing "
-                      "curve data", stacklevel=2)
+                      "curve data", stacklevel=3)
     mu, nu2, nu3, nu_inf = _counts(hpm)
     lvl = level(hpm)
     reduced = reduce_subgroup(hpm, lvl)
@@ -162,7 +170,7 @@ def curve_data(h: SubgroupSpec) -> CurveData:
         genus=genus,
         label_prefix=f"{lvl}.{idx}.{genus}",
         adjoined_minus_i=hpm is not h,
-    )
+    ), reduced
 
 
 def map_degree(h1: SubgroupSpec, h2: SubgroupSpec) -> int:
@@ -184,14 +192,11 @@ def label_prefix(h: SubgroupSpec) -> str:
     equal groups get equal labels however they were built; TooLarge when
     that set exceeds the enumeration cap.
     """
-    data = curve_data(h)
-    hpm = adjoin_minus_i(h)
-    lvl = int(data.label_prefix.split(".", 1)[0])
-    reduced = reduce_subgroup(hpm, lvl)
+    data, reduced = _curve_data(h)
     if reduced.order > subgroups.ENUMERATION_CAP:
-        raise TooLarge(f"label hash needs {reduced.order} elements mod {lvl}")
+        raise TooLarge(f"label hash needs {reduced.order} elements mod {reduced.n}")
     els = sorted(reduced.element_quads)
-    blob = f"{lvl}|" + ";".join(",".join(map(str, q)) for q in els)
+    blob = f"{reduced.n}|" + ";".join(",".join(map(str, q)) for q in els)
     digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:8]
     return f"{data.label_prefix}#{digest}"
 

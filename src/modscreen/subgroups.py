@@ -16,7 +16,8 @@ from math import gcd
 from typing import Hashable, Iterable, Sequence
 
 from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
-                     NonInvertible, NotASubgroup, OrbitTooLarge, TooLarge)
+                     NonIntegral, NonInvertible, NotASubgroup, OrbitTooLarge,
+                     TooLarge)
 from .zmod import (Mat2, Quad, UnitSubgroup, divisors, euler_phi, factorize,
                    is_prime, quad_det, quad_inv, quad_is_invertible, quad_mul,
                    quad_reduce, unit_group_generators, unit_subgroup, units)
@@ -136,10 +137,10 @@ class SubgroupSpec:
     """A subgroup of GL2(Z/nZ).
 
     Concrete kinds supply membership, generators, exact order, reduction to a
-    divisor modulus, and a canonical right-coset key. The default key is the
-    minimum of h*g over the enumerated elements, which is exact but requires
-    the group to fit under the enumeration cap; structured kinds override it,
-    and kinds with closed-form curve counts override curve_counts.
+    divisor modulus, and a canonical right-coset key. The hooks below hold the
+    generic path; a kind overrides one where it knows a closed form. The
+    default key is the minimum of h*g over the enumerated elements, which is
+    exact but requires the group to fit under the enumeration cap.
     """
 
     kind = "abstract"
@@ -189,6 +190,20 @@ class SubgroupSpec:
         """A group at a divisor modulus whose full preimage this group is,
         known from how it was built: the group itself unless it is a lift."""
         return self
+
+    def lifted(self, n: int) -> "SubgroupSpec":
+        """The full preimage at the multiple modulus n."""
+        return LiftedGroup(self, n)
+
+    def with_minus_i(self) -> "SubgroupSpec":
+        """The group generated by H and -I, for an H without -I."""
+        n = self.n
+        return GeneratedGroup(n, self.generator_quads() + (minus_identity_quad(n),),
+                              label=self.label)
+
+    def sl2_generator_quads(self) -> tuple[Quad, ...]:
+        """Generators of the determinant-1 part, in SL2Part's order."""
+        return _greedy_generator_quads(self.n, SL2Part(self).element_quads)
 
     def coset_key(self, q: Quad) -> Hashable:
         els = self.element_quads
@@ -247,6 +262,13 @@ class FullGroup(SubgroupSpec):
         _check_divisor(self.n, m)
         return FullGroup(m)
 
+    def lifted(self, n: int) -> SubgroupSpec:
+        return FullGroup(n)
+
+    def sl2_generator_quads(self) -> tuple[Quad, ...]:
+        n = self.n
+        return _dedup(n, [sigma_quad(n), tau_quad(n)])
+
     def coset_key(self, q: Quad) -> Hashable:
         return 0
 
@@ -290,6 +312,16 @@ class BorelGroup(SubgroupSpec):
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
         return BorelGroup(m, self.delta.reduced(m))
+
+    def with_minus_i(self) -> SubgroupSpec:
+        n = self.n
+        return BorelGroup(n, unit_subgroup(n, self.delta.elements + (n - 1,)))
+
+    def sl2_generator_quads(self) -> tuple[Quad, ...]:
+        n = self.n
+        gens = [tau_quad(n)]
+        gens += [(dl, 0, 0, pow(dl, -1, n)) for dl in self.delta.generators]
+        return _dedup(n, gens)
 
     @cached_property
     def _delta_class(self) -> list[int]:
@@ -449,16 +481,17 @@ class EnumeratedGroup(SubgroupSpec):
     def element_quads(self) -> frozenset[Quad]:
         return self._elements
 
-    @cached_property
-    def order(self) -> int:
-        return len(self._elements)
-
     def generator_quads(self) -> tuple[Quad, ...]:
         return self._gens
 
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
         return EnumeratedGroup(m, (quad_reduce(q, m) for q in self._elements))
+
+    def with_minus_i(self) -> SubgroupSpec:
+        n = self.n
+        m, els = minus_identity_quad(n), self._elements
+        return EnumeratedGroup(n, els | {quad_mul(n, m, q) for q in els})
 
 
 class GeneratedGroup(SubgroupSpec):
@@ -495,10 +528,8 @@ class LiftedGroup(SubgroupSpec):
     def __init__(self, base: SubgroupSpec, n: int, label: str | None = None):
         if n % base.n:
             raise NonDivisor(f"base modulus {base.n} must divide {n}")
-        if isinstance(base, LiftedGroup):
-            base = base.base
         super().__init__(n, label)
-        self.base = base
+        self.base = base.preimage_base
 
     def member_quad(self, q: Quad) -> bool:
         return quad_is_invertible(self.n, q) and self.base.member_quad(quad_reduce(q, self.base.n))
@@ -522,6 +553,15 @@ class LiftedGroup(SubgroupSpec):
         g = gcd(m, self.base.n)
         inner = self.base.reduced(g)
         return lift_subgroup(inner, m)
+
+    def with_minus_i(self) -> SubgroupSpec:
+        return LiftedGroup(adjoin_minus_i(self.base), self.n)
+
+    def sl2_generator_quads(self) -> tuple[Quad, ...]:
+        n, m = self.n, self.base.n
+        gens = [det_one_lift_quad(g, m, n) for g in self.base.sl2_generator_quads()]
+        gens += sl2_kernel_generator_quads(n, m)
+        return _dedup(n, gens)
 
     def coset_key(self, q: Quad) -> Hashable:
         # cosets of a preimage are pinned entirely downstairs
@@ -555,36 +595,20 @@ class SL2Part(SubgroupSpec):
 
     @cached_property
     def _gens(self) -> tuple[Quad, ...]:
-        n = self.n
-        p = self.parent
-        if isinstance(p, FullGroup):
-            return _dedup(n, [sigma_quad(n), tau_quad(n)])
-        if isinstance(p, BorelGroup):
-            gens = [tau_quad(n)]
-            for dl in p.delta.generators:
-                gens.append((dl, 0, 0, pow(dl, -1, n)))
-            return _dedup(n, gens)
-        if isinstance(p, LiftedGroup):
-            m = p.base.n
-            gens = [det_one_lift_quad(g, m, n) for g in SL2Part(p.base).generator_quads()]
-            gens += list(sl2_kernel_generator_quads(n, m))
-            return _dedup(n, gens)
-        return _greedy_generator_quads(n, self.element_quads)
+        return self.parent.sl2_generator_quads()
 
     def coset_key(self, q: Quad) -> Hashable:
-        # S*g1 = S*g2 iff the parent cosets agree and the determinants agree;
-        # branch on det so each det class uses one consistent encoding.
-        d = quad_det(self.n, q)
-        p = self.parent
-        if d == 1 % self.n and isinstance(p, BorelGroup):
-            return (d, p.sl2_coset_key(q))
-        return (d, p.coset_key(q))
+        # S*g1 = S*g2 iff the parent cosets agree and the determinants agree
+        return (quad_det(self.n, q), self.parent.coset_key(q))
 
     def reduced(self, m: int) -> SubgroupSpec:
         # the image of a det-1 part need not be the det-1 part of the image,
         # but it is generated by the images of the generators
         _check_divisor(self.n, m)
         return GeneratedGroup(m, (quad_reduce(q, m) for q in self.generator_quads()))
+
+    def with_minus_i(self) -> SubgroupSpec:
+        return SL2Part(adjoin_minus_i(self.parent))
 
 
 # constructors named for what they build
@@ -621,26 +645,21 @@ def least_nonresidue(ell: int) -> int:
 
 # closed-form sizes
 
-def _delta_order(delta: UnitSubgroup | int) -> int:
-    return delta if isinstance(delta, int) else delta.order
-
-
-def borel_order(n: int, delta: UnitSubgroup | int) -> int:
+def borel_order(n: int, delta: UnitSubgroup) -> int:
     """#B_Delta(n) = #Delta * prod p^(2a-1) (p-1)."""
-    out = _delta_order(delta)
+    out = delta.order
     for p, e in factorize(n):
         out *= p ** (2 * e - 1) * (p - 1)
     return out
 
 
-def borel_index(n: int, delta: UnitSubgroup | int) -> int:
+def borel_index(n: int, delta: UnitSubgroup) -> int:
     """[GL2 : B_Delta] = (1/#Delta) * prod p^(2a-2) (p^2-1)."""
     num = 1
     for p, e in factorize(n):
         num *= p ** (2 * e - 2) * (p * p - 1)
-    k = _delta_order(delta)
+    k = delta.order
     if num % k:
-        from .errors import NonIntegral
         raise NonIntegral(f"#Delta = {k} does not divide {num}")
     return num // k
 
@@ -657,21 +676,7 @@ def contains_minus_i(h: SubgroupSpec) -> bool:
 
 def adjoin_minus_i(h: SubgroupSpec) -> SubgroupSpec:
     """The group generated by H and -I; H itself when -I is already inside."""
-    if contains_minus_i(h):
-        return h
-    n = h.n
-    if isinstance(h, BorelGroup):
-        return BorelGroup(n, unit_subgroup(n, h.delta.elements + (n - 1,)))
-    if isinstance(h, EnumeratedGroup):
-        m = minus_identity_quad(n)
-        doubled = set(h.element_quads) | {quad_mul(n, m, q) for q in h.element_quads}
-        return EnumeratedGroup(n, doubled)
-    if isinstance(h, LiftedGroup):
-        return LiftedGroup(adjoin_minus_i(h.base), n)
-    if isinstance(h, SL2Part):
-        return SL2Part(adjoin_minus_i(h.parent))
-    return GeneratedGroup(n, h.generator_quads() + (minus_identity_quad(n),),
-                          label=h.label)
+    return h if contains_minus_i(h) else h.with_minus_i()
 
 
 def coset_action(h: SubgroupSpec,
@@ -743,11 +748,7 @@ def lift_subgroup(h: SubgroupSpec, n: int) -> SubgroupSpec:
     """Full preimage of H at the multiple modulus n."""
     if n % h.n:
         raise NonDivisor(f"{h.n} does not divide {n}")
-    if n == h.n:
-        return h
-    if isinstance(h, FullGroup):
-        return FullGroup(n)
-    return LiftedGroup(h, n)
+    return h if n == h.n else h.lifted(n)
 
 
 def _ladder_quads(p: int, lo: int, hi: int, pe: int) -> list[Quad]:

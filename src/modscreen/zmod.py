@@ -164,13 +164,7 @@ def _unit_closure(n: int, gens: Iterable[int], seed: Iterable[int] = ()) -> froz
 @cache
 def unit_group_generators(n: int) -> tuple[int, ...]:
     """A small generating set of (Z/nZ)^x, found greedily in ascending order."""
-    gens: list[int] = []
-    closed = _unit_closure(n, ())
-    for u in units(n):
-        if u not in closed:
-            gens.append(u)
-            closed = _unit_closure(n, gens)
-    return tuple(gens)
+    return delta_full(n).generators
 
 
 @dataclass(frozen=True)
@@ -241,7 +235,7 @@ def delta_pm1(n: int) -> UnitSubgroup:
 
 
 def delta_full(n: int) -> UnitSubgroup:
-    return unit_subgroup(n, unit_group_generators(n))
+    return UnitSubgroup(n, units(n))
 
 
 def unit_subgroups_containing_minus_one(n: int) -> tuple[UnitSubgroup, ...]:

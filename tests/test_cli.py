@@ -178,6 +178,25 @@ def test_screen_unknown_label_is_a_usage_error(capsys, catalog_path):
     assert "no.such" in err
 
 
+@pytest.mark.parametrize("ell", ["4", "1", "0", "-3", "9"])
+def test_screen_rejects_a_non_prime_ell_for_level_one(capsys, catalog_path, ell):
+    code, out, err = run(capsys, "screen", "--catalog", catalog_path,
+                         "--label", "1.full", "--ell", ell)
+    assert (code, out) == (2, "")
+    assert err == f"error: a level-1 entry needs a prime ell, got {ell}\n"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("argv", [["screen", "--ell", "5"],
+                                  ["order", "--group", "file:5.B"]])
+def test_unreadable_catalog_is_a_usage_error(capsys, tmp_path, where, argv):
+    path = tmp_path / "none.jsonl" if where == "missing" else tmp_path
+    code, out, err = run(capsys, *argv, "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 # ----------------------------------------------------------------- tables
 
 def test_table1_snapshot(capsys):

@@ -193,6 +193,20 @@ def test_kinds_without_a_closed_form_return_none():
         assert h.curve_counts() is None
 
 
+def test_lifted_curves_are_their_bases_curves():
+    # curve_data takes a lift's counts from its base; the oracle walks the
+    # cosets at the lifted level
+    checked = 0
+    for n in range(2, 28):
+        for g in _helpers.structural_pool(n):
+            if g.kind == "lifted":
+                d = curve_data(g)
+                walked = coset_space(adjoin_minus_i(g)).counts
+                assert (d.mu, d.nu2, d.nu3, d.nu_inf) == walked, (n, g)
+                checked += 1
+    assert checked > 50
+
+
 # ------------------------------------------------------------- map degrees
 
 def test_map_degree_examples():
@@ -267,6 +281,13 @@ def test_label_uses_reduced_group_at_its_level():
     preimage = lift_subgroup(borel(5, delta_full(5)), 25)
     assert label_prefix(thin).split("#")[0] == "25.30.0"
     assert label_prefix(preimage).split("#")[0] == "5.6.0"
+
+
+def test_adjoin_warnings_point_at_the_caller():
+    for fn in (curve_data, label_prefix):
+        with pytest.warns(UserWarning, match="adjoined -I") as record:
+            fn(borel(5, delta_trivial(5)))
+        assert [w.filename for w in record] == [__file__], fn
 
 
 # ------------------------------------------------ invariants raise typed

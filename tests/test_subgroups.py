@@ -23,7 +23,7 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  nonsplit_cartan_normalizer_preimage, order,
                                  product_set_check, product_set_quads,
                                  reduce_subgroup, sl2_order,
-                                 surjective_image_index_check,
+                                 surjective_image_index_check, tau_quad,
                                  _greedy_generator_quads)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
                             euler_phi, quad_is_invertible, quad_mul, quad_reduce,
@@ -474,6 +474,54 @@ def test_adjoin_minus_i_on_lifted_and_enumerated():
     e = EnumeratedGroup(5, [(1, 0, 0, 1)])
     out = adjoin_minus_i(e)
     assert out.element_quads == frozenset({(1, 0, 0, 1), (4, 0, 0, 4)})
+
+
+# ------------------------------------------------------------ kind hooks
+
+def _hook_pool(n):
+    """structural_pool(n), Borel and lifted groups without -I, and one
+    enumerated, one generated and one det-1 group, all at modulus n."""
+    pool = _helpers.structural_pool(n)
+    pool += [lift_subgroup(borel(m, delta_trivial(m)), n) for m in divisors(n)]
+    pool += [EnumeratedGroup(n, [(1, b, 0, 1) for b in range(n)]),
+             GeneratedGroup(n, [tau_quad(n), (1, 0, 0, n - 1)]),
+             SL2Part(borel(n, delta_trivial(n)))]
+    return pool
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_kind_hooks_against_reference_closures(n):
+    """with_minus_i, sl2_generator_quads and lifted on every kind, each
+    against the element-by-element closure or the defining predicate."""
+    rng = random.Random(n)
+    minus = minus_identity_quad(n)
+    for h in _hook_pool(n):
+        pm = adjoin_minus_i(h)
+        assert pm.kind == h.kind, (n, h)
+        assert pm.element_quads == _helpers.reference_closure_quads(
+            n, h.generator_quads() + (minus,)), (n, h)
+        s = SL2Part(h)
+        assert _helpers.reference_closure_quads(n, s.generator_quads()) == \
+            s.element_quads, (n, h)
+        for k in (2, 3):
+            big = k * n
+            lifted = lift_subgroup(h, big)
+            members = rng.sample(sorted(h.element_quads), min(40, h.order))
+            quads = [tuple(rng.randrange(big) for _ in range(4)) for _ in range(200)]
+            quads += [tuple((x + n * rng.randrange(k)) % big for x in q)
+                      for q in members]
+            for q in quads:
+                want = (quad_is_invertible(big, q)
+                        and h.member_quad(quad_reduce(q, n)))
+                assert lifted.member_quad(q) == want, (n, h, k, q)
+            assert reduce_subgroup(lifted, n).element_quads == h.element_quads, \
+                (n, h, k)
+
+
+def test_lifted_groups_flatten_to_the_first_base():
+    base = borel(3, delta_trivial(3))
+    assert LiftedGroup(LiftedGroup(base, 9), 27).base is base
+    assert lift_subgroup(lift_subgroup(base, 9), 27).base is base
 
 
 # ------------------------------------------------------------ product sets
