@@ -27,9 +27,8 @@ from .subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                         nonsplit_cartan_normalizer_preimage, order,
                         product_set_check, reduce_subgroup, sl2_order,
                         surjective_image_index_check)
-from .zmod import (Mat2, UnitSubgroup, delta_full, delta_pm1, delta_trivial,
-                   divisors, euler_phi, factorize, identity, mat_det, mat_inv,
-                   mat_mul, mat_reduce, minus_identity, unit_subgroup,
+from .zmod import (UnitSubgroup, delta_full, delta_pm1, delta_trivial,
+                   divisors, euler_phi, factorize, unit_subgroup,
                    unit_subgroups_containing_minus_one, units)
 
 __version__ = "0.1.0"
@@ -38,25 +37,23 @@ __all__ = [
     "BorelGroup", "CartanNormalizer", "CatalogEntry", "CatalogError",
     "ComputationCap", "CosetSpace", "CurveData", "EnumeratedGroup",
     "EvenPrimeUnsupported", "FullGroup", "GaloisImageContext",
-    "GeneratedGroup", "LevelReductionResult", "LiftedGroup", "Mat2",
-    "ModscreenError", "ModulusMismatch", "NonDivisor", "NonIntegral",
-    "NonInvertible", "NonInvertibleGenerator", "NotASubgroup",
-    "NotFullDeterminant", "OrbitTooLarge", "ParseError", "PointDegreeReport",
-    "ProductSetCheck", "SL2Part", "ScreenReport", "ScreenRow", "SubgroupSpec",
-    "Table", "TooLarge", "UnitSubgroup", "Verdict", "adjoin_minus_i", "borel",
+    "GeneratedGroup", "LevelReductionResult", "LiftedGroup", "ModscreenError",
+    "ModulusMismatch", "NonDivisor", "NonIntegral", "NonInvertible",
+    "NonInvertibleGenerator", "NotASubgroup", "NotFullDeterminant",
+    "OrbitTooLarge", "ParseError", "PointDegreeReport", "ProductSetCheck",
+    "SL2Part", "ScreenReport", "ScreenRow", "SubgroupSpec", "Table",
+    "TooLarge", "UnitSubgroup", "Verdict", "adjoin_minus_i", "borel",
     "borel_index", "borel_order", "cartan_degree_formula", "contains_minus_i",
     "coset_space", "curve_data", "curve_genus", "degree_bound_check",
     "delta_full", "delta_pm1", "delta_trivial", "divisors", "emit_table1",
     "emit_table2", "euler_phi", "factorize", "fiber_degrees",
-    "galois_context", "gl2_order", "identity", "index_via_orbit",
-    "intermediate_deltas", "kernel_generator_quads", "kernel_subgroup",
-    "label_prefix", "level", "level_reduction", "lift_subgroup",
-    "load_catalog", "map_degree", "mat_det", "mat_inv", "mat_mul",
-    "mat_reduce", "minus_identity", "nonsplit_cartan_normalizer",
-    "nonsplit_cartan_normalizer_preimage", "order", "parse_catalog",
-    "point_degree", "point_degree_general", "point_report",
-    "product_set_check", "reduce_subgroup", "rr_screen", "screen_entry",
-    "semidirect_lower_bound", "serialize_catalog", "sl2_order", "sl2_part",
-    "surjective_image_index_check", "unit_subgroup",
+    "galois_context", "gl2_order", "index_via_orbit", "intermediate_deltas",
+    "kernel_generator_quads", "kernel_subgroup", "label_prefix", "level",
+    "level_reduction", "lift_subgroup", "load_catalog", "map_degree",
+    "nonsplit_cartan_normalizer", "nonsplit_cartan_normalizer_preimage",
+    "order", "parse_catalog", "point_degree", "point_degree_general",
+    "point_report", "product_set_check", "reduce_subgroup", "rr_screen",
+    "screen_entry", "semidirect_lower_bound", "serialize_catalog",
+    "sl2_order", "sl2_part", "surjective_image_index_check", "unit_subgroup",
     "unit_subgroups_containing_minus_one", "units",
 ]

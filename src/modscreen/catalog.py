@@ -213,11 +213,6 @@ class Table:
     header: tuple[str, ...]
     rows: tuple[tuple, ...]
 
-    def to_tsv(self) -> str:
-        out = ["\t".join(self.header)]
-        out += ["\t".join(str(v) for v in row) for row in self.rows]
-        return "\n".join(out) + "\n"
-
     def to_records(self) -> list[dict]:
         return [dict(zip(self.header, row)) for row in self.rows]
 

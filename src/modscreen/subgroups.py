@@ -18,9 +18,10 @@ from typing import Hashable, Iterable, Sequence
 from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
                      NonIntegral, NonInvertible, NotASubgroup, OrbitTooLarge,
                      TooLarge)
-from .zmod import (Mat2, Quad, UnitSubgroup, divisors, euler_phi, factorize,
-                   is_prime, quad_det, quad_inv, quad_is_invertible, quad_mul,
-                   quad_reduce, unit_group_generators, unit_subgroup, units)
+from .zmod import (Quad, UnitSubgroup, _check_modulus, divisors, euler_phi,
+                   factorize, is_prime, quad_det, quad_inv, quad_is_invertible,
+                   quad_mul, quad_reduce, unit_group_generators, unit_subgroup,
+                   units)
 
 ENUMERATION_CAP = 10_000_000
 ORBIT_CAP = 10_000_000
@@ -146,8 +147,7 @@ class SubgroupSpec:
     kind = "abstract"
 
     def __init__(self, n: int, label: str | None = None):
-        if n < 1:
-            raise ValueError(f"modulus must be >= 1, got {n}")
+        _check_modulus(n)
         self.n = n
         self.label = label
 
@@ -159,14 +159,6 @@ class SubgroupSpec:
     def generator_quads(self) -> tuple[Quad, ...]:
         raise NotImplementedError
 
-    def contains(self, m: Mat2) -> bool:
-        if m.n != self.n:
-            raise ModulusMismatch(f"matrix mod {m.n} against group mod {self.n}")
-        return self.member_quad(m.quad)
-
-    def generators(self) -> tuple[Mat2, ...]:
-        return tuple(Mat2(self.n, *q) for q in self.generator_quads())
-
     # size and enumeration
 
     @cached_property
@@ -176,9 +168,6 @@ class SubgroupSpec:
     @cached_property
     def element_quads(self) -> frozenset[Quad]:
         return closure_quads(self.n, self.generator_quads())
-
-    def elements(self) -> frozenset[Mat2]:
-        return frozenset(Mat2(self.n, *q) for q in self.element_quads)
 
     # structure
 
@@ -782,7 +771,7 @@ def kernel_generator_quads(n: int, d: int) -> tuple[Quad, ...]:
             local += [(1, 0, 0, u) for u in unit_group_generators(pe)]
         else:
             local = _ladder_quads(p, f, e, pe)
-        gens += [crt_embed_quad(q, pe, n) for q in local]
+        gens += [lift_quad(q, pe, n) for q in local]
     return _dedup(n, gens)
 
 
@@ -808,7 +797,7 @@ def sl2_kernel_generator_quads(n: int, d: int) -> tuple[Quad, ...]:
                     (1, 0, pj % pe, 1),
                     ((1 + pj) % pe, 0, 0, pow(1 + pj, -1, pe)),
                 ]
-        gens += [crt_embed_quad(q, pe, n) for q in local]
+        gens += [lift_quad(q, pe, n) for q in local]
     return _dedup(n, gens)
 
 
@@ -819,16 +808,10 @@ def kernel_subgroup(n: int, d: int) -> SubgroupSpec:
     return GeneratedGroup(n, kernel_generator_quads(n, d), label=f"ker({n}->{d})")
 
 
-def level(h: SubgroupSpec, divisor_chain: Iterable[int] | None = None) -> int:
+def level(h: SubgroupSpec) -> int:
     """Least divisor d of the modulus with the whole mod-d kernel inside H."""
     n = h.n
-    if divisor_chain is None:
-        chain = list(divisors(n))
-    else:
-        chain = sorted(set(divisor_chain) | {n})
-        for d in chain:
-            _check_divisor(n, d)
-    for d in chain:
+    for d in divisors(n):
         if all(h.member_quad(g) for g in kernel_generator_quads(n, d)):
             return d
     return n
@@ -859,15 +842,6 @@ def det_one_lift_quad(q: Quad, m: int, n: int) -> Quad:
     det = quad_det(n, y)
     fix = pow(det, -1, n)
     return (y[0], y[1] * fix % n, y[2], y[3] * fix % n)
-
-
-def crt_embed_quad(q: Quad, pe: int, n: int) -> Quad:
-    """Entry-wise CRT: q at the prime power pe, the identity elsewhere."""
-    rest = n // pe
-    if rest == 1:
-        return q
-    ident = identity_quad(rest)
-    return tuple(_crt2(q[i], pe, ident[i], rest) for i in range(4))  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

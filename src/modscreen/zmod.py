@@ -1,49 +1,19 @@
-"""Exact arithmetic for 2x2 matrices over Z/NZ and subgroups of its unit group."""
+"""Exact arithmetic for 2x2 matrices over Z/NZ and subgroups of its unit group.
+
+A matrix is a Quad: the 4-tuple (a, b, c, d) of (a b; c d), row-major, with
+entries reduced mod the modulus that every routine takes alongside it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .errors import ModulusMismatch, NonDivisor, NonInvertible
+from .errors import NonDivisor, NonInvertible
 
 Quad = tuple[int, int, int, int]
-
-
-class _Mat2Fields(NamedTuple):
-    n: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-class Mat2(_Mat2Fields):
-    """Row-major 2x2 matrix (a b; c d) over Z/nZ, entries stored reduced."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, a: int, b: int, c: int, d: int):
-        if n < 1:
-            raise ValueError(f"modulus must be >= 1, got {n}")
-        return super().__new__(cls, n, a % n, b % n, c % n, d % n)
-
-    @property
-    def quad(self) -> Quad:
-        return (self.a, self.b, self.c, self.d)
-
-    def __repr__(self) -> str:
-        return f"Mat2({self.n}; {self.a} {self.b}; {self.c} {self.d})"
-
-
-def identity(n: int) -> Mat2:
-    return Mat2(n, 1, 0, 0, 1)
-
-
-def minus_identity(n: int) -> Mat2:
-    return Mat2(n, -1, 0, 0, -1)
 
 
 # quad-level arithmetic: the hot loops carry a fixed modulus and bare 4-tuples
@@ -74,27 +44,6 @@ def quad_inv(n: int, q: Quad) -> Quad:
 
 def quad_reduce(q: Quad, m: int) -> Quad:
     return (q[0] % m, q[1] % m, q[2] % m, q[3] % m)
-
-
-def mat_mul(x: Mat2, y: Mat2) -> Mat2:
-    if x.n != y.n:
-        raise ModulusMismatch(f"cannot multiply mod {x.n} by mod {y.n}")
-    return Mat2(x.n, *quad_mul(x.n, x.quad, y.quad))
-
-
-def mat_det(x: Mat2) -> int:
-    return quad_det(x.n, x.quad)
-
-
-def mat_inv(x: Mat2) -> Mat2:
-    return Mat2(x.n, *quad_inv(x.n, x.quad))
-
-
-def mat_reduce(x: Mat2, m: int) -> Mat2:
-    """Entrywise reduction to a divisor modulus; mod 1 everything is zero."""
-    if m < 1 or x.n % m:
-        raise NonDivisor(f"{m} does not divide the modulus {x.n}")
-    return Mat2(m, *quad_reduce(x.quad, m))
 
 
 # elementary number theory, sized for the small moduli this package works at
@@ -144,20 +93,27 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(x for x in range(n) if gcd(x, n) == 1)
 
 
-def _unit_closure(n: int, gens: Iterable[int], seed: Iterable[int] = ()) -> frozenset[int]:
-    out = set(x % n for x in seed)
-    out.add(1 % n)
-    frontier = list(out)
-    gens = [g % n for g in gens]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g % n
-                if y not in out:
-                    out.add(y)
-                    new.append(y)
-        frontier = new
+def _check_modulus(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+
+
+def _unit_closure(n: int, gens: Iterable[int]) -> frozenset[int]:
+    """The subgroup generated by the units gens, one _extend_subgroup each."""
+    out = frozenset({1 % n})
+    for g in gens:
+        out = _extend_subgroup(n, out, g % n)
+    return out
+
+
+def _extend_subgroup(n: int, sub: frozenset[int], g: int) -> frozenset[int]:
+    """<sub, g> for a closed sub: the union of its g-power translates, the
+    abelian case of the coset-by-coset (Dimino) step that closes GL2 groups."""
+    out = set(sub)
+    coset = {x * g % n for x in sub}
+    while not coset <= out:
+        out |= coset
+        coset = {x * g % n for x in coset}
     return frozenset(out)
 
 
@@ -175,16 +131,19 @@ class UnitSubgroup:
     elements: tuple[int, ...]
 
     def __post_init__(self):
+        _check_modulus(self.n)
         els = self.elements
         if not els or list(els) != sorted(set(els)):
             raise ValueError("elements must be sorted and distinct")
+        if els[0] < 0 or els[-1] >= self.n:
+            raise ValueError(f"element is not a residue mod {self.n}")
         if any(gcd(x, self.n) != 1 for x in els):
             raise ValueError(f"non-unit element mod {self.n}")
         if 1 % self.n not in els:
             raise ValueError("subgroup must contain 1")
-        # the greedy generators reach every element, so their closure is the
-        # set exactly when the set is closed under multiplication
-        if _unit_closure(self.n, self.generators) != self._set:
+        # the greedy generators reach every element, so the group they close
+        # to is the set exactly when the set is closed under multiplication
+        if self._greedy_scan[1] != self._set:
             raise ValueError(f"not closed under multiplication mod {self.n}")
 
     @property
@@ -198,28 +157,30 @@ class UnitSubgroup:
     def contains(self, x: int) -> bool:
         return x % self.n in self._set
 
-    @property
-    def contains_minus_one(self) -> bool:
-        return self.contains(-1)
-
     @cached_property
-    def generators(self) -> tuple[int, ...]:
+    def _greedy_scan(self) -> tuple[tuple[int, ...], frozenset[int]]:
+        # ascending: each element not yet generated is kept and adjoined
         gens: list[int] = []
         closed = _unit_closure(self.n, ())
         for u in self.elements:
             if u not in closed:
                 gens.append(u)
-                closed = _unit_closure(self.n, gens)
-        return tuple(gens)
+                closed = _extend_subgroup(self.n, closed, u)
+        return tuple(gens), closed
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        return self._greedy_scan[0]
 
     def reduced(self, m: int) -> "UnitSubgroup":
         if m < 1 or self.n % m:
             raise NonDivisor(f"{m} does not divide {self.n}")
-        return UnitSubgroup(m, tuple(sorted(_unit_closure(m, (x % m for x in self.elements)))))
+        return UnitSubgroup(m, tuple(sorted(_unit_closure(m, self.generators))))
 
 
 def unit_subgroup(n: int, gens: Iterable[int] = ()) -> UnitSubgroup:
     """Closure of the given units; with no generators, the trivial subgroup."""
+    _check_modulus(n)
     g = [x % n for x in gens]
     if any(gcd(x, n) != 1 for x in g):
         raise ValueError(f"generators must be units mod {n}")
@@ -248,7 +209,7 @@ def unit_subgroups_containing_minus_one(n: int) -> tuple[UnitSubgroup, ...]:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     us = units(n)
-    base = frozenset(_unit_closure(n, (n - 1,)))
+    base = _unit_closure(n, (n - 1,))
     found = {base}
     frontier = [base]
     while frontier:
@@ -264,13 +225,3 @@ def unit_subgroups_containing_minus_one(n: int) -> tuple[UnitSubgroup, ...]:
         frontier = new
     ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
     return tuple(UnitSubgroup(n, tuple(sorted(s))) for s in ordered)
-
-
-def _extend_subgroup(n: int, sub: frozenset[int], g: int) -> frozenset[int]:
-    # <sub, g> in an abelian group: union of g-power translates of sub
-    out = set(sub)
-    coset = {x * g % n for x in sub}
-    while not coset <= out:
-        out |= coset
-        coset = {x * g % n for x in coset}
-    return frozenset(out)

@@ -52,6 +52,37 @@ def reference_greedy_generator_quads(n, element_quads):
     return tuple(gens)
 
 
+# Reference unit-group closure and greedy generators: the element-by-element
+# BFS that the one-unit-at-a-time extension replaced, kept for comparison.
+
+def reference_unit_closure(n, gens):
+    """All products of the units gens mod n, 1 included."""
+    out = {1 % n}
+    frontier = list(out)
+    gens = [g % n for g in gens]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g % n
+                if y not in out:
+                    out.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(out)
+
+
+def reference_unit_generators(n, elements):
+    """Ascending greedy scan, re-closing from scratch after each kept unit."""
+    gens = []
+    closed = reference_unit_closure(n, ())
+    for u in elements:
+        if u not in closed:
+            gens.append(u)
+            closed = reference_unit_closure(n, gens)
+    return tuple(gens)
+
+
 # Reference orbit walks: every coset at the image's modulus n, with no descent
 # to the level of a lifted image, kept verbatim for comparison.
 

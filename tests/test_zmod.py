@@ -1,17 +1,20 @@
 """Residue arithmetic, 2x2 quad operations, and unit-group machinery."""
 
 import random
+import re
 
 import pytest
 
-from modscreen.zmod import (Mat2, UnitSubgroup, delta_full, delta_pm1,
-                            delta_trivial, divisors, euler_phi, factorize,
-                            is_prime, quad_det, quad_inv, quad_is_invertible,
-                            quad_mul, quad_reduce, unit_group_generators,
-                            unit_subgroup, unit_subgroups_containing_minus_one,
-                            units)
+import modscreen
+from modscreen.subgroups import SubgroupSpec
+from modscreen.zmod import (UnitSubgroup, delta_full, delta_pm1, delta_trivial,
+                            divisors, euler_phi, factorize, is_prime, quad_det,
+                            quad_inv, quad_is_invertible, quad_mul, quad_reduce,
+                            unit_group_generators, unit_subgroup,
+                            unit_subgroups_containing_minus_one, units)
 
 import _oracles
+from _helpers import reference_unit_closure, reference_unit_generators
 
 
 def random_invertible(rng, n):
@@ -56,17 +59,6 @@ def test_quad_inv_left_and_right():
 def test_quad_inv_rejects_singular():
     with pytest.raises(Exception):
         quad_inv(4, (2, 0, 0, 1))
-
-
-def test_mat2_normalizes_entries():
-    m = Mat2(5, 7, -1, 10, 3)
-    assert (m.a, m.b, m.c, m.d) == (2, 4, 0, 3)
-    assert m.quad == (2, 4, 0, 3)
-
-
-def test_mat2_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        Mat2(0, 1, 0, 0, 1)
 
 
 def test_factorize_and_divisors():
@@ -115,6 +107,68 @@ def test_unit_subgroup_rejects_sets_not_closed():
 def test_unit_subgroup_rejects_nonunit():
     with pytest.raises(ValueError):
         unit_subgroup(10, [5])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: UnitSubgroup(0, (1,)), "modulus must be >= 1, got 0"),
+    (lambda: unit_subgroup(0), "modulus must be >= 1, got 0"),
+    (lambda: unit_subgroup(-4, [1]), "modulus must be >= 1, got -4"),
+    (lambda: UnitSubgroup(7, (1, 8)), "not a residue mod 7"),
+    (lambda: UnitSubgroup(7, (-1, 1)), "not a residue mod 7"),
+], ids=["UnitSubgroup-mod-0", "unit_subgroup-mod-0", "unit_subgroup-mod-minus-4",
+        "UnitSubgroup-8-mod-7", "UnitSubgroup-minus-1-mod-7"])
+def test_unit_subgroup_rejects_bad_modulus_and_unreduced_residues(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _assert_matches_reference(d):
+    n = d.n
+    want = reference_unit_closure(n, d.elements)
+    assert d.elements == tuple(sorted(want)), n
+    assert d.generators == reference_unit_generators(n, d.elements), n
+    assert reference_unit_closure(n, d.generators) == want, n
+
+
+def test_lattice_subgroups_match_reference_closure():
+    for n in range(3, 65):
+        for d in unit_subgroups_containing_minus_one(n):
+            _assert_matches_reference(d)
+
+
+def test_delta_shorthands_match_reference_closure():
+    for n in range(1, 65):
+        for d in (delta_trivial(n), delta_pm1(n), delta_full(n)):
+            _assert_matches_reference(d)
+
+
+def test_unit_subgroup_matches_reference_on_random_generators():
+    rng = random.Random(105)
+    for _ in range(100):
+        n = rng.randint(2, 200)
+        gens = [rng.choice(units(n)) for _ in range(rng.randint(0, 4))]
+        d = unit_subgroup(n, gens)
+        assert d.elements == tuple(sorted(reference_unit_closure(n, gens))), (n, gens)
+        _assert_matches_reference(d)
+        for m in divisors(n):
+            r = d.reduced(m)
+            want = reference_unit_closure(m, d.elements)
+            assert r.elements == tuple(sorted(want)), (n, gens, m)
+
+
+def test_public_api_resolves():
+    names = modscreen.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from modscreen import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(names)
+    # the matrix class and its helpers are gone: matrices are quads only
+    gone = re.compile(r"Mat\d+|mat_[a-z]+|(minus_)?identity")
+    assert not [name for name in dir(modscreen) if gone.fullmatch(name)]
+    assert not [a for a in ("contains", "generators", "elements")
+                if hasattr(SubgroupSpec, a)]
+    assert not [a for a in dir(UnitSubgroup) if a.endswith("_minus_one")]
 
 
 def test_delta_shorthands():
