@@ -22,13 +22,14 @@ from .curves import coset_space, curve_data, label_prefix, map_degree
 from .errors import CatalogError, ComputationCap, ModscreenError
 from .points import (fiber_degrees, galois_context, level_reduction,
                      point_degree)
-from .subgroups import (CartanNormalizer, FullGroup, SubgroupSpec,
-                        adjoin_minus_i, borel, borel_index, borel_order,
+from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
+                        SubgroupSpec, adjoin_minus_i, borel, borel_index,
+                        borel_order, closure_quads, contains_minus_i,
                         factorize, gl2_order, level, lift_subgroup,
-                        nonsplit_cartan_normalizer,
+                        minus_identity_quad, nonsplit_cartan_normalizer,
                         nonsplit_cartan_normalizer_preimage, reduce_subgroup,
                         sl2_order)
-from .zmod import (delta_full, delta_pm1, delta_trivial, quad_det,
+from .zmod import (delta_full, delta_pm1, delta_trivial, is_prime, quad_det,
                    unit_subgroup, unit_subgroups_containing_minus_one)
 
 # screening exponents mirroring the prime-power tower tops used in the source
@@ -52,6 +53,9 @@ def _resolve_group(spec: str, modulus: int | None,
     elif kind in ("cns", "cnspre"):
         ell_text, _, d_text = rest.partition(":")
         ell = _positive_int(ell_text, "prime")
+        if not is_prime(ell):
+            # else cns:9 would build cns:3:2, read back from 9 = 3**2
+            raise ValueError(f"{kind} needs a prime l, got {ell}")
         d = _positive_int(d_text, "exponent") if d_text else 1
         maker = (nonsplit_cartan_normalizer if kind == "cns"
                  else nonsplit_cartan_normalizer_preimage)
@@ -262,6 +266,15 @@ def _cmd_verify_formulae(args) -> int:
         rows.append({"check": name, "computed": lhs, "expected": rhs,
                      "status": "ok" if ok else "FAIL"})
 
+    def check_chain(kind: str, grp: SubgroupSpec) -> None:
+        # the stabilizer chain of the group rebuilt from its generators
+        # against the closure: (order, whether -I is inside)
+        n, gens = grp.n, grp.generator_quads()
+        chain = GeneratedGroup(n, gens)
+        closed = closure_quads(n, gens)
+        check(f"chain_order({n},{kind})", (chain.order, contains_minus_i(chain)),
+              (len(closed), minus_identity_quad(n) in closed))
+
     top = args.max_modulus
     for n in range(1, top + 1):
         check(f"gl2_order({n})", _brute_gl2_count(n), gl2_order(n))
@@ -278,10 +291,12 @@ def _cmd_verify_formulae(args) -> int:
             pm = adjoin_minus_i(grp)
             check(f"borel_curve({n},{delta.order})",
                   pm.curve_counts(), coset_space(pm).counts)
+            check_chain(f"borel{delta.order}", grp)
     for ell in (3, 5, 7):
         for d in (1, 2):
             grp = CartanNormalizer(ell, d)
             check(f"cartan_order({ell},{d})", len(grp.element_quads), grp.order)
+            check_chain("cartan", grp)
 
     _emit(args, rows, tsv_header=("check", "computed", "expected", "status"))
     return 1 if failures else 0

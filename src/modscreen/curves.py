@@ -193,8 +193,11 @@ def label_prefix(h: SubgroupSpec) -> str:
     that set exceeds the enumeration cap.
     """
     data, reduced = _curve_data(h)
-    if reduced.order > subgroups.ENUMERATION_CAP:
-        raise TooLarge(f"label hash needs {reduced.order} elements mod {reduced.n}")
+    cap = subgroups.ENUMERATION_CAP
+    if reduced.order > cap:
+        raise TooLarge(f"label hash needs {reduced.order} elements mod {reduced.n}",
+                       operation="label hash", modulus=reduced.n,
+                       reached=reduced.order, cap=cap)
     els = sorted(reduced.element_quads)
     blob = f"{reduced.n}|" + ";".join(",".join(map(str, q)) for q in els)
     digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:8]

@@ -38,7 +38,19 @@ class InvariantFailed(ModscreenError):
 
 
 class ComputationCap(ModscreenError):
-    """Base class for deliberate resource limits."""
+    """Base class for deliberate resource limits.
+
+    Carries the operation that stopped, its modulus, the count it reached
+    and the cap it passed, besides the message.
+    """
+
+    def __init__(self, message: str, *, operation: str, modulus: int,
+                 reached: int, cap: int):
+        super().__init__(message)
+        self.operation = operation
+        self.modulus = modulus
+        self.reached = reached
+        self.cap = cap
 
 
 class TooLarge(ComputationCap):

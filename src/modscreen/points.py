@@ -97,8 +97,11 @@ def point_degree_general(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
     else:
         aut = ctx.aut
     cap = subgroups.ENUMERATION_CAP
-    if r.order * aut.order > cap or aut.order * h.order > cap:
-        raise TooLarge("product sets exceed the enumeration cap")
+    size = max(r.order * aut.order, aut.order * h.order)
+    if size > cap:
+        raise TooLarge("product sets exceed the enumeration cap",
+                       operation="product sets", modulus=n, reached=size,
+                       cap=cap)
     ra = frozenset(quad_mul(n, x, a) for x in r.element_quads
                    for a in aut.element_quads)
     ah = frozenset(quad_mul(n, a, x) for a in aut.element_quads

@@ -4,8 +4,10 @@ Every group is carried two ways at once: a membership predicate and a small
 generating set. Index computations never enumerate the ambient group; they
 walk right cosets H*g under the other group's generators (coset_action, the
 one walk behind index, genus and fiber computations) and identify a coset by
-a canonical key (equal keys exactly when the cosets are equal). Instances
-are immutable after construction and safe to share.
+a canonical key (equal keys exactly when the cosets are equal). A group
+without a closed form answers order, membership and keys from a stabilizer
+chain (StabilizerChain) instead of its element set. Instances are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def _adjoin_generator(n: int, group: list[Quad], seen: set[Quad],
             if y in seen:
                 continue
             if len(group) + len(h) > cap:
-                raise TooLarge(f"closure mod {n} exceeds cap {cap}")
+                raise TooLarge(f"closure mod {n} exceeds cap {cap}",
+                               operation="closure", modulus=n,
+                               reached=len(group) + len(h), cap=cap)
             reps.append(y)
             e, f, g, k = y
             coset = [((a * e + b * g) % n, (a * f + b * k) % n,
@@ -134,14 +138,150 @@ def _greedy_generator_quads(n: int, element_quads: Iterable[Quad]) -> tuple[Quad
     return tuple(gens)
 
 
+class StabilizerChain:
+    """A generated group H < GL2(Z/nZ) as a line-scalar-column stabilizer chain.
+
+    H acts on column vectors mod n. The chain has three levels:
+      1. the orbit L of the line <e1> in P^1(Z/n) (at most psi(n) lines),
+         keyed by _p1_normalize of a first column, with a transversal u_l in H;
+      2. the line's stabilizer H_L = H meet upper-triangular maps onto the
+         scalars A = {t[0]} on e1 (at most phi(n) units), with a transversal
+         v_a in H_L;
+      3. the kernel H_e1 = {(1 b; 0 d)} of that map, kept whole as its set C
+         of elements (at most n * phi(n)).
+    Every element of H is u_l * v_a * c in exactly one way, so
+    |H| = |L| |A| |C|, and membership is two products and three lookups.
+
+    Built by Schreier-Sims with sifting (Seress, Permutation Group
+    Algorithms, 2003, ch. 4): every Schreier generator of level 1 is sifted
+    into levels 2 and 3, and every Schreier generator of level 2 into level 3.
+    C is also kept closed under conjugation by the level-2 strong generators,
+    so it is normal in H_L and is the whole kernel. The line, not the vector
+    e1, is the first base point because the orbit of e1 can reach n^2 vectors
+    (Murray-O'Brien, 1995, on choosing base points for matrix groups).
+    """
+
+    def __init__(self, n: int, gens: Sequence[Quad]):
+        self.n = n
+        one = identity_quad(n)
+        self._lines = {_p1_normalize(n, 1 % n, 0)[0]: 0}
+        self._line_reps = [one]
+        line_invs = [one]
+        # level 2: strong generators and a -> (v_a, v_a^-1)
+        self._strong: list[Quad] = []
+        self._scalars = {1 % n: (one, one)}
+        # level 3: the closed set C, as a list and a set, and its generators
+        self._columns = [one]
+        self._column_set = {one}
+        self._column_gens: list[Quad] = []
+        todo = []
+        for u in self._line_reps:  # grows while it is walked: the BFS queue
+            for s in gens:
+                y = quad_mul(n, s, u)
+                code = _p1_normalize(n, y[0], y[2])[0]
+                i = self._lines.get(code)
+                if i is None:
+                    self._lines[code] = len(self._line_reps)
+                    self._line_reps.append(y)
+                    line_invs.append(quad_inv(n, y))
+                else:
+                    todo.append(quad_mul(n, line_invs[i], y))
+        self._sift(todo)
+
+    @property
+    def order(self) -> int:
+        return len(self._lines) * len(self._scalars) * len(self._columns)
+
+    def contains(self, q: Quad) -> bool:
+        n = self.n
+        i = self._lines.get(_p1_normalize(n, q[0], q[2])[0])
+        if i is None:
+            return False
+        # u^-1 * q fixes the line <e1>; v^-1 * u^-1 * q fixes e1
+        g = quad_mul(n, quad_inv(n, self._line_reps[i]), q)
+        v = self._scalars.get(g[0])
+        return v is not None and quad_mul(n, v[1], g) in self._column_set
+
+    def key(self, q: Quad) -> Quad:
+        """The canonical element of the left coset q^-1 * H.
+
+        H*q1 = H*q2 exactly when q1^-1 * H = q2^-1 * H. With x = q^-1 every
+        element of x*H is x * u_l * v_a * c, and its first column is
+        a * (x * u_l * e1): take the line of least P^1 code, then the least
+        scalar multiple of that column, then the least second column over C.
+        Each step pins one factor, so the result depends only on the coset.
+        """
+        n = self.n
+        x0, x1, x2, x3 = x = quad_inv(n, q)
+        best = None
+        for u in self._line_reps:
+            a, c = (x0 * u[0] + x1 * u[2]) % n, (x2 * u[0] + x3 * u[2]) % n
+            code = _p1_normalize(n, a, c)[0]
+            if best is None or code < best[0]:
+                best = code, a, c, u
+        _, a, c, u = best
+        t = min(self._scalars, key=lambda t: (t * a % n, t * c % n))
+        y0, y1, y2, y3 = quad_mul(n, quad_mul(n, x, u), self._scalars[t][0])
+        b, d = min(((y0 * b + y1 * d) % n, (y2 * b + y3 * d) % n)
+                   for _, b, _, d in self._columns)
+        return (y0, b, y2, d)
+
+    def _sift(self, todo: list[Quad]) -> None:
+        """Sift elements of H_L into levels 2 and 3 until every one of them,
+        and every Schreier generator and conjugate they bring, is inside."""
+        n = self.n
+        while todo:
+            g = todo.pop()
+            v = self._scalars.get(g[0])
+            if v is None:
+                # a new scalar: g is a level-2 strong generator
+                self._strong.append(g)
+                todo += self._scalar_orbit()
+                todo += [_conjugate(n, g, c) for c in self._column_gens]
+                continue
+            c = quad_mul(n, v[1], g)
+            if c in self._column_set:
+                continue
+            self._column_gens.append(c)
+            # C has at most n * phi(n) elements, so the cap never binds
+            _adjoin_generator(n, self._columns, self._column_set,
+                              self._column_gens, n * n)
+            todo += [_conjugate(n, s, c) for s in self._strong]
+
+    def _scalar_orbit(self) -> list[Quad]:
+        """Rebuild level 2 from the strong generators; returns its Schreier
+        generators v_{s a}^-1 * s * v_a, which lie in H_e1."""
+        n = self.n
+        one = identity_quad(n)
+        scalars = {1 % n: (one, one)}
+        reps = [one]
+        schreier = []
+        for v in reps:  # grows while it is walked
+            for s in self._strong:
+                y = quad_mul(n, s, v)
+                w = scalars.get(y[0])
+                if w is None:
+                    scalars[y[0]] = y, quad_inv(n, y)
+                    reps.append(y)
+                else:
+                    schreier.append(quad_mul(n, w[1], y))
+        self._scalars = scalars
+        return schreier
+
+
+def _conjugate(n: int, s: Quad, c: Quad) -> Quad:
+    """s^-1 * c * s."""
+    return quad_mul(n, quad_mul(n, quad_inv(n, s), c), s)
+
+
 class SubgroupSpec:
     """A subgroup of GL2(Z/nZ).
 
     Concrete kinds supply membership, generators, exact order, reduction to a
     divisor modulus, and a canonical right-coset key. The hooks below hold the
     generic path; a kind overrides one where it knows a closed form. The
-    default key is the minimum of h*g over the enumerated elements, which is
-    exact but requires the group to fit under the enumeration cap.
+    default order and key come from a stabilizer chain built once from the
+    generators; only element_quads enumerates the group.
     """
 
     kind = "abstract"
@@ -163,11 +303,15 @@ class SubgroupSpec:
 
     @cached_property
     def order(self) -> int:
-        return len(self.element_quads)
+        return self._chain.order
 
     @cached_property
     def element_quads(self) -> frozenset[Quad]:
         return closure_quads(self.n, self.generator_quads())
+
+    @cached_property
+    def _chain(self) -> StabilizerChain:
+        return StabilizerChain(self.n, self.generator_quads())
 
     # structure
 
@@ -195,9 +339,7 @@ class SubgroupSpec:
         return _greedy_generator_quads(self.n, SL2Part(self).element_quads)
 
     def coset_key(self, q: Quad) -> Hashable:
-        els = self.element_quads
-        n = self.n
-        return min(quad_mul(n, h, q) for h in els)
+        return self._chain.key(q)
 
     def curve_counts(self) -> tuple[int, int, int, int] | None:
         """(mu, nu2, nu3, nu_inf) of the curve of +-H in closed form, or None
@@ -239,7 +381,9 @@ class FullGroup(SubgroupSpec):
     def element_quads(self) -> frozenset[Quad]:
         n = self.n
         if n**4 > ENUMERATION_CAP:
-            raise TooLarge(f"GL2(Z/{n}) enumeration exceeds cap")
+            raise TooLarge(f"GL2(Z/{n}) enumeration exceeds cap",
+                           operation="GL2 enumeration", modulus=n,
+                           reached=n**4, cap=ENUMERATION_CAP)
         rng = range(n)
         return frozenset(
             (a, b, c, d)
@@ -291,7 +435,9 @@ class BorelGroup(SubgroupSpec):
     @cached_property
     def element_quads(self) -> frozenset[Quad]:
         if self.order > ENUMERATION_CAP:
-            raise TooLarge("Borel enumeration exceeds cap")
+            raise TooLarge("Borel enumeration exceeds cap",
+                           operation="Borel enumeration", modulus=self.n,
+                           reached=self.order, cap=ENUMERATION_CAP)
         n = self.n
         return frozenset(
             (a, b, 0, d)
@@ -484,7 +630,7 @@ class EnumeratedGroup(SubgroupSpec):
 
 
 class GeneratedGroup(SubgroupSpec):
-    """The closure of an explicit generator list; membership needs enumeration."""
+    """The closure of an explicit generator list, decided by its stabilizer chain."""
 
     kind = "generated"
 
@@ -497,7 +643,7 @@ class GeneratedGroup(SubgroupSpec):
         self._gens = gens
 
     def member_quad(self, q: Quad) -> bool:
-        return q in self.element_quads
+        return self._chain.contains(q)
 
     def generator_quads(self) -> tuple[Quad, ...]:
         return self._gens
@@ -691,7 +837,9 @@ def coset_action(h: SubgroupSpec,
                 j = len(reps)
                 if j >= ORBIT_CAP:
                     raise OrbitTooLarge(f"coset walk of {h.kind} mod {n} "
-                                        f"reached {j} cosets, cap {ORBIT_CAP}")
+                                        f"reached {j} cosets, cap {ORBIT_CAP}",
+                                        operation="coset walk", modulus=n,
+                                        reached=j, cap=ORBIT_CAP)
                 index[k] = j
                 reps.append(y)
             perm.append(j)
@@ -867,8 +1015,10 @@ def _product_coset_reps(h: SubgroupSpec, k: SubgroupSpec) -> dict[Hashable, Quad
 
 def product_set_quads(h: SubgroupSpec, k: SubgroupSpec) -> frozenset[Quad]:
     reps = _product_coset_reps(h, k)
-    if h.order * len(reps) > ENUMERATION_CAP:
-        raise TooLarge("product set exceeds cap")
+    size = h.order * len(reps)
+    if size > ENUMERATION_CAP:
+        raise TooLarge("product set exceeds cap", operation="product set",
+                       modulus=h.n, reached=size, cap=ENUMERATION_CAP)
     n = h.n
     return frozenset(quad_mul(n, a, b) for a in h.element_quads for b in reps.values())
 

@@ -30,7 +30,9 @@ def reference_closure_quads(n, gen_quads, cap=ENUMERATION_CAP):
                 y = quad_mul(n, x, g)
                 if y not in seen:
                     if len(seen) >= cap:
-                        raise TooLarge(f"closure mod {n} exceeds cap {cap}")
+                        raise TooLarge(f"closure mod {n} exceeds cap {cap}",
+                                       operation="closure", modulus=n,
+                                       reached=len(seen) + 1, cap=cap)
                     seen.add(y)
                     new.append(y)
         frontier = new
@@ -143,6 +145,18 @@ def naive_coset_count(r, h):
         else:
             reps.append(q)
     return len(reps)
+
+
+def key_classes_are_cosets(key, elements, subgroup, n):
+    """True when equal keys on `elements` mean exactly equal cosets H*g."""
+    buckets = {}
+    for g in elements:
+        buckets.setdefault(key(g), set()).add(g)
+    for bucket in buckets.values():
+        g = next(iter(bucket))
+        if bucket != {quad_mul(n, h, g) for h in subgroup}:
+            return False
+    return True
 
 
 def intersection_order(r, h):

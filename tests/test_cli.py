@@ -125,12 +125,33 @@ def test_group_resolved_from_catalog(capsys, catalog_path):
 
 
 def test_enumeration_cap_maps_to_exit_three(capsys, monkeypatch, catalog_path):
-    # the closure behind a catalog group's order reads the cap at call time
+    # the label hash enumerates the group and reads the cap at call time
     monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
-    code, out, err = run(capsys, "order", "--group", "file:5.B",
+    code, out, err = run(capsys, "label", "--group", "file:5.B",
                          "--catalog", catalog_path)
     assert (code, out) == (3, "")
-    assert err == "error: closure mod 5 exceeds cap 10\n"
+    assert err == "error: label hash needs 80 elements mod 5\n"
+
+
+def test_order_of_a_catalog_group_needs_no_enumeration(capsys, monkeypatch,
+                                                       catalog_path):
+    # the stabilizer chain gives the order; the enumeration cap binds only
+    # where the element set itself is asked for
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
+    assert run(capsys, "order", "--group", "file:5.B",
+               "--catalog", catalog_path) == (0, "80\n", "")
+
+
+@pytest.mark.parametrize("argv, ell", [
+    (("order", "--group", "cns:9"), 9),
+    (("level", "--group", "cnspre:25:1"), 25),
+    (("order", "--group", "cns:4"), 4),
+    (("order", "--group", "cnspre:1:3"), 1),
+], ids=["cns-9", "cnspre-25", "cns-4", "cnspre-1"])
+def test_cartan_specs_reject_a_non_prime_l(capsys, argv, ell):
+    # cns:9 once built cns:3:2 and cnspre:25:1 the preimage from level 5
+    kind = argv[2].partition(":")[0]
+    assert run(capsys, *argv) == (2, "", f"error: {kind} needs a prime l, got {ell}\n")
 
 
 # ----------------------------------------------------------------- screen
@@ -242,6 +263,9 @@ def test_verify_formulae_passes(capsys):
     assert all(line.endswith("\tok") for line in lines[1:])
     assert any(line.startswith("gl2_order(8)") for line in lines)
     assert any(line.startswith("cartan_order(7,2)") for line in lines)
+    # the stabilizer chain of each structural group rebuilt from generators
+    assert any(line.startswith("chain_order(8,borel4)") for line in lines)
+    assert any(line.startswith("chain_order(49,cartan)") for line in lines)
 
 
 # ------------------------------------------------------------- exit codes

@@ -1,0 +1,123 @@
+"""Malformed command lines and catalogs end in exit 0, 2 or 3, never a traceback.
+
+Group-spec strings and catalog lines are built by hypothesis: bad JSON,
+wrong types, singular rows, levels that are no prime power. The caps are
+lowered so that a well-formed but large request stops at exit 3 at once.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import modscreen.subgroups  # noqa: E402
+from modscreen.cli import main  # noqa: E402
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    max_examples=120)
+
+small = st.integers(-3, 40)
+number = st.one_of(small, st.sampled_from(["", "x", "1.5", "0", "-1", "1e3"]))
+unit_list = st.one_of(st.just("all"), st.just(""), st.text("0123456789,-x", max_size=8),
+                      st.lists(small, min_size=1, max_size=3).map(
+                          lambda xs: ",".join(map(str, xs))))
+labels = st.sampled_from(["a", "b", "c", "1.full"])
+
+group_specs = st.one_of(
+    st.just("full"),
+    st.builds("borel:{}:{}".format, number, unit_list),
+    st.builds("borel:{}".format, number),
+    st.builds("{}:{}:{}".format, st.sampled_from(["cns", "cnspre"]), number,
+              st.sampled_from(["", "1", "2", "0", "-2", "y"])),
+    st.builds("{}:{}".format, st.sampled_from(["cns", "cnspre"]), number),
+    st.builds("file:{}".format, st.one_of(labels, st.just(""))),
+    st.text(":,0123456789abcdefilnoprsu-", max_size=14),
+)
+
+row = st.one_of(st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+                st.lists(st.integers(0, 3), min_size=0, max_size=5),
+                st.just([1, 2, 2, 4]),  # singular at every level
+                st.just(["1", 0, 0, 1]), st.just([True, 0, 0, 1]),
+                st.just(1.5))
+records = st.fixed_dictionaries({}, optional={
+    "label": st.one_of(labels, st.just(""), st.integers(0, 3)),
+    "level": st.one_of(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 25, 27]),
+                       st.integers(-2, 30), st.just("5"), st.just(True)),
+    "gens": st.one_of(st.lists(row, max_size=3), st.just("gens"), st.just(None)),
+})
+lines = st.one_of(records.map(json.dumps),
+                  st.sampled_from(["{", "[1, 2]", "null", "# comment", "",
+                                   '{"label": "a", "level": 5}', "é"]),
+                  st.text(max_size=10))
+# well-formed records, so that catalogs also parse and get screened
+sound_records = st.fixed_dictionaries({
+    "label": labels,
+    "level": st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 6, 25, 27]),
+    "gens": st.lists(st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+                     max_size=3),
+})
+catalogs = st.one_of(
+    st.lists(lines, max_size=4),
+    st.lists(sound_records, max_size=3, unique_by=lambda r: r["label"]).map(
+        lambda rs: [json.dumps(r) for r in rs]))
+
+
+def _run(argv):
+    err = io.StringIO()
+    with mock.patch.object(modscreen.subgroups, "ENUMERATION_CAP", 5_000), \
+            mock.patch.object(modscreen.subgroups, "ORBIT_CAP", 2_000), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the -I adjoin notes are expected
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert [line for line in err.splitlines() if line.startswith("error:")] \
+            == err.splitlines()
+        assert len(err.splitlines()) == 1
+
+
+@settings(PROPERTY)
+@given(command=st.sampled_from(["order", "index", "level", "genus", "label"]),
+       spec=group_specs,
+       modulus=st.one_of(st.none(), st.integers(-2, 60)),
+       catalog=catalogs)
+def test_group_specs_exit_cleanly(command, spec, modulus, catalog):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "catalog.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(catalog) + "\n")
+        argv = [command, f"--group={spec}", f"--catalog={path}"]
+        if modulus is not None:
+            argv.append(f"--modulus={modulus}")
+        _assert_clean_exit(*_run(argv))
+
+
+@settings(PROPERTY)
+@given(catalog=catalogs,
+       ell=st.one_of(st.none(), st.integers(-1, 9)),
+       nmax=st.one_of(st.none(), st.integers(-1, 3)))
+def test_catalogs_screen_cleanly(catalog, ell, nmax):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "catalog.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(catalog) + "\n")
+        argv = ["screen", f"--catalog={path}"]
+        if ell is not None:
+            argv.append(f"--ell={ell}")
+        if nmax is not None:
+            argv.append(f"--nmax={nmax}")
+        _assert_clean_exit(*_run(argv))

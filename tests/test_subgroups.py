@@ -7,9 +7,9 @@ import pytest
 
 import modscreen.subgroups
 from modscreen.curves import label_prefix
-from modscreen.errors import (EvenPrimeUnsupported, ModulusMismatch,
-                              NonDivisor, NonInvertible, NotASubgroup,
-                              TooLarge)
+from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
+                              ModulusMismatch, NonDivisor, NonInvertible,
+                              NotASubgroup, TooLarge)
 from modscreen.points import galois_context, point_degree_general
 from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  FullGroup, GeneratedGroup, LiftedGroup, SL2Part,
@@ -168,11 +168,50 @@ def test_enumeration_cap_is_read_at_call_time(monkeypatch):
     ctx = galois_context(nonsplit_cartan_normalizer(5))
     monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
     with pytest.raises(TooLarge, match="^closure mod 5 exceeds cap 10$"):
-        GeneratedGroup(5, b.generator_quads()).order
+        GeneratedGroup(5, b.generator_quads()).element_quads
     with pytest.raises(TooLarge, match="label hash needs 80 elements mod 5"):
         label_prefix(b)
     with pytest.raises(TooLarge, match="product sets exceed"):
         point_degree_general(ctx, b)
+
+
+def _cap_cases():
+    b = borel(5, delta_full(5))
+    cns = nonsplit_cartan_normalizer(5)
+    return {
+        # name: (call, cap attribute, cap, message, operation, modulus, reached)
+        "closure": (lambda: GeneratedGroup(5, b.generator_quads()).element_quads,
+                    "ENUMERATION_CAP", 10, "closure mod 5 exceeds cap 10",
+                    "closure", 5, 15),
+        "label-hash": (lambda: label_prefix(b), "ENUMERATION_CAP", 10,
+                       "label hash needs 80 elements mod 5", "label hash", 5, 80),
+        "product-sets": (lambda: point_degree_general(galois_context(cns), b),
+                         "ENUMERATION_CAP", 10,
+                         "product sets exceed the enumeration cap",
+                         "product sets", 5, 160),
+        "product-set": (lambda: product_set_quads(b, cns), "ENUMERATION_CAP", 100,
+                        "product set exceeds cap", "product set", 5, 480),
+        "gl2": (lambda: FullGroup(3).element_quads, "ENUMERATION_CAP", 10,
+                "GL2(Z/3) enumeration exceeds cap", "GL2 enumeration", 3, 81),
+        "borel": (lambda: b.element_quads, "ENUMERATION_CAP", 10,
+                  "Borel enumeration exceeds cap", "Borel enumeration", 5, 80),
+        "coset-walk": (lambda: index_via_orbit(FullGroup(5), b), "ORBIT_CAP", 2,
+                       "coset walk of borel mod 5 reached 2 cosets, cap 2",
+                       "coset walk", 5, 2),
+    }
+
+
+@pytest.mark.parametrize("site", sorted(_cap_cases()))
+def test_cap_errors_carry_typed_fields(monkeypatch, site):
+    call, attr, cap, message, operation, modulus, reached = _cap_cases()[site]
+    monkeypatch.setattr(modscreen.subgroups, attr, cap)
+    with pytest.raises(ComputationCap) as err:
+        call()
+    exc = err.value
+    assert str(exc) == message
+    assert (exc.operation, exc.modulus, exc.reached, exc.cap) == \
+        (operation, modulus, reached, cap)
+    assert exc.reached >= exc.cap
 
 
 # ---------------------------------------------------------------- cartan
@@ -222,21 +261,10 @@ def test_cartan_coset_key_separates_exactly():
             assert bucket == coset
 
 
-def _key_classes_are_cosets(key, elements, subgroup, n):
-    """True when equal keys on `elements` mean exactly equal cosets H*g."""
-    buckets = {}
-    for g in elements:
-        buckets.setdefault(key(g), set()).add(g)
-    for bucket in buckets.values():
-        g = next(iter(bucket))
-        if bucket != {quad_mul(n, h, g) for h in subgroup}:
-            return False
-    return True
-
-
 def test_borel_coset_keys_separate_exactly():
     """Both Borel keys induce the right-coset partition, by brute force, for
     every modulus to 16 and every Delta that is trivial, cyclic or holds -1."""
+    exact = _helpers.key_classes_are_cosets
     pairs = 0
     for n in range(2, 17):
         deltas = {unit_subgroup(n, [u]).elements for u in units(n)}
@@ -248,8 +276,8 @@ def test_borel_coset_keys_separate_exactly():
             b = BorelGroup(n, unit_subgroup(n, els))
             whole = [(x, y, 0, z) for x in els for y in range(n) for z in units(n)]
             det_one = [(x, y, 0, pow(x, -1, n)) for x in els for y in range(n)]
-            assert _key_classes_are_cosets(b.coset_key, gl2, whole, n), (n, els)
-            assert _key_classes_are_cosets(b.sl2_coset_key, sl2, det_one, n), (n, els)
+            assert exact(b.coset_key, gl2, whole, n), (n, els)
+            assert exact(b.sl2_coset_key, sl2, det_one, n), (n, els)
             pairs += 1
     assert pairs == 61
 
