@@ -21,7 +21,7 @@ from .catalog import (CatalogEntry, emit_table1, emit_table2, load_catalog,
 from .curves import coset_space, curve_data, label_prefix, map_degree
 from .errors import CatalogError, ComputationCap, ModscreenError
 from .points import (fiber_degrees, galois_context, level_reduction,
-                     point_degree)
+                     point_degree, walked_orbit_sizes)
 from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
                         SubgroupSpec, adjoin_minus_i, borel, borel_index,
                         borel_order, closure_quads, contains_minus_i,
@@ -275,11 +275,18 @@ def _cmd_verify_formulae(args) -> int:
         check(f"chain_order({n},{kind})", (chain.order, contains_minus_i(chain)),
               (len(closed), minus_identity_quad(n) in closed))
 
+    def orbit_profile(sizes: list[int]) -> tuple:
+        # the orbit of H*1, then each orbit size with its multiplicity
+        return sizes[0], tuple(sorted(Counter(sizes).items()))
+
     top = args.max_modulus
     for n in range(1, top + 1):
         check(f"gl2_order({n})", _brute_gl2_count(n), gl2_order(n))
         check(f"sl2_order({n})", _brute_sl2_count(n), sl2_order(n))
     for n in range(3, top + 1):
+        # Borel orbits under GL2 and under the image generated by
+        # (1 0; 1 1) and (-1 0; 0 1)
+        images = (FullGroup(n).generator_quads(), ((1, 0, 1, 1), (n - 1, 0, 0, 1)))
         deltas = {delta_trivial(n), delta_pm1(n), delta_full(n)}
         deltas.update(unit_subgroups_containing_minus_one(n))
         for delta in sorted(deltas, key=lambda d: (d.order, d.elements)):
@@ -291,6 +298,9 @@ def _cmd_verify_formulae(args) -> int:
             pm = adjoin_minus_i(grp)
             check(f"borel_curve({n},{delta.order})",
                   pm.curve_counts(), coset_space(pm).counts)
+            check(f"borel_orbits({n},{delta.order})",
+                  [orbit_profile(grp.orbit_sizes(g, whole=True)) for g in images],
+                  [orbit_profile(walked_orbit_sizes(grp, g)) for g in images])
             check_chain(f"borel{delta.order}", grp)
     for ell in (3, 5, 7):
         for d in (1, 2):

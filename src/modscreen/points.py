@@ -2,10 +2,13 @@
 
 The degree of a point is the residue field degree of the j-coordinate times
 a coset index: the image R acting on cosets of the structure group H. The
-whole fiber decomposes into R-orbits on the coset table, one closed point per
-orbit. When R is the full preimage of a group at a lower modulus m, the
-orbits are walked at m and scaled by [K : K meet H], K the kernel of
-reduction to m (subgroups.preimage_descent). On top of that sit the
+whole fiber decomposes into R-orbits on the cosets, one closed point per
+orbit. For a Borel-type H the orbits are read off R's orbits on the lines of
+P^1(Z/NZ) and the scalars of the line stabilizers, never from the cosets
+themselves; other kinds walk the cosets (walked_orbit_sizes). When
+R is the full preimage of a group at a lower modulus m, the orbits are taken
+at m and scaled by [K : K meet H], K the kernel of reduction to m
+(subgroups.preimage_descent). On top of that sit the
 closed-form degree identities for the nonsplit Cartan normalizer tower and
 the Riemann-Roch screen that rules isolation out (never in).
 """
@@ -24,7 +27,7 @@ from .subgroups import (EnumeratedGroup, FullGroup, SubgroupSpec,
                         factorize, identity_quad, index_via_orbit, level,
                         lift_subgroup, minus_identity_quad, preimage_descent,
                         reduce_subgroup)
-from .zmod import is_prime, quad_mul
+from .zmod import Quad, is_prime, quad_mul
 
 
 class Verdict(str, Enum):
@@ -117,10 +120,11 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
 
     One degree per orbit of R on all right cosets of H; the orbit of the
     identity coset carries the distinguished point, whose degree is exactly
-    point_degree(ctx, h). A coset walk under R's generators, then the ambient
-    ones, reaches every coset; the orbits are the components of R's
-    permutations. Over a lifted image the walk runs at the image's level and
-    every orbit is scaled by [K : K meet H] (subgroups.preimage_descent).
+    point_degree(ctx, h). The orbit sizes come from the orbit_sizes hook of
+    H's kind (line orbits in P^1 for a Borel-type H), else from the coset
+    walk (walked_orbit_sizes). Over a lifted image they are taken at the
+    image's level and every orbit is scaled by [K : K meet H]
+    (subgroups.preimage_descent).
     """
     if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
         raise ValueError("fiber decomposition needs the +- automorphism convention")
@@ -129,13 +133,21 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     if r.n != h.n:
         raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
     r, h, scale = preimage_descent(r, h)
-    rgens = r.generator_quads()
-    gens = rgens + tuple(g for g in FullGroup(h.n).generator_quads()
-                         if g not in rgens)
-    reps, perms = coset_action(h, gens)
-    rperms = perms[:len(rgens)]
+    gens = r.generator_quads()
+    sizes = h.orbit_sizes(gens, whole=True)
+    if sizes is None:
+        sizes = walked_orbit_sizes(h, gens)
+    return tuple(sorted(ctx.d_j * scale * size for size in sizes))
 
-    degrees = []
+
+def walked_orbit_sizes(h: SubgroupSpec, gens: tuple[Quad, ...]) -> list[int]:
+    """Sizes of the orbits of <gens> on the right cosets of H, the orbit of
+    H*1 first, by the coset walk: gens then the ambient generators reach
+    every coset, and the orbits are the components of gens' permutations."""
+    walk = gens + tuple(g for g in FullGroup(h.n).generator_quads()
+                        if g not in gens)
+    reps, perms = coset_action(h, walk)
+    sizes = []
     assigned = [False] * len(reps)
     for start in range(len(reps)):
         if assigned[start]:
@@ -143,13 +155,13 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
         assigned[start] = True
         orbit = [start]
         for i in orbit:  # orbit grows while it is walked
-            for perm in rperms:
+            for perm in perms[:len(gens)]:
                 j = perm[i]
                 if not assigned[j]:
                     assigned[j] = True
                     orbit.append(j)
-        degrees.append(ctx.d_j * scale * len(orbit))
-    return tuple(sorted(degrees))
+        sizes.append(len(orbit))
+    return sizes
 
 
 def _require_minus_i(h: SubgroupSpec) -> SubgroupSpec:

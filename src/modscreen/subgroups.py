@@ -1,31 +1,36 @@
 """Subgroups of GL2(Z/NZ): predicates, generators, orders, indices, lifts, levels.
 
 Every group is carried two ways at once: a membership predicate and a small
-generating set. Index computations never enumerate the ambient group; they
-walk right cosets H*g under the other group's generators (coset_action, the
-one walk behind index, genus and fiber computations) and identify a coset by
-a canonical key (equal keys exactly when the cosets are equal). A group
-without a closed form answers order, membership and keys from a stabilizer
-chain (StabilizerChain) instead of its element set. Instances are immutable
-after construction and safe to share.
+generating set. Index and fiber computations never enumerate the ambient
+group. A Borel-type H reads the orbits on its right cosets off the orbits on
+the lines of P^1(Z/NZ) (BorelGroup.orbit_sizes); every other kind walks right
+cosets H*g under the other group's generators (coset_action, the one walk
+behind index, genus and fiber computations without a closed form) and
+identifies a coset by a canonical key (equal keys exactly when the cosets
+are equal). A group without a closed form answers order, membership and
+keys from a stabilizer chain (StabilizerChain) instead of its element set.
+Instances are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from math import gcd
 from typing import Hashable, Iterable, Sequence
 
 from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
                      NonIntegral, NonInvertible, NotASubgroup, OrbitTooLarge,
                      TooLarge)
-from .zmod import (Quad, UnitSubgroup, _check_modulus, divisors, euler_phi,
-                   factorize, is_prime, quad_det, quad_inv, quad_is_invertible,
-                   quad_mul, quad_reduce, unit_group_generators, unit_subgroup,
-                   units)
+from .zmod import (Quad, UnitSubgroup, _check_modulus, _extend_subgroup,
+                   _p1_normalize, _p1_points, det_one_lift_quad, divisors,
+                   euler_phi, factorize, is_prime, lift_quad, quad_det,
+                   quad_inv, quad_is_invertible, quad_mul, quad_reduce,
+                   unit_group_generators, unit_subgroup, units)
 
 ENUMERATION_CAP = 10_000_000
+# cosets one coset_action walk may reach; Borel orbit sizes walk at most
+# psi(N) lines instead and, like the Borel curve counts, are not capped
 ORBIT_CAP = 10_000_000
 
 
@@ -346,6 +351,12 @@ class SubgroupSpec:
         when the kind has no closed form and the cosets must be walked."""
         return None
 
+    def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int] | None:
+        """Sizes of the orbits of <gens> on the right cosets of H, the orbit
+        of H*1 first and only that one unless whole; None when the kind has
+        no shortcut and the cosets must be walked."""
+        return None
+
     @cached_property
     def det_image(self) -> UnitSubgroup:
         n = self.n
@@ -512,6 +523,46 @@ class BorelGroup(SubgroupSpec):
             image = len({x % m for x in h.elements})
             nu_inf += euler_phi(d) * euler_phi(n // d) // image
         return borel_index(n, h), nu2, nu3, nu_inf
+
+    def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:
+        # B*g -> w = (bottom row of g) / det g, taken mod Delta, is a bijection
+        # onto the primitive rows mod Delta, and g*r sends w to w*r / det r.
+        # So walk the lines of P^1(Z/n) under r / det r instead of the
+        # cosets: over a line orbit O the rows form one orbit per coset of
+        # Lambda = <Delta, the scalars the line's stabilizer puts on it>, so O
+        # carries phi(n)/|Lambda| coset orbits of |O| |Lambda| / |Delta| each.
+        # The scalars come from the Schreier generators: a walk back onto a
+        # known line, whose stored row has normalizing unit u_j, lands on it
+        # times u_j / u. The identity coset is the line of (0, 1).
+        n = self.n
+        rows = []
+        for s in gens:
+            e = pow(quad_det(n, s), -1, n)
+            rows.append(tuple(x * e % n for x in s))
+        delta = frozenset(self.delta.elements)
+        inverse_units: dict[int, int] = {}  # line code -> 1/u_j
+        sizes: list[int] = []
+        points = _p1_points(n)
+        for start in points if whole else points[:1]:
+            code, u = _p1_normalize(n, *start)
+            if code in inverse_units:
+                continue
+            inverse_units[code] = pow(u, -1, n)
+            line, scalars = [start], delta
+            for c, d in line:  # grows while it is walked: the BFS queue
+                for s0, s1, s2, s3 in rows:
+                    y = (c * s0 + d * s2) % n, (c * s1 + d * s3) % n
+                    code, u = _p1_normalize(n, *y)
+                    inv = inverse_units.get(code)
+                    if inv is None:
+                        inverse_units[code] = pow(u, -1, n)
+                        line.append(y)
+                    elif u * inv % n not in scalars:
+                        # u/u_j generates the same group as u_j/u
+                        scalars = _extend_subgroup(n, scalars, u * inv % n)
+            k = len(scalars)
+            sizes += [len(line) * k // len(delta)] * (euler_phi(n) // k if whole else 1)
+        return sizes
 
 
 class CartanNormalizer(SubgroupSpec):
@@ -702,6 +753,11 @@ class LiftedGroup(SubgroupSpec):
         # cosets of a preimage are pinned entirely downstairs
         return self.base.coset_key(quad_reduce(q, self.base.n))
 
+    def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int] | None:
+        # the same cosets, so the same orbits under the reduced generators
+        m = self.base.n
+        return self.base.orbit_sizes([quad_reduce(g, m) for g in gens], whole)
+
 
 class SL2Part(SubgroupSpec):
     """The determinant-1 part of a parent subgroup."""
@@ -846,6 +902,13 @@ def coset_action(h: SubgroupSpec,
     return reps, perms
 
 
+def orbit_size(h: SubgroupSpec, gens: Sequence[Quad]) -> int:
+    """Size of the orbit of the coset H*1 under gens: from the kind's
+    orbit_sizes hook where it has one, else from the coset walk."""
+    sizes = h.orbit_sizes(gens, whole=False)
+    return len(coset_action(h, gens)[0]) if sizes is None else sizes[0]
+
+
 def preimage_descent(r: SubgroupSpec,
                      h: SubgroupSpec) -> tuple[SubgroupSpec, SubgroupSpec, int]:
     """(R_m, H_m, s): R's orbits on the right cosets of H mod n are those of
@@ -855,13 +918,13 @@ def preimage_descent(r: SubgroupSpec,
     K of reduction to m is normal and inside R, so H*g*R is the preimage of
     pi(H)*pi(g)*R_m: the orbits match one to one and each grows by
     s = [K : K meet H], the orbit of H*1 under K's generators; H_m = pi(H).
-    Otherwise (R, H, 1), and the orbits are walked at n.
+    Otherwise (R, H, 1), and the orbits are taken at n.
     """
     base = r.preimage_base
     if base.n == h.n:
         return r, h, 1
-    reps, _ = coset_action(h, kernel_generator_quads(h.n, base.n))
-    return base, reduce_subgroup(h, base.n), len(reps)
+    scale = orbit_size(h, kernel_generator_quads(h.n, base.n))
+    return base, reduce_subgroup(h, base.n), scale
 
 
 def index_via_orbit(r: SubgroupSpec, h: SubgroupSpec) -> int:
@@ -869,8 +932,7 @@ def index_via_orbit(r: SubgroupSpec, h: SubgroupSpec) -> int:
     if r.n != h.n:
         raise ModulusMismatch(f"groups live mod {r.n} and mod {h.n}")
     r, h, scale = preimage_descent(r, h)
-    reps, _ = coset_action(h, r.generator_quads())
-    return scale * len(reps)
+    return scale * orbit_size(h, r.generator_quads())
 
 
 def reduce_subgroup(h: SubgroupSpec, m: int) -> SubgroupSpec:
@@ -965,33 +1027,6 @@ def level(h: SubgroupSpec) -> int:
     return n
 
 
-def lift_quad(q: Quad, m: int, n: int) -> Quad:
-    """Some invertible lift of q from modulus m to modulus n (m | n).
-
-    Entries are kept verbatim at primes shared with m and set to the identity
-    at primes new to n, so the lift always reduces back to q.
-    """
-    if m == n:
-        return q
-    shared = 1
-    for p, e in factorize(n):
-        if m % p == 0:
-            shared *= p**e
-    rest = n // shared
-    if rest == 1:
-        return quad_reduce(q, n)
-    ident = identity_quad(rest)
-    return tuple(_crt2(q[i] % shared, shared, ident[i], rest) for i in range(4))  # type: ignore[return-value]
-
-
-def det_one_lift_quad(q: Quad, m: int, n: int) -> Quad:
-    """A lift of a det-1 matrix that has determinant exactly 1 mod n."""
-    y = lift_quad(q, m, n)
-    det = quad_det(n, y)
-    fix = pow(det, -1, n)
-    return (y[0], y[1] * fix % n, y[2], y[3] * fix % n)
-
-
 @dataclass(frozen=True)
 class ProductSetCheck:
     """Size of the set H*K and whether that set is itself a group."""
@@ -1077,45 +1112,3 @@ def _p_adic_valuation(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-@cache
-def _p1_tables(n: int) -> tuple[tuple[int, list[int], int], ...]:
-    """(p^e, inverse table mod p^e with 0 at non-units, CRT idempotent)
-    for each prime power p^e exactly dividing n."""
-    out = []
-    for p, e in factorize(n):
-        pe = p**e
-        inv = [0] * pe
-        for x in units(pe):
-            inv[x] = pow(x, -1, pe)
-        out.append((pe, inv, _crt2(1, pe, 0, n // pe)))
-    return tuple(out)
-
-
-def _p1_normalize(n: int, c: int, d: int) -> tuple[int, int]:
-    """Normal form of the unimodular row (c, d) as a point of P^1(Z/nZ).
-
-    Returns (code, u): u is the unique unit with u*(c, d) in normal form, and
-    code numbers that form. At each p^e | n the form is (1, d/c) when p does
-    not divide c, else (c/d, 1); the code packs the local forms in mixed radix
-    2*p^e, so equal codes mean equal points (Cremona, Algorithms for Modular
-    Elliptic Curves, 2.2).
-    """
-    code = 0
-    u = 0
-    for pe, inv, idem in _p1_tables(n):
-        s = inv[c % pe]
-        if s:
-            code = code * 2 * pe + d * s % pe
-        else:
-            s = inv[d % pe]
-            code = code * 2 * pe + pe + c * s % pe
-        u += s * idem
-    return code, u % n
-
-
-def _crt2(a: int, m: int, b: int, k: int) -> int:
-    # unique residue mod m*k matching a mod m and b mod k, gcd(m, k) = 1
-    t = (b - a) * pow(m, -1, k) % k
-    return (a + m * t) % (m * k)

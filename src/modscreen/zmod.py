@@ -46,6 +46,33 @@ def quad_reduce(q: Quad, m: int) -> Quad:
     return (q[0] % m, q[1] % m, q[2] % m, q[3] % m)
 
 
+def lift_quad(q: Quad, m: int, n: int) -> Quad:
+    """Some invertible lift of q from modulus m to modulus n (m | n).
+
+    Entries are kept verbatim at primes shared with m and set to the identity
+    at primes new to n, so the lift always reduces back to q.
+    """
+    if m == n:
+        return q
+    shared = 1
+    for p, e in factorize(n):
+        if m % p == 0:
+            shared *= p**e
+    rest = n // shared
+    if rest == 1:
+        return quad_reduce(q, n)
+    ident = (1, 0, 0, 1)  # the identity mod rest > 1
+    return tuple(_crt2(q[i] % shared, shared, ident[i], rest) for i in range(4))  # type: ignore[return-value]
+
+
+def det_one_lift_quad(q: Quad, m: int, n: int) -> Quad:
+    """A lift of a det-1 matrix that has determinant exactly 1 mod n."""
+    y = lift_quad(q, m, n)
+    det = quad_det(n, y)
+    fix = pow(det, -1, n)
+    return (y[0], y[1] * fix % n, y[2], y[3] * fix % n)
+
+
 # elementary number theory, sized for the small moduli this package works at
 
 @cache
@@ -225,3 +252,59 @@ def unit_subgroups_containing_minus_one(n: int) -> tuple[UnitSubgroup, ...]:
         frontier = new
     ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
     return tuple(UnitSubgroup(n, tuple(sorted(s))) for s in ordered)
+
+
+# points of P^1(Z/nZ): normal forms of unimodular rows, one per line
+
+@cache
+def _p1_tables(n: int) -> tuple[tuple[int, list[int], int], ...]:
+    """(p^e, inverse table mod p^e with 0 at non-units, CRT idempotent)
+    for each prime power p^e exactly dividing n."""
+    out = []
+    for p, e in factorize(n):
+        pe = p**e
+        inv = [0] * pe
+        for x in units(pe):
+            inv[x] = pow(x, -1, pe)
+        out.append((pe, inv, _crt2(1, pe, 0, n // pe)))
+    return tuple(out)
+
+
+@cache
+def _p1_points(n: int) -> tuple[tuple[int, int], ...]:
+    """One row on each point of P^1(Z/nZ), psi(n) of them, (0, 1) first: the
+    local normal forms (c/d, 1) and (1, d/c) at each p^e | n, joined by CRT."""
+    points = [(0, 0)]
+    for (p, _), (pe, _, idem) in zip(factorize(n), _p1_tables(n)):
+        local = [(p * t, 1) for t in range(pe // p)] + [(1, t) for t in range(pe)]
+        points = [((c + x * idem) % n, (d + y * idem) % n)
+                  for c, d in points for x, y in local]
+    return tuple(points)
+
+
+def _p1_normalize(n: int, c: int, d: int) -> tuple[int, int]:
+    """Normal form of the unimodular row (c, d) as a point of P^1(Z/nZ).
+
+    Returns (code, u): u is the unique unit with u*(c, d) in normal form, and
+    code numbers that form. At each p^e | n the form is (1, d/c) when p does
+    not divide c, else (c/d, 1); the code packs the local forms in mixed radix
+    2*p^e, so equal codes mean equal points (Cremona, Algorithms for Modular
+    Elliptic Curves, 2.2).
+    """
+    code = 0
+    u = 0
+    for pe, inv, idem in _p1_tables(n):
+        s = inv[c % pe]
+        if s:
+            code = code * 2 * pe + d * s % pe
+        else:
+            s = inv[d % pe]
+            code = code * 2 * pe + pe + c * s % pe
+        u += s * idem
+    return code, u % n
+
+
+def _crt2(a: int, m: int, b: int, k: int) -> int:
+    # unique residue mod m*k matching a mod m and b mod k, gcd(m, k) = 1
+    t = (b - a) * pow(m, -1, k) % k
+    return (a + m * t) % (m * k)

@@ -266,6 +266,8 @@ def test_verify_formulae_passes(capsys):
     # the stabilizer chain of each structural group rebuilt from generators
     assert any(line.startswith("chain_order(8,borel4)") for line in lines)
     assert any(line.startswith("chain_order(49,cartan)") for line in lines)
+    # the Borel orbit sizes from P^1 against the coset walk, one row per Delta
+    assert sum(line.startswith("borel_orbits(8,") for line in lines) == 3
 
 
 # ------------------------------------------------------------- exit codes
@@ -290,12 +292,15 @@ def test_incompatible_modulus_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, walked", [
-    (("point-degree", "--image", "cns:5", "--group", "borel:5:all"), "borel"),
+    (("point-degree", "--image", "borel:5:all", "--group", "cns:5"),
+     "cartan_nonsplit_normalizer"),
     (("genus", "--group", "cns:5"), "sl2_part"),
-    (("fiber-degrees", "--image", "cns:5", "--group", "borel:5:all"), "borel"),
+    (("fiber-degrees", "--image", "borel:5:all", "--group", "cns:5"),
+     "cartan_nonsplit_normalizer"),
 ], ids=["point-degree", "genus", "fiber-degrees"])
 def test_orbit_cap_maps_to_exit_three(capsys, monkeypatch, argv, walked):
-    # every coset walk reads the one cap at call time
+    # every coset walk reads the one cap at call time; the Cartan H is
+    # walked, a Borel H is not (test_borel_fibers_use_no_coset_walk)
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 2)
     code, _, err = run(capsys, *argv)
     assert code == 3
@@ -312,6 +317,17 @@ def test_borel_genus_uses_no_coset_walk(capsys, monkeypatch):
     assert run(capsys, "genus", "--group", "borel:5:all") == uncapped
 
 
+@pytest.mark.parametrize("command", ["fiber-degrees", "point-degree"])
+def test_borel_fibers_use_no_coset_walk(capsys, monkeypatch, command):
+    # Borel fibers come from the line orbits in P^1, so a cap that stops
+    # every coset walk leaves them as they are uncapped
+    argv = (command, "--image", "cns:5", "--group", "borel:5:all")
+    uncapped = run(capsys, *argv)
+    assert uncapped[0] == 0 and uncapped[1]
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 2)
+    assert run(capsys, *argv) == uncapped
+
+
 def test_parser_is_built_once_and_reused(capsys):
     # a usage error between two calls leaves the shared parser intact
     assert build_parser() is build_parser()
@@ -324,17 +340,28 @@ def test_parser_is_built_once_and_reused(capsys):
         (0, '{"order": 80}\n', "")
 
 
+# Borel groups given by generators, so that their cosets are walked: B with
+# trivial Delta at 25 and at 5
+WALKED_BORELS = "\n".join((
+    '{"label": "25.T", "level": 25, "gens": [[1,1,0,1], [1,0,0,2]]}',
+    '{"label": "5.T", "level": 5, "gens": [[1,1,0,1], [1,0,0,2]]}',
+)) + "\n"
+
+
 @pytest.mark.parametrize("command, printed", [
     ("fiber-degrees", "degree\tmultiplicity\n300\t1\n"),
     ("point-degree", "300\n"),
 ], ids=["fiber-degrees", "point-degree"])
 def test_lifted_image_walks_at_its_own_level_under_the_cap(capsys, monkeypatch,
-                                                           recwarn, command,
-                                                           printed):
+                                                           recwarn, tmp_path,
+                                                           command, printed):
     # over the preimage of CNS(5) the 300 cosets mod 25 are 12 cosets mod 5
     # times the 25 kernel cosets, and neither walk reaches a cap of 100
+    path = tmp_path / "walked.jsonl"
+    path.write_text(WALKED_BORELS, encoding="utf-8")
+    catalog = ("--catalog", str(path))
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 100)
-    group = ("--group", "borel:25:")
+    group = ("--group", "file:25.T", *catalog)
     code, out, _ = run(capsys, command, "--image", "cnspre:5:2", *group)
     assert (code, out) == (0, printed)
     # -I is adjoined to H once, not again by the walk mod 5
@@ -343,14 +370,14 @@ def test_lifted_image_walks_at_its_own_level_under_the_cap(capsys, monkeypatch,
     # the thin normalizer at 25 is no preimage: one walk over all 300 cosets
     code, _, err = run(capsys, command, "--image", "cns:5:2", *group)
     assert code == 3
-    assert err == "error: coset walk of borel mod 25 reached 100 cosets, cap 100\n"
+    assert err == "error: coset walk of generated mod 25 reached 100 cosets, cap 100\n"
     # the cap is checked in the kernel walk mod 25 and in the walk mod 5
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 20)
     code, _, err = run(capsys, command, "--image", "cnspre:5:2", *group)
     assert code == 3
-    assert err == "error: coset walk of borel mod 25 reached 20 cosets, cap 20\n"
+    assert err == "error: coset walk of generated mod 25 reached 20 cosets, cap 20\n"
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 10)
     code, _, err = run(capsys, command, "--image", "cnspre:5:1",
-                       "--group", "borel:5:", "--modulus", "25")
+                       "--group", "file:5.T", *catalog, "--modulus", "25")
     assert code == 3
-    assert err == "error: coset walk of borel mod 5 reached 10 cosets, cap 10\n"
+    assert err == "error: coset walk of generated mod 5 reached 10 cosets, cap 10\n"

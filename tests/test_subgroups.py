@@ -195,9 +195,9 @@ def _cap_cases():
                 "GL2(Z/3) enumeration exceeds cap", "GL2 enumeration", 3, 81),
         "borel": (lambda: b.element_quads, "ENUMERATION_CAP", 10,
                   "Borel enumeration exceeds cap", "Borel enumeration", 5, 80),
-        "coset-walk": (lambda: index_via_orbit(FullGroup(5), b), "ORBIT_CAP", 2,
-                       "coset walk of borel mod 5 reached 2 cosets, cap 2",
-                       "coset walk", 5, 2),
+        "coset-walk": (lambda: index_via_orbit(FullGroup(5), cns), "ORBIT_CAP", 2,
+                       "coset walk of cartan_nonsplit_normalizer mod 5 "
+                       "reached 2 cosets, cap 2", "coset walk", 5, 2),
     }
 
 
