@@ -11,6 +11,7 @@ the prime itself catches the images the fiber comparison misses.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from functools import cache
@@ -40,9 +41,13 @@ class CatalogEntry:
 
 
 def parse_catalog(stream: str | IO[str] | Iterable[str]) -> list[CatalogEntry]:
-    """Parse line-delimited records; blank lines and '#' comments are skipped."""
+    """Parse line-delimited records; blank lines and '#' comments are skipped.
+
+    A string is split into lines as a file is read (at \\n, \\r and \\r\\n), so
+    a record's line number does not depend on how the catalog arrives.
+    """
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = io.StringIO(stream, newline=None)
     entries: list[CatalogEntry] = []
     labels: set[str] = set()
     for lineno, raw in enumerate(stream, start=1):
@@ -51,8 +56,10 @@ def parse_catalog(stream: str | IO[str] | Iterable[str]) -> list[CatalogEntry]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad record: {exc.msg}", lineno) from None
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer past the digit limit, deep nesting
+            msg = getattr(exc, "msg", exc)
+            raise ParseError(f"bad record: {msg}", lineno) from None
         entry = _validate_record(obj, lineno)
         if entry.label in labels:
             raise ParseError(f"duplicate label {entry.label!r}", lineno)

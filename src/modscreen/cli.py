@@ -23,10 +23,11 @@ from .errors import CatalogError, ComputationCap, ModscreenError
 from .points import (fiber_degrees, galois_context, level_reduction,
                      point_degree, walked_orbit_sizes)
 from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
-                        SubgroupSpec, adjoin_minus_i, borel, borel_index,
-                        borel_order, closure_quads, contains_minus_i,
-                        factorize, gl2_order, level, lift_subgroup,
-                        minus_identity_quad, nonsplit_cartan_normalizer,
+                        SL2Part, SubgroupSpec, adjoin_minus_i, borel,
+                        borel_index, borel_order, closure_quads,
+                        contains_minus_i, factorize, gl2_order, level,
+                        lift_subgroup, minus_identity_quad,
+                        nonsplit_cartan_normalizer,
                         nonsplit_cartan_normalizer_preimage, reduce_subgroup,
                         sl2_order)
 from .zmod import (delta_full, delta_pm1, delta_trivial, is_prime, quad_det,
@@ -274,6 +275,10 @@ def _cmd_verify_formulae(args) -> int:
         closed = closure_quads(n, gens)
         check(f"chain_order({n},{kind})", (chain.order, contains_minus_i(chain)),
               (len(closed), minus_identity_quad(n) in closed))
+        # the Schreier generators of the det-1 part generate all of it
+        sl2_gens = SL2Part(grp).generator_quads()
+        check(f"sl2_gens({n},{kind})", GeneratedGroup(n, sl2_gens).order,
+              grp.order // grp.det_image.order)
 
     def orbit_profile(sizes: list[int]) -> tuple:
         # the orbit of H*1, then each orbit size with its multiplicity

@@ -6,14 +6,16 @@ SL2(Z/NZ), the points of the two elliptic fiber types (nu2, nu3) and the cusps
 bookkeeping, in one place (genus_from_counts). A group kind with closed forms
 for the counts supplies them through SubgroupSpec.curve_counts (the Borel-type
 groups do); every other kind gets them from one permutation representation,
-the right cosets of the determinant-1 part inside SL2(Z/NZ) acted on by the
-rotation and translation generators (coset_space), which is also the oracle
-the closed forms are tested against. Everything is exact integer arithmetic.
+the right cosets of the determinant-1 part S = H meet SL2 inside SL2(Z/NZ)
+acted on by the rotation and translation generators (coset_space), which is
+also the oracle the closed forms are tested against. When det(H) is all of
+(Z/NZ)^x, S*g -> H*g maps those cosets one to one onto the right cosets of H
+in GL2(Z/NZ) and commutes with right multiplication, so the walk runs on H's
+own cosets and keys. Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +36,10 @@ def sl2_part(h: SubgroupSpec) -> SubgroupSpec:
 
 @dataclass(frozen=True)
 class CosetSpace:
-    """Right cosets of S = H meet SL2, with the action of the two generators.
+    """Right cosets of S = H meet SL2 in SL2, acted on by the two generators.
 
+    base is H, a group of full determinant: the cosets are walked as the
+    cosets H*g they map onto, each represented by a det-1 element g.
     perm_s[i] and perm_t[i] are the indices of reps[i] * (0 -1; 1 0) and
     reps[i] * (1 1; 0 1). Representative order is BFS discovery order from
     the identity, so it is deterministic.
@@ -103,18 +107,20 @@ def genus_from_counts(n: int, mu: int, nu2: int, nu3: int, nu_inf: int) -> int:
 
 
 def coset_space(h: SubgroupSpec) -> CosetSpace:
-    """Enumerate the cosets of the determinant-1 part of H inside SL2(Z/nZ)."""
+    """Enumerate the cosets of the determinant-1 part of H inside SL2(Z/nZ),
+    walked from H*1 as right cosets of H under sigma and tau; H must have
+    full determinant."""
     if not h.has_full_determinant():
         raise NotFullDeterminant(
             f"determinant image has order {h.det_image.order}, "
             f"expected the full unit group mod {h.n}")
     n = h.n
-    s = SL2Part(h)
-    reps, (perm_s, perm_t) = coset_action(s, (sigma_quad(n), tau_quad(n)))
-    space = CosetSpace(n=n, base=s, reps=reps, perm_s=perm_s, perm_t=perm_t)
-    if space.mu * s.order != sl2_order(n):
-        raise InvariantFailed(f"{space.mu} cosets of a group of order {s.order} "
-                              f"do not fill SL2(Z/{n})")
+    reps, (perm_s, perm_t) = coset_action(h, (sigma_quad(n), tau_quad(n)))
+    space = CosetSpace(n=n, base=h, reps=reps, perm_s=perm_s, perm_t=perm_t)
+    # |S| = |H| / |det H|, and the mu cosets of S fill SL2
+    if space.mu * h.order != sl2_order(n) * h.det_image.order:
+        raise InvariantFailed(f"{space.mu} cosets of the det-1 part of a group "
+                              f"of order {h.order} do not fill SL2(Z/{n})")
     return space
 
 
@@ -192,6 +198,8 @@ def label_prefix(h: SubgroupSpec) -> str:
     equal groups get equal labels however they were built; TooLarge when
     that set exceeds the enumeration cap.
     """
+    import hashlib  # only label needs it: kept off the import path
+
     data, reduced = _curve_data(h)
     cap = subgroups.ENUMERATION_CAP
     if reduced.order > cap:

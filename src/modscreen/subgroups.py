@@ -23,7 +23,7 @@ from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
                      NonIntegral, NonInvertible, NotASubgroup, OrbitTooLarge,
                      TooLarge)
 from .zmod import (Quad, UnitSubgroup, _check_modulus, _extend_subgroup,
-                   _p1_normalize, _p1_points, det_one_lift_quad, divisors,
+                   _p1_normalize, _p1_points, divisors,
                    euler_phi, factorize, is_prime, lift_quad, quad_det,
                    quad_inv, quad_is_invertible, quad_mul, quad_reduce,
                    unit_group_generators, unit_subgroup, units)
@@ -339,10 +339,6 @@ class SubgroupSpec:
         return GeneratedGroup(n, self.generator_quads() + (minus_identity_quad(n),),
                               label=self.label)
 
-    def sl2_generator_quads(self) -> tuple[Quad, ...]:
-        """Generators of the determinant-1 part, in SL2Part's order."""
-        return _greedy_generator_quads(self.n, SL2Part(self).element_quads)
-
     def coset_key(self, q: Quad) -> Hashable:
         return self._chain.key(q)
 
@@ -409,10 +405,6 @@ class FullGroup(SubgroupSpec):
     def lifted(self, n: int) -> SubgroupSpec:
         return FullGroup(n)
 
-    def sl2_generator_quads(self) -> tuple[Quad, ...]:
-        n = self.n
-        return _dedup(n, [sigma_quad(n), tau_quad(n)])
-
     def coset_key(self, q: Quad) -> Hashable:
         return 0
 
@@ -462,12 +454,6 @@ class BorelGroup(SubgroupSpec):
     def with_minus_i(self) -> SubgroupSpec:
         n = self.n
         return BorelGroup(n, unit_subgroup(n, self.delta.elements + (n - 1,)))
-
-    def sl2_generator_quads(self) -> tuple[Quad, ...]:
-        n = self.n
-        gens = [tau_quad(n)]
-        gens += [(dl, 0, 0, pow(dl, -1, n)) for dl in self.delta.generators]
-        return _dedup(n, gens)
 
     @cached_property
     def _delta_class(self) -> list[int]:
@@ -743,12 +729,6 @@ class LiftedGroup(SubgroupSpec):
     def with_minus_i(self) -> SubgroupSpec:
         return LiftedGroup(adjoin_minus_i(self.base), self.n)
 
-    def sl2_generator_quads(self) -> tuple[Quad, ...]:
-        n, m = self.n, self.base.n
-        gens = [det_one_lift_quad(g, m, n) for g in self.base.sl2_generator_quads()]
-        gens += sl2_kernel_generator_quads(n, m)
-        return _dedup(n, gens)
-
     def coset_key(self, q: Quad) -> Hashable:
         # cosets of a preimage are pinned entirely downstairs
         return self.base.coset_key(quad_reduce(q, self.base.n))
@@ -786,7 +766,23 @@ class SL2Part(SubgroupSpec):
 
     @cached_property
     def _gens(self) -> tuple[Quad, ...]:
-        return self.parent.sl2_generator_quads()
+        # Schreier's lemma over det: t_u in the parent with det t_u = u, one
+        # for each u in det(H) by a BFS; then S = H meet SL2 is generated by
+        # t_u * g * t_{u det g}^-1 over every u and every generator g
+        n = self.n
+        gens = self.parent.generator_quads()
+        one = identity_quad(n)
+        reps = [one]
+        inverses = {1 % n: one}  # u -> t_u^-1
+        for t in reps:  # grows while it is walked: the BFS queue
+            for g in gens:
+                y = quad_mul(n, t, g)
+                u = quad_det(n, y)
+                if u not in inverses:
+                    inverses[u] = quad_inv(n, y)
+                    reps.append(y)
+        return _dedup(n, (quad_mul(n, y, inverses[quad_det(n, y)])
+                          for y in (quad_mul(n, t, g) for t in reps for g in gens)))
 
     def coset_key(self, q: Quad) -> Hashable:
         # S*g1 = S*g2 iff the parent cosets agree and the determinants agree
@@ -981,32 +977,6 @@ def kernel_generator_quads(n: int, d: int) -> tuple[Quad, ...]:
             local += [(1, 0, 0, u) for u in unit_group_generators(pe)]
         else:
             local = _ladder_quads(p, f, e, pe)
-        gens += [lift_quad(q, pe, n) for q in local]
-    return _dedup(n, gens)
-
-
-def sl2_kernel_generator_quads(n: int, d: int) -> tuple[Quad, ...]:
-    """Generators of ker(SL2(Z/n) -> SL2(Z/d)) for d | n."""
-    _check_divisor(n, d)
-    if d == n:
-        return ()
-    gens: list[Quad] = []
-    for p, e in factorize(n):
-        f = _p_adic_valuation(d, p)
-        if f == e:
-            continue
-        pe = p**e
-        if f == 0:
-            local = [sigma_quad(pe), tau_quad(pe)]
-        else:
-            local = []
-            for j in range(f, e):
-                pj = p**j
-                local += [
-                    (1, pj % pe, 0, 1),
-                    (1, 0, pj % pe, 1),
-                    ((1 + pj) % pe, 0, 0, pow(1 + pj, -1, pe)),
-                ]
         gens += [lift_quad(q, pe, n) for q in local]
     return _dedup(n, gens)
 

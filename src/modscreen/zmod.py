@@ -65,14 +65,6 @@ def lift_quad(q: Quad, m: int, n: int) -> Quad:
     return tuple(_crt2(q[i] % shared, shared, ident[i], rest) for i in range(4))  # type: ignore[return-value]
 
 
-def det_one_lift_quad(q: Quad, m: int, n: int) -> Quad:
-    """A lift of a det-1 matrix that has determinant exactly 1 mod n."""
-    y = lift_quad(q, m, n)
-    det = quad_det(n, y)
-    fix = pow(det, -1, n)
-    return (y[0], y[1] * fix % n, y[2], y[3] * fix % n)
-
-
 # elementary number theory, sized for the small moduli this package works at
 
 @cache

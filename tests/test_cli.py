@@ -1,9 +1,14 @@
-"""End-to-end command-line checks, run in process through main(argv)."""
+"""End-to-end command-line checks, run in process through main(argv); the
+run-to-run check starts fresh interpreters."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import modscreen
 import modscreen.subgroups
 from modscreen.cli import build_parser, main
 
@@ -266,8 +271,30 @@ def test_verify_formulae_passes(capsys):
     # the stabilizer chain of each structural group rebuilt from generators
     assert any(line.startswith("chain_order(8,borel4)") for line in lines)
     assert any(line.startswith("chain_order(49,cartan)") for line in lines)
+    # the Schreier generators of each det-1 part against |H| / |det H|
+    assert any(line.startswith("sl2_gens(8,borel4)") for line in lines)
+    assert any(line.startswith("sl2_gens(49,cartan)") for line in lines)
     # the Borel orbit sizes from P^1 against the coset walk, one row per Delta
     assert sum(line.startswith("borel_orbits(8,") for line in lines) == 3
+
+
+# ------------------------------------------------------ run-to-run output
+
+def test_stdout_is_identical_under_different_hash_seeds(catalog_path):
+    """String hashing is salted per process; no output may depend on it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
+    commands = [("table1",), ("genus", "--group", "cns:5"),
+                ("screen", "--catalog", catalog_path, "--ell", "5")]
+    for argv in commands:
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-m", "modscreen.cli", *argv],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv
+        assert outs[0].count(b"\n") >= 2, argv
 
 
 # ------------------------------------------------------------- exit codes
@@ -294,7 +321,7 @@ def test_incompatible_modulus_is_a_usage_error(capsys):
 @pytest.mark.parametrize("argv, walked", [
     (("point-degree", "--image", "borel:5:all", "--group", "cns:5"),
      "cartan_nonsplit_normalizer"),
-    (("genus", "--group", "cns:5"), "sl2_part"),
+    (("genus", "--group", "cns:5"), "cartan_nonsplit_normalizer"),
     (("fiber-degrees", "--image", "borel:5:all", "--group", "cns:5"),
      "cartan_nonsplit_normalizer"),
 ], ids=["point-degree", "genus", "fiber-degrees"])

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import modscreen.subgroups
-from modscreen.curves import label_prefix
+from modscreen.curves import coset_space, label_prefix
 from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
                               ModulusMismatch, NonDivisor, NonInvertible,
                               NotASubgroup, TooLarge)
@@ -22,12 +22,12 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  nonsplit_cartan_normalizer,
                                  nonsplit_cartan_normalizer_preimage, order,
                                  product_set_check, product_set_quads,
-                                 reduce_subgroup, sl2_order,
+                                 reduce_subgroup, sigma_quad, sl2_order,
                                  surjective_image_index_check, tau_quad,
                                  _greedy_generator_quads)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
-                            euler_phi, quad_is_invertible, quad_mul, quad_reduce,
-                            unit_subgroup,
+                            euler_phi, quad_det, quad_inv, quad_is_invertible,
+                            quad_mul, quad_reduce, unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
 import _helpers
@@ -282,6 +282,32 @@ def test_borel_coset_keys_separate_exactly():
     assert pairs == 61
 
 
+def _key_pool(m):
+    """A Borel, a generated and, at an odd prime power, a Cartan group mod m."""
+    pool = [borel(m, delta_trivial(m)),
+            GeneratedGroup(m, [tau_quad(m), (1, 0, 1, 1), (1, 0, 0, m - 1)])]
+    if _helpers.is_odd_prime_power(m):
+        pool.append(nonsplit_cartan_normalizer(m))
+    return pool
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_lifted_and_sl2_part_keys_separate_exactly(n):
+    """The lifted key (the base's key downstairs) and the det-1 key (det
+    beside the parent's key) induce the right-coset partition of GL2, by
+    brute force against each group's element set."""
+    exact = _helpers.key_classes_are_cosets
+    gl2 = FullGroup(n).element_quads
+    for m in divisors(n)[1:-1]:
+        for base in _key_pool(m):
+            lifted = LiftedGroup(base, n)
+            assert exact(lifted.coset_key, gl2, lifted.element_quads, n), (n, base)
+    for parent in _key_pool(n) + [LiftedGroup(borel(m, delta_pm1(m)), n)
+                                  for m in divisors(n)[1:-1]]:
+        s = SL2Part(parent)
+        assert exact(s.coset_key, gl2, s.element_quads, n), (n, parent)
+
+
 def test_cartan_preimage_variant():
     pre = nonsplit_cartan_normalizer_preimage(25)
     thin = nonsplit_cartan_normalizer(25)
@@ -519,7 +545,7 @@ def _hook_pool(n):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_kind_hooks_against_reference_closures(n):
-    """with_minus_i, sl2_generator_quads and lifted on every kind, each
+    """with_minus_i, SL2Part's generators and lifted on every kind, each
     against the element-by-element closure or the defining predicate."""
     rng = random.Random(n)
     minus = minus_identity_quad(n)
@@ -550,6 +576,55 @@ def test_lifted_groups_flatten_to_the_first_base():
     base = borel(3, delta_trivial(3))
     assert LiftedGroup(LiftedGroup(base, 9), 27).base is base
     assert lift_subgroup(lift_subgroup(base, 9), 27).base is base
+
+
+def _conjugated(n, gens):
+    """The generators conjugated by c = (1 0; 1 1): c^-1 * g * c."""
+    c = (1 % n, 0, 1 % n, 1 % n)
+    ci = quad_inv(n, c)
+    return [quad_mul(n, quad_mul(n, ci, g), c) for g in gens]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_coset_space_walks_the_cosets_of_h_like_its_det_one_part(n):
+    """With full determinant, the walk on H's own cosets gives the same
+    representatives and permutations as the walk on the cosets of H meet
+    SL2 in SL2, the oracle."""
+    pool = _hook_pool(n)
+    pool.append(GeneratedGroup(n, _conjugated(
+        n, borel(n, delta_trivial(n)).generator_quads())))
+    walked = 0
+    for h in pool:
+        if not h.has_full_determinant():
+            continue
+        space = coset_space(h)
+        reps, (perm_s, perm_t) = coset_action(SL2Part(h),
+                                              (sigma_quad(n), tau_quad(n)))
+        assert space.base is h
+        assert (space.reps, space.perm_s, space.perm_t) == \
+            (reps, perm_s, perm_t), (n, h)
+        walked += 1
+    assert walked >= 3
+
+
+@pytest.mark.parametrize("n", [125, 169])
+def test_sl2_part_generators_enumerate_nothing(monkeypatch, n):
+    """Schreier generators of H meet SL2 from H's generators alone: under an
+    enumeration cap of 10 they are det-1 members of H that generate a group
+    of order |H| / |det H|."""
+    p = _helpers.least_prime_factor(n)
+    pool = [GeneratedGroup(n, _conjugated(n, borel(n, delta_pm1(n)).generator_quads())),
+            borel(n, delta_trivial(n)),
+            lift_subgroup(nonsplit_cartan_normalizer(p), n),
+            nonsplit_cartan_normalizer(n)]
+    for h in pool:
+        h.generator_quads()  # the Cartan scans its elements once, uncapped
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
+    for h in pool:
+        s = SL2Part(h)
+        gens = s.generator_quads()
+        assert all(quad_det(n, g) == 1 and h.member_quad(g) for g in gens), h
+        assert GeneratedGroup(n, gens).order == s.order, h
 
 
 # ------------------------------------------------------------ product sets
