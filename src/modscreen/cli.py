@@ -284,14 +284,19 @@ def _cmd_verify_formulae(args) -> int:
         # the orbit of H*1, then each orbit size with its multiplicity
         return sizes[0], tuple(sorted(Counter(sizes).items()))
 
+    def check_orbits(name: str, grp: SubgroupSpec) -> None:
+        # the hook against the coset walk, under GL2 and under the image
+        # generated by (1 0; 1 1) and (-1 0; 0 1)
+        n = grp.n
+        images = (FullGroup(n).generator_quads(), ((1, 0, 1, 1), (n - 1, 0, 0, 1)))
+        check(name, [orbit_profile(grp.orbit_sizes(g, whole=True)) for g in images],
+              [orbit_profile(walked_orbit_sizes(grp, g)) for g in images])
+
     top = args.max_modulus
     for n in range(1, top + 1):
         check(f"gl2_order({n})", _brute_gl2_count(n), gl2_order(n))
         check(f"sl2_order({n})", _brute_sl2_count(n), sl2_order(n))
     for n in range(3, top + 1):
-        # Borel orbits under GL2 and under the image generated by
-        # (1 0; 1 1) and (-1 0; 0 1)
-        images = (FullGroup(n).generator_quads(), ((1, 0, 1, 1), (n - 1, 0, 0, 1)))
         deltas = {delta_trivial(n), delta_pm1(n), delta_full(n)}
         deltas.update(unit_subgroups_containing_minus_one(n))
         for delta in sorted(deltas, key=lambda d: (d.order, d.elements)):
@@ -303,15 +308,14 @@ def _cmd_verify_formulae(args) -> int:
             pm = adjoin_minus_i(grp)
             check(f"borel_curve({n},{delta.order})",
                   pm.curve_counts(), coset_space(pm).counts)
-            check(f"borel_orbits({n},{delta.order})",
-                  [orbit_profile(grp.orbit_sizes(g, whole=True)) for g in images],
-                  [orbit_profile(walked_orbit_sizes(grp, g)) for g in images])
+            check_orbits(f"borel_orbits({n},{delta.order})", grp)
             check_chain(f"borel{delta.order}", grp)
     for ell in (3, 5, 7):
         for d in (1, 2):
             grp = CartanNormalizer(ell, d)
             check(f"cartan_order({ell},{d})", len(grp.element_quads), grp.order)
             check_chain("cartan", grp)
+            check_orbits(f"cartan_orbits({grp.n})", grp)
 
     _emit(args, rows, tsv_header=("check", "computed", "expected", "status"))
     return 1 if failures else 0

@@ -4,9 +4,10 @@ The degree of a point is the residue field degree of the j-coordinate times
 a coset index: the image R acting on cosets of the structure group H. The
 whole fiber decomposes into R-orbits on the cosets, one closed point per
 orbit. For a Borel-type H the orbits are read off R's orbits on the lines of
-P^1(Z/NZ) and the scalars of the line stabilizers, never from the cosets
-themselves; other kinds walk the cosets (walked_orbit_sizes). When
-R is the full preimage of a group at a lower modulus m, the orbits are taken
+P^1(Z/NZ) and the scalars of the line stabilizers, and for the nonsplit
+Cartan normalizer off R's orbits on pairs of conjugate points of
+P^1(O/l^d), never from the cosets themselves; other kinds walk the cosets
+(walked_orbit_sizes). When R is the full preimage of a group at a lower modulus m, the orbits are taken
 at m and scaled by [K : K meet H], K the kernel of reduction to m
 (subgroups.preimage_descent). On top of that sit the
 closed-form degree identities for the nonsplit Cartan normalizer tower and
@@ -121,8 +122,9 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     One degree per orbit of R on all right cosets of H; the orbit of the
     identity coset carries the distinguished point, whose degree is exactly
     point_degree(ctx, h). The orbit sizes come from the orbit_sizes hook of
-    H's kind (line orbits in P^1 for a Borel-type H), else from the coset
-    walk (walked_orbit_sizes). Over a lifted image they are taken at the
+    H's kind (line orbits in P^1 for a Borel-type H, orbits of conjugate
+    pairs in P^1(O/l^d) for the Cartan normalizer), else from the coset walk
+    (walked_orbit_sizes). Over a lifted image they are taken at the
     image's level and every orbit is scaled by [K : K meet H]
     (subgroups.preimage_descent).
     """

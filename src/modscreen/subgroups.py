@@ -3,7 +3,9 @@
 Every group is carried two ways at once: a membership predicate and a small
 generating set. Index and fiber computations never enumerate the ambient
 group. A Borel-type H reads the orbits on its right cosets off the orbits on
-the lines of P^1(Z/NZ) (BorelGroup.orbit_sizes); every other kind walks right
+the lines of P^1(Z/NZ) (BorelGroup.orbit_sizes), and the nonsplit Cartan
+normalizer off the orbits on pairs of conjugate points of P^1(O/l^d), O =
+Z[sqrt(e)] (CartanNormalizer.orbit_sizes); every other kind walks right
 cosets H*g under the other group's generators (coset_action, the one walk
 behind index, genus and fiber computations without a closed form) and
 identifies a coset by a canonical key (equal keys exactly when the cosets
@@ -26,11 +28,14 @@ from .zmod import (Quad, UnitSubgroup, _check_modulus, _extend_subgroup,
                    _p1_normalize, _p1_points, divisors,
                    euler_phi, factorize, is_prime, lift_quad, quad_det,
                    quad_inv, quad_is_invertible, quad_mul, quad_reduce,
+                   quadratic_generator, quadratic_mobius, quadratic_mul,
+                   quadratic_pair_key, quadratic_pair_orbits, quadratic_pow,
                    unit_group_generators, unit_subgroup, units)
 
 ENUMERATION_CAP = 10_000_000
-# cosets one coset_action walk may reach; Borel orbit sizes walk at most
-# psi(N) lines instead and, like the Borel curve counts, are not capped
+# cosets one coset_action walk, or one Cartan walk of point pairs (a pair is
+# a coset), may reach; Borel orbit sizes walk at most psi(N) lines instead
+# and, like the Borel curve counts, are not capped
 ORBIT_CAP = 10_000_000
 
 
@@ -605,17 +610,31 @@ class CartanNormalizer(SubgroupSpec):
 
     @cached_property
     def _gens(self) -> tuple[Quad, ...]:
-        return _greedy_generator_quads(self.n, self.element_quads)
+        # The Cartan is (O/l^d)^x = F_{l^2}^x x (1 + lO), O = Z[sqrt(e)]. t has
+        # the order l^2 - 1 of F_{l^2}^x, and at odd l the factor 1 + lO is
+        # generated by 1 + l and 1 + l*sqrt(e); the coprime orders let
+        # t*(1 + l) stand for two of them. (1 0; 0 -1) adds the normalizer.
+        l, n, e = self.ell, self.n, self.eps
+        t = quadratic_pow(n, e, quadratic_generator(l, e), l ** (2 * self.d - 2))
+        cartan = [quadratic_mul(n, e, t, (1 + l, 0)), (1, l % n)]
+        return _dedup(n, [(a, e * b % n, b, a) for a, b in cartan] + [(1, 0, 0, n - 1)])
 
-    def coset_key(self, q: Quad) -> Hashable:
-        # Hq1 = Hq2 iff q2*q1^-1 commutes or anticommutes with the twisting
-        # matrix J = (0 e; 1 0), and at odd ell the commutant of J is exactly
-        # the Cartan, so the unordered pair {q^-1 J q, -(q^-1 J q)} is a
-        # complete right-coset invariant.
+    def coset_key(self, q: Quad) -> int:
+        # The row (1, sqrt(e)) is a left eigenvector of every Cartan element,
+        # and the Cartan is exactly its stabilizer on P^1(O/l^d); (1 0; 0 -1)
+        # sends it to its conjugate. So C*q is pinned by the point z of
+        # (1, sqrt(e))*q, one z = x + y*sqrt(e) with y a unit per coset of C,
+        # and N*q by the pair {z, conj z}.
+        return quadratic_pair_key(self.n, quadratic_mobius(self.n, self.eps, q, (0, 1)))
+
+    def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:
+        # (N*g)*r has the pair of z -> (r12 + z*r22) / (r11 + z*r21), so walk
+        # the pairs instead of the cosets: from sqrt(e), the coset N*1, then
+        # from one z of each pair when whole
         n = self.n
-        m = quad_mul(n, quad_mul(n, quad_inv(n, q), (0, self.eps, 1, 0)), q)
-        neg = (-m[0] % n, -m[1] % n, -m[2] % n, -m[3] % n)
-        return m if m <= neg else neg
+        starts = ((x, y) for x in range(n) for y in units(n) if 2 * y < n)
+        return quadratic_pair_orbits(n, self.eps, gens, starts if whole else [(0, 1)],
+                                     lambda j: _check_orbit_cap(self, j))
 
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
@@ -887,15 +906,19 @@ def coset_action(h: SubgroupSpec,
             j = index.get(k)
             if j is None:
                 j = len(reps)
-                if j >= ORBIT_CAP:
-                    raise OrbitTooLarge(f"coset walk of {h.kind} mod {n} "
-                                        f"reached {j} cosets, cap {ORBIT_CAP}",
-                                        operation="coset walk", modulus=n,
-                                        reached=j, cap=ORBIT_CAP)
+                _check_orbit_cap(h, j)
                 index[k] = j
                 reps.append(y)
             perm.append(j)
     return reps, perms
+
+
+def _check_orbit_cap(h: SubgroupSpec, j: int) -> None:
+    """OrbitTooLarge when a walk that knows j cosets of H needs another."""
+    if j >= ORBIT_CAP:
+        raise OrbitTooLarge(f"coset walk of {h.kind} mod {h.n} reached {j} "
+                            f"cosets, cap {ORBIT_CAP}", operation="coset walk",
+                            modulus=h.n, reached=j, cap=ORBIT_CAP)
 
 
 def orbit_size(h: SubgroupSpec, gens: Sequence[Quad]) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import NonDivisor, NonInvertible
 
@@ -249,16 +249,22 @@ def unit_subgroups_containing_minus_one(n: int) -> tuple[UnitSubgroup, ...]:
 # points of P^1(Z/nZ): normal forms of unimodular rows, one per line
 
 @cache
+def _unit_inverses(n: int) -> list[int]:
+    """The inverse of each residue mod n, 0 at non-units."""
+    inv = [0] * n
+    for x in units(n):
+        inv[x] = pow(x, -1, n)
+    return inv
+
+
+@cache
 def _p1_tables(n: int) -> tuple[tuple[int, list[int], int], ...]:
     """(p^e, inverse table mod p^e with 0 at non-units, CRT idempotent)
     for each prime power p^e exactly dividing n."""
     out = []
     for p, e in factorize(n):
         pe = p**e
-        inv = [0] * pe
-        for x in units(pe):
-            inv[x] = pow(x, -1, pe)
-        out.append((pe, inv, _crt2(1, pe, 0, n // pe)))
+        out.append((pe, _unit_inverses(pe), _crt2(1, pe, 0, n // pe)))
     return tuple(out)
 
 
@@ -300,3 +306,95 @@ def _crt2(a: int, m: int, b: int, k: int) -> int:
     # unique residue mod m*k matching a mod m and b mod k, gcd(m, k) = 1
     t = (b - a) * pow(m, -1, k) % k
     return (a + m * t) % (m * k)
+
+
+# the ring O/nO, O = Z[sqrt(eps)] for a non-residue eps mod an odd prime: an
+# element a + b*sqrt(eps) is the pair (a, b), and the matrix (a eps*b; b a)
+
+def quadratic_mul(n: int, eps: int, x: tuple[int, int],
+                  y: tuple[int, int]) -> tuple[int, int]:
+    a, b = x
+    c, d = y
+    return (a * c + eps * b * d) % n, (a * d + b * c) % n
+
+
+def quadratic_inv(n: int, eps: int, x: tuple[int, int]) -> tuple[int, int]:
+    """x^-1 = conj(x) / norm(x), with norm(a + b*sqrt(eps)) = a^2 - eps*b^2."""
+    a, b = x
+    try:
+        i = pow((a * a - eps * b * b) % n, -1, n)
+    except ValueError:
+        raise NonInvertible(f"{a} + {b}*sqrt({eps}) is not a unit mod {n}") from None
+    return a * i % n, -b * i % n
+
+
+def quadratic_pow(n: int, eps: int, x: tuple[int, int], k: int) -> tuple[int, int]:
+    out = (1 % n, 0)
+    while k:
+        if k & 1:
+            out = quadratic_mul(n, eps, out, x)
+        x = quadratic_mul(n, eps, x, x)
+        k >>= 1
+    return out
+
+
+def quadratic_generator(ell: int, eps: int) -> tuple[int, int]:
+    """The least (a, b) with a + b*sqrt(eps) generating F_{ell^2}^x: its
+    (ell^2 - 1)/p-th power is not 1 for any prime p | ell^2 - 1."""
+    order = ell * ell - 1
+    for z in ((a, b) for a in range(ell) for b in range(1, ell)):
+        if all(quadratic_pow(ell, eps, z, order // p) != (1, 0)
+               for p, _ in factorize(order)):
+            return z
+    raise ValueError(f"{eps} is not a non-residue mod {ell}")
+
+
+def quadratic_mobius(n: int, eps: int, q: Quad,
+                     z: tuple[int, int]) -> tuple[int, int]:
+    """(q12 + z*q22) / (q11 + z*q21): the row (1, z) times q, rescaled to
+    first entry 1. The denominator is a unit for every q in GL2 and every z
+    whose sqrt(eps)-coefficient is a unit, since (1, z) is then a multiple
+    of (1, sqrt(eps)) * g for some g in GL2."""
+    x, y = z
+    return quadratic_mul(n, eps, ((q[1] + x * q[3]) % n, y * q[3] % n),
+                         quadratic_inv(n, eps, (q[0] + x * q[2], y * q[2])))
+
+
+def quadratic_pair_key(n: int, z: tuple[int, int]) -> int:
+    """One int for the pair {z, conj z} of O/nO."""
+    x, y = z
+    return x * n + min(y, n - y)
+
+
+def quadratic_pair_orbits(n: int, eps: int, gens: Sequence[Quad],
+                          starts: Iterable[tuple[int, int]],
+                          grow: Callable[[int], None]) -> list[int]:
+    """Sizes of the orbits of <gens> on the pairs {z, conj z} of O/nO under
+    z -> quadratic_mobius(n, eps, r, z), one for each orbit that starts meets,
+    in that order. Every z must have a unit sqrt(eps)-coefficient at an odd
+    prime power n. grow(j) runs before the walk takes a pair past the j it
+    knows, so that the caller can stop it.
+    """
+    inv = _unit_inverses(n)
+    seen: set[int] = set()
+    sizes = []
+    for start in starts:
+        if quadratic_pair_key(n, start) in seen:
+            continue
+        grow(len(seen))
+        seen.add(quadratic_pair_key(n, start))
+        orbit = [start]
+        for x, y in orbit:  # grows while it is walked: the BFS queue
+            for r0, r1, r2, r3 in gens:
+                # quadratic_mobius and quadratic_pair_key, inlined: the walk
+                # spends its time here
+                a, b, p, q = r0 + x * r2, y * r2, r1 + x * r3, y * r3
+                i = inv[(a * a - eps * b * b) % n]
+                u, v = (p * a - eps * q * b) * i % n, (q * a - p * b) * i % n
+                k = u * n + min(v, n - v)
+                if k not in seen:
+                    grow(len(seen))
+                    seen.add(k)
+                    orbit.append((u, v))
+        sizes.append(len(orbit))
+    return sizes

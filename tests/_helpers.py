@@ -11,7 +11,8 @@ from modscreen.points import _aut_is_plus_minus, _require_minus_i
 from modscreen.subgroups import (ENUMERATION_CAP, BorelGroup, CartanNormalizer,
                                  FullGroup, coset_action, gl2_order,
                                  identity_quad, lift_subgroup)
-from modscreen.zmod import quad_inv, quad_mul, unit_subgroup, units
+from modscreen.zmod import (quad_inv, quad_is_invertible, quad_mul,
+                            unit_subgroup, units)
 
 
 # Reference closure and greedy generator loop: the element-by-element BFS
@@ -198,6 +199,16 @@ def prime_power_exponent(n):
 def is_odd_prime_power(n):
     pe = prime_power_exponent(n)
     return pe is not None and pe[0] != 2
+
+
+def generator_list(rng, n, count):
+    """Invertible quads mod n with det != 1 likely, plus a repeat and the identity."""
+    gens = []
+    while len(gens) < count:
+        q = tuple(rng.randrange(n) for _ in range(4))
+        if quad_is_invertible(n, q):
+            gens.append(q)
+    return gens + gens[:1] + [(1 % n, 0, 0, 1 % n)]
 
 
 def random_delta(rng, n, minus_one=True):

@@ -24,7 +24,7 @@ from modscreen.subgroups import (FullGroup, GeneratedGroup,  # noqa: E402
                                  LiftedGroup, borel, coset_action, divisors,
                                  index_via_orbit, orbit_size, preimage_descent)
 from modscreen.zmod import (_extend_subgroup, quad_inv,  # noqa: E402
-                            quad_is_invertible, quad_mul, unit_subgroup, units)
+                            quad_mul, unit_subgroup, units)
 
 import _helpers  # noqa: E402
 
@@ -77,23 +77,13 @@ def every_delta(n):
     return [unit_subgroup(n, sub) for sub in sorted(found, key=sorted)]
 
 
-def generator_list(rng, n, count):
-    """Invertible quads mod n with det != 1 likely, plus a repeat and the identity."""
-    gens = []
-    while len(gens) < count:
-        q = tuple(rng.randrange(n) for _ in range(4))
-        if quad_is_invertible(n, q):
-            gens.append(q)
-    return gens + gens[:1] + [(1 % n, 0, 0, 1 % n)]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 24])
 def test_every_delta_matches_the_walk(n):
     rng = random.Random(n)
     for delta in every_delta(n):
         b = borel(n, delta)
         for gens in (FullGroup(n).generator_quads(), b.generator_quads(),
-                     generator_list(rng, n, 2), ()):
+                     _helpers.generator_list(rng, n, 2), ()):
             assert hook_sizes(b, gens) == walked_sizes(b, gens), (n, delta, gens)
 
 
@@ -109,7 +99,7 @@ def borel_cases(draw, max_n):
     if m < n:
         h = LiftedGroup(h, n)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return h, generator_list(rng, n, draw(st.integers(0, 3)))
+    return h, _helpers.generator_list(rng, n, draw(st.integers(0, 3)))
 
 
 @settings(PROPERTY, max_examples=120)
@@ -124,7 +114,7 @@ def test_deep_borel_orbits_match_the_walk(n):
     rng = random.Random(n)
     for delta in (unit_subgroup(n, [n - 1]), unit_subgroup(n, units(n))):
         b = borel(n, delta)
-        for gens in (b.generator_quads(), generator_list(rng, n, 2)):
+        for gens in (b.generator_quads(), _helpers.generator_list(rng, n, 2)):
             assert hook_sizes(b, gens) == walked_sizes(b, gens), (n, delta.order)
 
 
@@ -136,7 +126,7 @@ def generated_lifts(draw):
     n = draw(st.sampled_from([4, 6, 8, 9, 10, 12, 16, 18, 25, 27]))
     m = draw(st.sampled_from(divisors(n)[1:-1]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    base = GeneratedGroup(m, generator_list(rng, m, rng.randint(1, 3))[:-2])
+    base = GeneratedGroup(m, _helpers.generator_list(rng, m, rng.randint(1, 3))[:-2])
     b = borel(n, _helpers.random_delta(rng, n, minus_one=rng.random() < 0.5))
     if draw(st.booleans()):
         g = (1, 1, 1, 2)  # det 1: conjugate B by it

@@ -276,6 +276,9 @@ def test_verify_formulae_passes(capsys):
     assert any(line.startswith("sl2_gens(49,cartan)") for line in lines)
     # the Borel orbit sizes from P^1 against the coset walk, one row per Delta
     assert sum(line.startswith("borel_orbits(8,") for line in lines) == 3
+    # the Cartan orbit sizes from pairs in P^1(O/l^d) against the coset walk
+    assert any(line.startswith("cartan_orbits(3)") for line in lines)
+    assert any(line.startswith("cartan_orbits(49)") for line in lines)
 
 
 # ------------------------------------------------------ run-to-run output

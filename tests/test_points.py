@@ -431,6 +431,15 @@ def test_formula_matches_orbit_for_all_small_parameters():
                 assert got == cartan_degree_formula(ell, n, delta.order)
 
 
+@pytest.mark.parametrize("ell, n", [(3, 3), (3, 4), (5, 3), (7, 3), (5, 4)])
+def test_cartan_degree_formula_past_level_two(ell, n):
+    q = ell ** n
+    ctx = galois_context(nonsplit_cartan_normalizer(q))
+    for delta in unit_subgroups_containing_minus_one(q):
+        got = point_degree(ctx, borel(q, delta))
+        assert got == cartan_degree_formula(ell, n, delta.order), delta.order
+
+
 # ------------------------------------------------------------------ report
 
 def test_point_report_bundles_the_pieces():

@@ -144,11 +144,23 @@ def test_closure_and_greedy_generators_match_the_reference_bfs():
                     == _helpers.reference_greedy_generator_quads(n, want)), (n, gens)
 
 
-@pytest.mark.parametrize("ell, d", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1)])
-def test_cartan_generators_match_the_reference_greedy(ell, d):
+def _no_enumeration(self):
+    raise AssertionError(f"{self!r} enumerated its elements")
+
+
+@pytest.mark.parametrize("ell, d", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1),
+                                    (11, 1), (5, 3), (7, 3), (3, 5)])
+def test_cartan_generators_have_the_formula_order(monkeypatch, ell, d):
+    """The three generators from the arithmetic of O/l^d are members whose
+    chain has the formula's order, and building them enumerates nothing."""
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
+    monkeypatch.setattr(CartanNormalizer, "element_quads",
+                        property(_no_enumeration))
     c = CartanNormalizer(ell, d)
-    want = _helpers.reference_greedy_generator_quads(c.n, c.element_quads)
-    assert c.generator_quads() == want
+    gens = c.generator_quads()
+    assert len(gens) == (2 if d == 1 else 3)
+    assert all(c.member_quad(g) for g in gens)
+    assert GeneratedGroup(c.n, gens).order == c.order
 
 
 @pytest.mark.parametrize("group", [borel(5, delta_full(5)), CartanNormalizer(3, 2),
@@ -246,19 +258,15 @@ def test_cartan_nonresidue_is_stable_under_lifting():
 
 
 def test_cartan_coset_key_separates_exactly():
-    """The conjugation-invariant key must induce the same partition as the
-    membership predicate."""
-    for q in (5, 9, 13):
+    """The key, the pair {z, conj z} of the point z of (1, sqrt(e)) * g,
+    must induce the same partition as the brute-force cosets."""
+    for q in (3, 5, 7, 9, 11, 13):
         c = nonsplit_cartan_normalizer(q)
         full = FullGroup(q)
-        by_key = {}
-        for x in full.element_quads:
-            by_key.setdefault(c.coset_key(x), set()).add(x)
-        assert len(by_key) == full.order // c.order
-        for bucket in by_key.values():
-            x0 = next(iter(bucket))
-            coset = {quad_mul(q, h, x0) for h in c.element_quads}
-            assert bucket == coset
+        assert len({c.coset_key(x) for x in full.element_quads}) == \
+            full.order // c.order
+        assert _helpers.key_classes_are_cosets(c.coset_key, full.element_quads,
+                                               c.element_quads, q)
 
 
 def test_borel_coset_keys_separate_exactly():
@@ -617,8 +625,6 @@ def test_sl2_part_generators_enumerate_nothing(monkeypatch, n):
             borel(n, delta_trivial(n)),
             lift_subgroup(nonsplit_cartan_normalizer(p), n),
             nonsplit_cartan_normalizer(n)]
-    for h in pool:
-        h.generator_quads()  # the Cartan scans its elements once, uncapped
     monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
     for h in pool:
         s = SL2Part(h)
