@@ -787,7 +787,8 @@ class SL2Part(SubgroupSpec):
     def _gens(self) -> tuple[Quad, ...]:
         # Schreier's lemma over det: t_u in the parent with det t_u = u, one
         # for each u in det(H) by a BFS; then S = H meet SL2 is generated by
-        # t_u * g * t_{u det g}^-1 over every u and every generator g
+        # t_u * g * t_{u det g}^-1 over every u and every generator g. Each is
+        # sifted through the chain of those kept so far and kept only if new.
         n = self.n
         gens = self.parent.generator_quads()
         one = identity_quad(n)
@@ -800,8 +801,14 @@ class SL2Part(SubgroupSpec):
                 if u not in inverses:
                     inverses[u] = quad_inv(n, y)
                     reps.append(y)
-        return _dedup(n, (quad_mul(n, y, inverses[quad_det(n, y)])
-                          for y in (quad_mul(n, t, g) for t in reps for g in gens)))
+        kept: list[Quad] = []
+        chain = StabilizerChain(n, kept)
+        for y in (quad_mul(n, t, g) for t in reps for g in gens):
+            s = quad_mul(n, y, inverses[quad_det(n, y)])
+            if not chain.contains(s):
+                kept.append(s)
+                chain = StabilizerChain(n, kept)
+        return tuple(kept)
 
     def coset_key(self, q: Quad) -> Hashable:
         # S*g1 = S*g2 iff the parent cosets agree and the determinants agree

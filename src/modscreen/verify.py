@@ -1,0 +1,105 @@
+"""The `verify-formulae` command: closed forms and hooks against enumeration
+and the coset walk. Only that command imports this module, so the brute-force
+counts stay off the import path of every other command.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import product
+from math import gcd
+
+from .cli import _emit
+from .curves import coset_space
+from .points import walked_orbit_sizes
+from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup, SL2Part,
+                        SubgroupSpec, adjoin_minus_i, borel, borel_index,
+                        borel_order, closure_quads, contains_minus_i,
+                        gl2_order, minus_identity_quad, sl2_order)
+from .zmod import (_unit_lattice_walk, delta_full, delta_pm1, delta_trivial,
+                   factorize, quad_det, unit_subgroups_containing_minus_one)
+
+
+def _brute_gl2_count(n: int) -> int:
+    if n == 1:
+        return 1
+    return sum(1 for q in product(range(n), repeat=4)
+               if gcd(quad_det(n, q), n) == 1)
+
+
+def _brute_sl2_count(n: int) -> int:
+    one = 1 % n
+    return sum(1 for q in product(range(n), repeat=4)
+               if quad_det(n, q) == one)
+
+
+def verify_formulae(args) -> int:
+    failures = 0
+    rows = []
+
+    def check(name: str, lhs, rhs) -> None:
+        nonlocal failures
+        ok = lhs == rhs
+        if not ok:
+            failures += 1
+        rows.append({"check": name, "computed": lhs, "expected": rhs,
+                     "status": "ok" if ok else "FAIL"})
+
+    def check_chain(kind: str, grp: SubgroupSpec) -> None:
+        # the stabilizer chain of the group rebuilt from its generators
+        # against the closure: (order, whether -I is inside)
+        n, gens = grp.n, grp.generator_quads()
+        chain = GeneratedGroup(n, gens)
+        closed = closure_quads(n, gens)
+        check(f"chain_order({n},{kind})", (chain.order, contains_minus_i(chain)),
+              (len(closed), minus_identity_quad(n) in closed))
+        # the Schreier generators of the det-1 part generate all of it
+        sl2_gens = SL2Part(grp).generator_quads()
+        check(f"sl2_gens({n},{kind})", GeneratedGroup(n, sl2_gens).order,
+              grp.order // grp.det_image.order)
+
+    def orbit_profile(sizes: list[int]) -> tuple:
+        # the orbit of H*1, then each orbit size with its multiplicity
+        return sizes[0], tuple(sorted(Counter(sizes).items()))
+
+    def check_orbits(name: str, grp: SubgroupSpec) -> None:
+        # the hook against the coset walk, under GL2 and under the image
+        # generated by (1 0; 1 1) and (-1 0; 0 1)
+        n = grp.n
+        images = (FullGroup(n).generator_quads(), ((1, 0, 1, 1), (n - 1, 0, 0, 1)))
+        check(name, [orbit_profile(grp.orbit_sizes(g, whole=True)) for g in images],
+              [orbit_profile(walked_orbit_sizes(grp, g)) for g in images])
+
+    top = args.max_modulus
+    for n in range(1, top + 1):
+        check(f"gl2_order({n})", _brute_gl2_count(n), gl2_order(n))
+        check(f"sl2_order({n})", _brute_sl2_count(n), sl2_order(n))
+    for n in range(3, top + 1):
+        deltas = {delta_trivial(n), delta_pm1(n), delta_full(n)}
+        deltas.update(unit_subgroups_containing_minus_one(n))
+        for delta in sorted(deltas, key=lambda d: (d.order, d.elements)):
+            grp = borel(n, delta)
+            check(f"borel_order({n},{delta.order})",
+                  len(grp.element_quads), borel_order(n, delta))
+            check(f"borel_lagrange({n},{delta.order})",
+                  borel_order(n, delta) * borel_index(n, delta), gl2_order(n))
+            pm = adjoin_minus_i(grp)
+            check(f"borel_curve({n},{delta.order})",
+                  pm.curve_counts(), coset_space(pm).counts)
+            check_orbits(f"borel_orbits({n},{delta.order})", grp)
+            check_chain(f"borel{delta.order}", grp)
+    for ell in (3, 5, 7):
+        for d in (1, 2):
+            grp = CartanNormalizer(ell, d)
+            check(f"cartan_order({ell},{d})", len(grp.element_quads), grp.order)
+            check_chain("cartan", grp)
+            check_orbits(f"cartan_orbits({grp.n})", grp)
+    # the subgroups read off the unit group's structure against the walk
+    for n in range(3, top + 1):
+        if len(factorize(n)) == 1:
+            check(f"unit_subgroups({n})",
+                  [d.elements for d in unit_subgroups_containing_minus_one(n)],
+                  [d.elements for d in _unit_lattice_walk(n)])
+
+    _emit(args, rows, tsv_header=("check", "computed", "expected", "status"))
+    return 1 if failures else 0

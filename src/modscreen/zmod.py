@@ -221,12 +221,40 @@ def delta_full(n: int) -> UnitSubgroup:
 def unit_subgroups_containing_minus_one(n: int) -> tuple[UnitSubgroup, ...]:
     """Every subgroup of (Z/nZ)^x containing -1, for n >= 3.
 
-    Walks the subgroup lattice upward from <-1>: repeatedly adjoins a single
-    unit to each known subgroup and closes. Every subgroup above <-1> is
-    reachable this way. Output is ordered by (order, element tuple).
+    At a prime power they are read off the group's structure. For odd l,
+    (Z/l^k)^x is cyclic of order phi, with one subgroup of each order d | phi,
+    and it holds -1 exactly when d is even: a cyclic group has one element of
+    order 2. At 2^e it is <-1> x <5>, and the subgroups holding -1 are
+    <-1, 5^(2^j)> for j = 0..e-2. Other n walk the lattice. Output is
+    ordered by (order, element tuple).
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    fac = factorize(n)
+    if len(fac) > 1:
+        return _unit_lattice_walk(n)
+    p, e = fac[0]
+    if p == 2:
+        # <-1, 5^(2^j)> has order 2^(e-1-j), so the largest j comes first
+        subs = [_unit_closure(n, (n - 1, pow(5, 2**j, n)))
+                for j in reversed(range(e - 1))]
+    else:
+        phi = euler_phi(n)
+        primes = [q for q, _ in factorize(phi)]
+        g = next(u for u in units(n)
+                 if all(pow(u, phi // q, n) != 1 for q in primes))
+        # one subgroup of each order d, and the divisors ascend
+        subs = [{pow(g, phi // d * i, n) for i in range(d)}
+                for d in divisors(phi) if d % 2 == 0]
+    return tuple(UnitSubgroup(n, tuple(sorted(s))) for s in subs)
+
+
+def _unit_lattice_walk(n: int) -> tuple[UnitSubgroup, ...]:
+    """unit_subgroups_containing_minus_one at any n >= 3, by walking the
+    subgroup lattice upward from <-1>: repeatedly adjoins a single unit to
+    each known subgroup and closes. Every subgroup above <-1> is reachable
+    this way.
+    """
     us = units(n)
     base = _unit_closure(n, (n - 1,))
     found = {base}

@@ -279,6 +279,19 @@ def test_verify_formulae_passes(capsys):
     # the Cartan orbit sizes from pairs in P^1(O/l^d) against the coset walk
     assert any(line.startswith("cartan_orbits(3)") for line in lines)
     assert any(line.startswith("cartan_orbits(49)") for line in lines)
+    # the unit subgroups from the group's structure against the lattice walk,
+    # one row per prime power
+    assert [line.split("\t")[0] for line in lines if line.startswith("unit_")] == [
+        f"unit_subgroups({n})" for n in (3, 4, 5, 7, 8)]
+
+
+def test_cli_import_leaves_the_verification_module_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
+    code = "import sys, modscreen.cli; print('modscreen.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
 
 
 # ------------------------------------------------------ run-to-run output

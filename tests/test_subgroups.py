@@ -13,8 +13,9 @@ from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
 from modscreen.points import galois_context, point_degree_general
 from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  FullGroup, GeneratedGroup, LiftedGroup, SL2Part,
-                                 adjoin_minus_i, borel, borel_index,
-                                 borel_order, closure_quads, contains_minus_i,
+                                 StabilizerChain, adjoin_minus_i, borel,
+                                 borel_index, borel_order, closure_quads,
+                                 contains_minus_i,
                                  coset_action, gl2_order, identity_quad,
                                  index_via_orbit,
                                  kernel_generator_quads, kernel_subgroup,
@@ -578,6 +579,18 @@ def test_kind_hooks_against_reference_closures(n):
                 assert lifted.member_quad(q) == want, (n, h, k, q)
             assert reduce_subgroup(lifted, n).element_quads == h.element_quads, \
                 (n, h, k)
+
+
+@pytest.mark.parametrize("grp", [
+    FullGroup(625), borel(243, delta_full(243)), borel(625, delta_full(625)),
+    borel(625, delta_pm1(625)), CartanNormalizer(7, 3)],
+    ids=["full625", "borel243", "borel625", "borel625pm", "cns343"])
+def test_sl2_part_keeps_few_schreier_generators_at_deep_levels(grp):
+    # each Schreier generator is kept only if the ones before miss it, so
+    # the set stays small where there are up to |det H| * #gens candidates
+    gens = SL2Part(grp).generator_quads()
+    assert len(gens) <= 10
+    assert StabilizerChain(grp.n, gens).order == grp.order // grp.det_image.order
 
 
 def test_lifted_groups_flatten_to_the_first_base():

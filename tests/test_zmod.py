@@ -7,6 +7,7 @@ import pytest
 
 import modscreen
 from modscreen.subgroups import SubgroupSpec
+from modscreen import zmod
 from modscreen.zmod import (UnitSubgroup, delta_full, delta_pm1, delta_trivial,
                             divisors, euler_phi, factorize, is_prime, quad_det,
                             quad_inv, quad_is_invertible, quad_mul, quad_reduce,
@@ -189,3 +190,39 @@ def test_subgroups_containing_minus_one_against_powerset_scan():
 def test_subgroups_containing_minus_one_rejects_tiny_modulus():
     with pytest.raises(ValueError):
         unit_subgroups_containing_minus_one(2)
+
+
+def _prime_powers(lo, hi):
+    return [n for n in range(lo, hi + 1) if len(factorize(n)) == 1]
+
+
+def test_structural_unit_subgroups_match_the_lattice_walk():
+    for n in _prime_powers(3, 512):
+        got = unit_subgroups_containing_minus_one(n)
+        assert got == zmod._unit_lattice_walk(n), n
+
+
+@pytest.mark.parametrize("n", [5**4, 7**3, 11**3, 2**8, 3**5, 3**6])
+def test_structural_unit_subgroup_counts_at_deep_prime_powers(n):
+    got = unit_subgroups_containing_minus_one(n)
+    (ell, e), = factorize(n)
+    phi = euler_phi(n)
+    # cyclic for odd l: one subgroup of each even order dividing phi;
+    # <-1> x <5> at 2^e: <-1, 5^(2^j)> for j = 0..e-2
+    want = e - 1 if ell == 2 else sum(1 for d in divisors(phi) if d % 2 == 0)
+    assert len(got) == want
+    assert all(d.contains(n - 1) for d in got)
+    keys = [(d.order, d.elements) for d in got]
+    assert keys == sorted(set(keys))
+
+
+def test_prime_power_does_not_walk_the_lattice(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"walked the lattice at {n}")
+    monkeypatch.setattr(zmod, "_unit_lattice_walk", refuse)
+    assert len(unit_subgroups_containing_minus_one(625)) == 8
+
+
+@pytest.mark.parametrize("n", [15, 21, 24, 40])
+def test_composite_moduli_take_the_lattice_walk(n):
+    assert unit_subgroups_containing_minus_one(n) == zmod._unit_lattice_walk(n)
