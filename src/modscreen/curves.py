@@ -20,8 +20,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InvariantFailed, NonIntegral, NotFullDeterminant, TooLarge
-from . import subgroups
+from .errors import InvariantFailed, NonIntegral, NotFullDeterminant
 from .subgroups import (SL2Part, SubgroupSpec, adjoin_minus_i, coset_action,
                         gl2_order, index_via_orbit, level, reduce_subgroup,
                         sigma_quad, sl2_order, subgroup_of, tau_quad)
@@ -201,11 +200,6 @@ def label_prefix(h: SubgroupSpec) -> str:
     import hashlib  # only label needs it: kept off the import path
 
     data, reduced = _curve_data(h)
-    cap = subgroups.ENUMERATION_CAP
-    if reduced.order > cap:
-        raise TooLarge(f"label hash needs {reduced.order} elements mod {reduced.n}",
-                       operation="label hash", modulus=reduced.n,
-                       reached=reduced.order, cap=cap)
     els = sorted(reduced.element_quads)
     blob = f"{reduced.n}|" + ";".join(",".join(map(str, q)) for q in els)
     digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:8]

@@ -7,11 +7,14 @@ orbit. For a Borel-type H the orbits are read off R's orbits on the lines of
 P^1(Z/NZ) and the scalars of the line stabilizers, and for the nonsplit
 Cartan normalizer off R's orbits on pairs of conjugate points of
 P^1(O/l^d), never from the cosets themselves; other kinds walk the cosets
-(walked_orbit_sizes). When R is the full preimage of a group at a lower modulus m, the orbits are taken
-at m and scaled by [K : K meet H], K the kernel of reduction to m
-(subgroups.preimage_descent). On top of that sit the
-closed-form degree identities for the nonsplit Cartan normalizer tower and
-the Riemann-Roch screen that rules isolation out (never in).
+(the default SubgroupSpec.orbit_sizes). When R is the full preimage of a
+group at a lower modulus m, the orbits are taken at m and scaled by
+[K : K meet H], K the kernel of reduction to m (subgroups.preimage_descent).
+Only the general degree formula for an arbitrary automorphism set builds
+element sets, the products R*A and A*H (subgroups.product_set_quads, under
+the enumeration cap). On top of that sit the closed-form degree identities
+for the nonsplit Cartan normalizer tower and the Riemann-Roch screen that
+rules isolation out (never in).
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .curves import curve_data
-from .errors import ModulusMismatch, NonIntegral, TooLarge
-from . import subgroups
-from .subgroups import (EnumeratedGroup, FullGroup, SubgroupSpec,
-                        adjoin_minus_i, contains_minus_i, coset_action,
-                        factorize, identity_quad, index_via_orbit, level,
-                        lift_subgroup, minus_identity_quad, preimage_descent,
-                        reduce_subgroup)
-from .zmod import Quad, is_prime, quad_mul
+from .errors import ModulusMismatch, NonIntegral
+from .subgroups import (GeneratedGroup, SubgroupSpec, adjoin_minus_i,
+                        contains_minus_i, factorize, identity_quad,
+                        index_via_orbit, level, lift_subgroup,
+                        minus_identity_quad, preimage_descent,
+                        product_set_quads, reduce_subgroup)
+from .zmod import is_prime
 
 
 class Verdict(str, Enum):
@@ -73,8 +75,9 @@ def galois_context(image: SubgroupSpec, d_j: int = 1,
 def _aut_is_plus_minus(aut: SubgroupSpec | None, n: int) -> bool:
     if aut is None:
         return True
-    return aut.element_quads == frozenset(
-        {identity_quad(n), minus_identity_quad(n)})
+    # {I, -I} is one element at n <= 2
+    return (aut.order == len({identity_quad(n), minus_identity_quad(n)})
+            and contains_minus_i(aut))
 
 
 def point_degree(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
@@ -88,28 +91,19 @@ def point_degree(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
 def point_degree_general(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
     """d_j * |RA| / |RA meet AH| for an arbitrary finite automorphism set A.
 
-    Both products are materialized, so this path is for small moduli; the
-    +-convention fast path is point_degree.
+    Both products are materialized (product_set_quads, under the enumeration
+    cap), so this path is for small moduli; the +-convention fast path is
+    point_degree.
     """
     r = ctx.image
     if r.n != h.n:
         raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
     n = r.n
-    if ctx.aut is None:
-        aut: SubgroupSpec = EnumeratedGroup(
-            n, [identity_quad(n), minus_identity_quad(n)])
-    else:
-        aut = ctx.aut
-    cap = subgroups.ENUMERATION_CAP
-    size = max(r.order * aut.order, aut.order * h.order)
-    if size > cap:
-        raise TooLarge("product sets exceed the enumeration cap",
-                       operation="product sets", modulus=n, reached=size,
-                       cap=cap)
-    ra = frozenset(quad_mul(n, x, a) for x in r.element_quads
-                   for a in aut.element_quads)
-    ah = frozenset(quad_mul(n, a, x) for a in aut.element_quads
-                   for x in h.element_quads)
+    aut = ctx.aut
+    if aut is None:
+        aut = GeneratedGroup(n, [minus_identity_quad(n)])
+    ra = product_set_quads(r, aut)
+    ah = product_set_quads(aut, h)
     meet = ra & ah
     if len(ra) % len(meet):
         raise NonIntegral(f"|RA| = {len(ra)} not divisible by {len(meet)}")
@@ -123,9 +117,9 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     identity coset carries the distinguished point, whose degree is exactly
     point_degree(ctx, h). The orbit sizes come from the orbit_sizes hook of
     H's kind (line orbits in P^1 for a Borel-type H, orbits of conjugate
-    pairs in P^1(O/l^d) for the Cartan normalizer), else from the coset walk
-    (walked_orbit_sizes). Over a lifted image they are taken at the
-    image's level and every orbit is scaled by [K : K meet H]
+    pairs in P^1(O/l^d) for the Cartan normalizer), by default from the
+    coset walk (subgroups.walked_orbit_sizes). Over a lifted image they are
+    taken at the image's level and every orbit is scaled by [K : K meet H]
     (subgroups.preimage_descent).
     """
     if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
@@ -135,35 +129,8 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     if r.n != h.n:
         raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
     r, h, scale = preimage_descent(r, h)
-    gens = r.generator_quads()
-    sizes = h.orbit_sizes(gens, whole=True)
-    if sizes is None:
-        sizes = walked_orbit_sizes(h, gens)
+    sizes = h.orbit_sizes(r.generator_quads(), whole=True)
     return tuple(sorted(ctx.d_j * scale * size for size in sizes))
-
-
-def walked_orbit_sizes(h: SubgroupSpec, gens: tuple[Quad, ...]) -> list[int]:
-    """Sizes of the orbits of <gens> on the right cosets of H, the orbit of
-    H*1 first, by the coset walk: gens then the ambient generators reach
-    every coset, and the orbits are the components of gens' permutations."""
-    walk = gens + tuple(g for g in FullGroup(h.n).generator_quads()
-                        if g not in gens)
-    reps, perms = coset_action(h, walk)
-    sizes = []
-    assigned = [False] * len(reps)
-    for start in range(len(reps)):
-        if assigned[start]:
-            continue
-        assigned[start] = True
-        orbit = [start]
-        for i in orbit:  # orbit grows while it is walked
-            for perm in perms[:len(gens)]:
-                j = perm[i]
-                if not assigned[j]:
-                    assigned[j] = True
-                    orbit.append(j)
-        sizes.append(len(orbit))
-    return sizes
 
 
 def _require_minus_i(h: SubgroupSpec) -> SubgroupSpec:

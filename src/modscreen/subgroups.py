@@ -6,12 +6,16 @@ group. A Borel-type H reads the orbits on its right cosets off the orbits on
 the lines of P^1(Z/NZ) (BorelGroup.orbit_sizes), and the nonsplit Cartan
 normalizer off the orbits on pairs of conjugate points of P^1(O/l^d), O =
 Z[sqrt(e)] (CartanNormalizer.orbit_sizes); every other kind walks right
-cosets H*g under the other group's generators (coset_action, the one walk
-behind index, genus and fiber computations without a closed form) and
-identifies a coset by a canonical key (equal keys exactly when the cosets
-are equal). A group without a closed form answers order, membership and
-keys from a stabilizer chain (StabilizerChain) instead of its element set.
-Instances are immutable after construction and safe to share.
+cosets H*g under the other group's generators (the default orbit_sizes:
+coset_action, the one walk behind index, genus and fiber computations
+without a closed form, and walked_orbit_sizes over it) and identifies a
+coset by a canonical key (equal keys exactly when the cosets are equal). A
+group without a closed form answers order, membership and keys from a
+stabilizer chain (StabilizerChain) instead of its element set. An element
+set is built one way for every kind but EnumeratedGroup, which stores its
+own: the closure of the generators (SubgroupSpec.element_quads), refused up
+front when the order passes ENUMERATION_CAP. Instances are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
@@ -291,7 +295,8 @@ class SubgroupSpec:
     divisor modulus, and a canonical right-coset key. The hooks below hold the
     generic path; a kind overrides one where it knows a closed form. The
     default order and key come from a stabilizer chain built once from the
-    generators; only element_quads enumerates the group.
+    generators; only element_quads enumerates the group, by closing the
+    generators, and it checks the cap against the order first.
     """
 
     kind = "abstract"
@@ -317,7 +322,14 @@ class SubgroupSpec:
 
     @cached_property
     def element_quads(self) -> frozenset[Quad]:
-        return closure_quads(self.n, self.generator_quads())
+        """Every element, closed from the generators; TooLarge before any
+        work when the order passes ENUMERATION_CAP, read at call time."""
+        n, size, cap = self.n, self.order, ENUMERATION_CAP
+        if size > cap:
+            raise TooLarge(f"enumeration of {self.kind} mod {n} needs {size} "
+                           f"elements, cap {cap}", operation="enumeration",
+                           modulus=n, reached=size, cap=cap)
+        return closure_quads(n, self.generator_quads())
 
     @cached_property
     def _chain(self) -> StabilizerChain:
@@ -352,11 +364,13 @@ class SubgroupSpec:
         when the kind has no closed form and the cosets must be walked."""
         return None
 
-    def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int] | None:
+    def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:
         """Sizes of the orbits of <gens> on the right cosets of H, the orbit
-        of H*1 first and only that one unless whole; None when the kind has
-        no shortcut and the cosets must be walked."""
-        return None
+        of H*1 first and only that one unless whole; by default from the
+        coset walk."""
+        if not whole:
+            return [len(coset_action(self, gens)[0])]
+        return walked_orbit_sizes(self, tuple(gens))
 
     @cached_property
     def det_image(self) -> UnitSubgroup:
@@ -388,20 +402,6 @@ class FullGroup(SubgroupSpec):
     @cached_property
     def order(self) -> int:
         return gl2_order(self.n)
-
-    @cached_property
-    def element_quads(self) -> frozenset[Quad]:
-        n = self.n
-        if n**4 > ENUMERATION_CAP:
-            raise TooLarge(f"GL2(Z/{n}) enumeration exceeds cap",
-                           operation="GL2 enumeration", modulus=n,
-                           reached=n**4, cap=ENUMERATION_CAP)
-        rng = range(n)
-        return frozenset(
-            (a, b, c, d)
-            for a in rng for b in rng for c in rng for d in rng
-            if gcd((a * d - b * c) % n, n) == 1
-        )
 
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
@@ -439,18 +439,6 @@ class BorelGroup(SubgroupSpec):
     @cached_property
     def order(self) -> int:
         return self.delta.order * self.n * euler_phi(self.n)
-
-    @cached_property
-    def element_quads(self) -> frozenset[Quad]:
-        if self.order > ENUMERATION_CAP:
-            raise TooLarge("Borel enumeration exceeds cap",
-                           operation="Borel enumeration", modulus=self.n,
-                           reached=self.order, cap=ENUMERATION_CAP)
-        n = self.n
-        return frozenset(
-            (a, b, 0, d)
-            for a in self.delta.elements for b in range(n) for d in units(n)
-        )
 
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
@@ -592,18 +580,6 @@ class CartanNormalizer(SubgroupSpec):
     def order(self) -> int:
         l, d = self.ell, self.d
         return 2 * l ** (2 * d - 2) * (l * l - 1)
-
-    @cached_property
-    def element_quads(self) -> frozenset[Quad]:
-        n = self.n
-        e = self.eps
-        out = set()
-        for a in range(n):
-            for b in range(n):
-                if gcd((a * a - e * b * b) % n, n) == 1:
-                    out.add((a, e * b % n, b, a))
-                    out.add((a, -e * b % n, b, -a % n))
-        return frozenset(out)
 
     def generator_quads(self) -> tuple[Quad, ...]:
         return self._gens
@@ -752,7 +728,7 @@ class LiftedGroup(SubgroupSpec):
         # cosets of a preimage are pinned entirely downstairs
         return self.base.coset_key(quad_reduce(q, self.base.n))
 
-    def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int] | None:
+    def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:
         # the same cosets, so the same orbits under the reduced generators
         m = self.base.n
         return self.base.orbit_sizes([quad_reduce(g, m) for g in gens], whole)
@@ -773,12 +749,6 @@ class SL2Part(SubgroupSpec):
     @cached_property
     def order(self) -> int:
         return self.parent.order // self.parent.det_image.order
-
-    @cached_property
-    def element_quads(self) -> frozenset[Quad]:
-        one = 1 % self.n
-        return frozenset(q for q in self.parent.element_quads
-                         if quad_det(self.n, q) == one)
 
     def generator_quads(self) -> tuple[Quad, ...]:
         return self._gens
@@ -928,11 +898,28 @@ def _check_orbit_cap(h: SubgroupSpec, j: int) -> None:
                             modulus=h.n, reached=j, cap=ORBIT_CAP)
 
 
-def orbit_size(h: SubgroupSpec, gens: Sequence[Quad]) -> int:
-    """Size of the orbit of the coset H*1 under gens: from the kind's
-    orbit_sizes hook where it has one, else from the coset walk."""
-    sizes = h.orbit_sizes(gens, whole=False)
-    return len(coset_action(h, gens)[0]) if sizes is None else sizes[0]
+def walked_orbit_sizes(h: SubgroupSpec, gens: tuple[Quad, ...]) -> list[int]:
+    """Sizes of the orbits of <gens> on the right cosets of H, the orbit of
+    H*1 first, by the coset walk: gens then the ambient generators reach
+    every coset, and the orbits are the components of gens' permutations."""
+    walk = gens + tuple(g for g in FullGroup(h.n).generator_quads()
+                        if g not in gens)
+    reps, perms = coset_action(h, walk)
+    sizes = []
+    assigned = [False] * len(reps)
+    for start in range(len(reps)):
+        if assigned[start]:
+            continue
+        assigned[start] = True
+        orbit = [start]
+        for i in orbit:  # orbit grows while it is walked
+            for perm in perms[:len(gens)]:
+                j = perm[i]
+                if not assigned[j]:
+                    assigned[j] = True
+                    orbit.append(j)
+        sizes.append(len(orbit))
+    return sizes
 
 
 def preimage_descent(r: SubgroupSpec,
@@ -949,7 +936,7 @@ def preimage_descent(r: SubgroupSpec,
     base = r.preimage_base
     if base.n == h.n:
         return r, h, 1
-    scale = orbit_size(h, kernel_generator_quads(h.n, base.n))
+    scale = h.orbit_sizes(kernel_generator_quads(h.n, base.n), whole=False)[0]
     return base, reduce_subgroup(h, base.n), scale
 
 
@@ -958,7 +945,7 @@ def index_via_orbit(r: SubgroupSpec, h: SubgroupSpec) -> int:
     if r.n != h.n:
         raise ModulusMismatch(f"groups live mod {r.n} and mod {h.n}")
     r, h, scale = preimage_descent(r, h)
-    return scale * orbit_size(h, r.generator_quads())
+    return scale * h.orbit_sizes(r.generator_quads(), whole=False)[0]
 
 
 def reduce_subgroup(h: SubgroupSpec, m: int) -> SubgroupSpec:
@@ -1012,9 +999,7 @@ def kernel_generator_quads(n: int, d: int) -> tuple[Quad, ...]:
 
 
 def kernel_subgroup(n: int, d: int) -> SubgroupSpec:
-    """ker(GL2(Z/n) -> GL2(Z/d)) as a generated group."""
-    if d == n:
-        return EnumeratedGroup(n, [identity_quad(n)], label=f"ker({n}->{d})")
+    """ker(GL2(Z/n) -> GL2(Z/d)) as a generated group (no generators at d = n)."""
     return GeneratedGroup(n, kernel_generator_quads(n, d), label=f"ker({n}->{d})")
 
 

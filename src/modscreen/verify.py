@@ -11,11 +11,11 @@ from math import gcd
 
 from .cli import _emit
 from .curves import coset_space
-from .points import walked_orbit_sizes
 from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup, SL2Part,
                         SubgroupSpec, adjoin_minus_i, borel, borel_index,
                         borel_order, closure_quads, contains_minus_i,
-                        gl2_order, minus_identity_quad, sl2_order)
+                        gl2_order, minus_identity_quad, sl2_order,
+                        walked_orbit_sizes)
 from .zmod import (_unit_lattice_walk, delta_full, delta_pm1, delta_trivial,
                    factorize, quad_det, unit_subgroups_containing_minus_one)
 

@@ -18,11 +18,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from modscreen.points import (fiber_degrees, galois_context,  # noqa: E402
-                              walked_orbit_sizes)
+from modscreen.points import fiber_degrees, galois_context  # noqa: E402
 from modscreen.subgroups import (FullGroup, GeneratedGroup,  # noqa: E402
                                  LiftedGroup, borel, coset_action, divisors,
-                                 index_via_orbit, orbit_size, preimage_descent)
+                                 index_via_orbit, preimage_descent,
+                                 walked_orbit_sizes)
 from modscreen.zmod import (_extend_subgroup, quad_inv,  # noqa: E402
                             quad_mul, unit_subgroup, units)
 
@@ -148,11 +148,14 @@ def test_descent_matches_the_reference_on_generated_bases(case):
 
 
 def test_a_walked_kind_falls_back_to_the_walk():
-    # no hook: the orbit sizes are the coset walk's
+    # no hook: the default orbit sizes are the coset walk's, the orbit of
+    # H*1 first (under the lower unipotent it is 3, not the least, 1)
     b = borel(9, unit_subgroup(9, [8]))
     g = GeneratedGroup(9, b.generator_quads())
-    gens = FullGroup(9).generator_quads()[:1]
-    assert g.orbit_sizes(gens, whole=True) is None
-    sizes = walked_orbit_sizes(g, gens)
-    assert (sorted(sizes), sizes[0]) == walked_sizes(g, gens) == hook_sizes(b, gens)
-    assert orbit_size(g, gens) == orbit_size(b, gens) == sizes[0]
+    for gens in (FullGroup(9).generator_quads()[:1], ((1, 0, 3, 1),)):
+        sizes = walked_orbit_sizes(g, gens)
+        assert g.orbit_sizes(gens, whole=True) == sizes
+        assert g.orbit_sizes(gens, whole=False) == sizes[:1] == \
+            [len(coset_action(g, gens)[0])]
+        assert (sorted(sizes), sizes[0]) == walked_sizes(g, gens) == \
+            hook_sizes(b, gens)

@@ -18,13 +18,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-import modscreen.points  # noqa: E402
 import modscreen.subgroups  # noqa: E402
 from modscreen.cli import main  # noqa: E402
 from modscreen.errors import OrbitTooLarge  # noqa: E402
-from modscreen.points import walked_orbit_sizes  # noqa: E402
 from modscreen.subgroups import (CartanNormalizer, FullGroup,  # noqa: E402
-                                 LiftedGroup, borel)
+                                 LiftedGroup, borel, walked_orbit_sizes)
 from modscreen.zmod import quad_inv, quad_mul  # noqa: E402
 
 import _helpers  # noqa: E402
@@ -133,7 +131,6 @@ def test_cartan_fibers_use_no_coset_walk(capsys, monkeypatch):
         raise AssertionError("coset_action walked the Cartan cosets")
 
     monkeypatch.setattr(modscreen.subgroups, "coset_action", refuse)
-    monkeypatch.setattr(modscreen.points, "coset_action", refuse)
     assert main(argv) == 0
     assert capsys.readouterr() == plain
 

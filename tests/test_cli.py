@@ -135,7 +135,7 @@ def test_enumeration_cap_maps_to_exit_three(capsys, monkeypatch, catalog_path):
     code, out, err = run(capsys, "label", "--group", "file:5.B",
                          "--catalog", catalog_path)
     assert (code, out) == (3, "")
-    assert err == "error: label hash needs 80 elements mod 5\n"
+    assert err == "error: enumeration of generated mod 5 needs 80 elements, cap 10\n"
 
 
 def test_order_of_a_catalog_group_needs_no_enumeration(capsys, monkeypatch,

@@ -117,6 +117,36 @@ def test_point_degree_general_against_set_arithmetic_mod_seven():
     assert checked >= 12
 
 
+def test_point_degree_general_default_aut_is_the_plus_minus_path():
+    """aut=None stands for {I, -I}: the general formula's product sets give
+    the index the walk gives, over the structural pools and over a Borel
+    group without -I, which A*H doubles as the walk's adjoining does."""
+    rng = random.Random(112)
+    for n in (5, 7, 8, 9):
+        pool = _helpers.structural_pool(n, max_order=5000)
+        pairs = rng.sample(list(itertools.product(pool, pool)), 8)
+        pairs += [(r, borel(n, delta_trivial(n))) for r in rng.sample(pool, 2)]
+        for r, h in pairs:
+            ctx = galois_context(r)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = point_degree(ctx, h)
+            assert point_degree_general(ctx, h) == want, (n, r.kind, h.kind)
+
+
+@pytest.mark.parametrize("gen", [(4, 0, 0, 1), (2, 0, 0, 2)],
+                         ids=["order-2-without-minus-i", "order-4-with-minus-i"])
+def test_only_plus_minus_itself_takes_the_plus_minus_path(gen):
+    # {I, -I} is read off the order and -I: an aut of the same order without
+    # -I, or one with -I and more, takes the general formula
+    r = nonsplit_cartan_normalizer(5)
+    h = borel(5, delta_pm1(5))
+    ctx = galois_context(r, aut=GeneratedGroup(5, [gen]))
+    assert point_degree(ctx, h) == point_degree_general(ctx, h)
+    with pytest.raises(ValueError):
+        fiber_degrees(ctx, h)
+
+
 # ------------------------------------------------------------------ fibers
 
 def test_fiber_degrees_single_orbit_for_full_image():

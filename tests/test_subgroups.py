@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -181,10 +182,14 @@ def test_enumeration_cap_is_read_at_call_time(monkeypatch):
     ctx = galois_context(nonsplit_cartan_normalizer(5))
     monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
     with pytest.raises(TooLarge, match="^closure mod 5 exceeds cap 10$"):
+        closure_quads(5, b.generator_quads())
+    with pytest.raises(TooLarge, match="^enumeration of generated mod 5 needs "
+                       "80 elements, cap 10$"):
         GeneratedGroup(5, b.generator_quads()).element_quads
-    with pytest.raises(TooLarge, match="label hash needs 80 elements mod 5"):
+    with pytest.raises(TooLarge, match="^enumeration of borel mod 5 needs "
+                       "80 elements, cap 10$"):
         label_prefix(b)
-    with pytest.raises(TooLarge, match="product sets exceed"):
+    with pytest.raises(TooLarge, match="^product set exceeds cap$"):
         point_degree_general(ctx, b)
 
 
@@ -193,21 +198,24 @@ def _cap_cases():
     cns = nonsplit_cartan_normalizer(5)
     return {
         # name: (call, cap attribute, cap, message, operation, modulus, reached)
-        "closure": (lambda: GeneratedGroup(5, b.generator_quads()).element_quads,
+        "closure": (lambda: closure_quads(5, b.generator_quads()),
                     "ENUMERATION_CAP", 10, "closure mod 5 exceeds cap 10",
                     "closure", 5, 15),
         "label-hash": (lambda: label_prefix(b), "ENUMERATION_CAP", 10,
-                       "label hash needs 80 elements mod 5", "label hash", 5, 80),
+                       "enumeration of borel mod 5 needs 80 elements, cap 10",
+                       "enumeration", 5, 80),
+        # |R*{+-I}| = |R| = 48, since -I lies in the Cartan normalizer
         "product-sets": (lambda: point_degree_general(galois_context(cns), b),
-                         "ENUMERATION_CAP", 10,
-                         "product sets exceed the enumeration cap",
-                         "product sets", 5, 160),
+                         "ENUMERATION_CAP", 10, "product set exceeds cap",
+                         "product set", 5, 48),
         "product-set": (lambda: product_set_quads(b, cns), "ENUMERATION_CAP", 100,
                         "product set exceeds cap", "product set", 5, 480),
         "gl2": (lambda: FullGroup(3).element_quads, "ENUMERATION_CAP", 10,
-                "GL2(Z/3) enumeration exceeds cap", "GL2 enumeration", 3, 81),
+                "enumeration of full mod 3 needs 48 elements, cap 10",
+                "enumeration", 3, 48),
         "borel": (lambda: b.element_quads, "ENUMERATION_CAP", 10,
-                  "Borel enumeration exceeds cap", "Borel enumeration", 5, 80),
+                  "enumeration of borel mod 5 needs 80 elements, cap 10",
+                  "enumeration", 5, 80),
         "coset-walk": (lambda: index_via_orbit(FullGroup(5), cns), "ORBIT_CAP", 2,
                        "coset walk of cartan_nonsplit_normalizer mod 5 "
                        "reached 2 cosets, cap 2", "coset walk", 5, 2),
@@ -579,6 +587,56 @@ def test_kind_hooks_against_reference_closures(n):
                 assert lifted.member_quad(q) == want, (n, h, k, q)
             assert reduce_subgroup(lifted, n).element_quads == h.element_quads, \
                 (n, h, k)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_element_sets_are_the_members(n):
+    """The one route to an element set, the closure of the generators, gives
+    exactly the matrices each kind's predicate accepts, for every kind and
+    its determinant-1 part."""
+    gl2 = [q for q in itertools.product(range(n), repeat=4)
+           if quad_is_invertible(n, q)]
+    for h in _hook_pool(n):
+        for g in (h, SL2Part(h)):
+            assert g.element_quads == {q for q in gl2 if g.member_quad(q)}, (n, g)
+
+
+@pytest.mark.parametrize("n", [9, 25])
+def test_enumeration_past_the_cap_raises_before_any_closure(monkeypatch, n):
+    """The cap is checked against the order before a single product."""
+    pool = [h for h in _hook_pool(n) if h.kind != "enumerated"]
+    pool += [SL2Part(h) for h in pool]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed the generators before checking the cap")
+
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
+    monkeypatch.setattr(modscreen.subgroups, "closure_quads", refuse)
+    kinds = set()
+    for h in pool:
+        if h.order <= 10:
+            continue
+        with pytest.raises(TooLarge) as err:
+            h.element_quads
+        exc = err.value
+        assert (exc.operation, exc.modulus, exc.reached, exc.cap) == \
+            ("enumeration", n, h.order, 10), h
+        kinds.add(h.kind)
+    assert kinds == {"full", "borel", "cartan_nonsplit_normalizer", "generated",
+                     "lifted", "sl2_part"}
+
+
+def test_a_generated_group_past_the_default_cap_fails_at_once():
+    # |B| = 500 * 625 * 500 > 10^7: refused on the chain's order, where
+    # closing the generators would build 10^7 elements before raising
+    g = GeneratedGroup(625, borel(625, delta_full(625)).generator_quads())
+    assert g.order == 156_250_000
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as err:
+        g.element_quads
+    assert time.perf_counter() - start < 0.1
+    assert (err.value.operation, err.value.reached, err.value.cap) == \
+        ("enumeration", g.order, 10_000_000)
 
 
 @pytest.mark.parametrize("grp", [
