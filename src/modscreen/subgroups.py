@@ -11,11 +11,14 @@ coset_action, the one walk behind index, genus and fiber computations
 without a closed form, and walked_orbit_sizes over it) and identifies a
 coset by a canonical key (equal keys exactly when the cosets are equal). A
 group without a closed form answers order, membership and keys from a
-stabilizer chain (StabilizerChain) instead of its element set. An element
-set is built one way for every kind but EnumeratedGroup, which stores its
-own: the closure of the generators (SubgroupSpec.element_quads), refused up
-front when the order passes ENUMERATION_CAP. Instances are immutable after
-construction and safe to share.
+stabilizer chain (StabilizerChain) instead of its element set. One
+transversal walk (_transversal) serves the chain's first two levels and the
+det-1 part's Schreier generators, and one sift (_sifted_generators) picks
+every small generating set. An element set is built one way for every kind
+but EnumeratedGroup, which stores its own: the closure of the generators
+(SubgroupSpec.element_quads), refused up front when the order passes
+ENUMERATION_CAP. Instances are immutable after construction and safe to
+share.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Hashable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
                      NonIntegral, NonInvertible, NotASubgroup, OrbitTooLarge,
@@ -76,26 +80,22 @@ def tau_quad(n: int) -> Quad:
     return (1 % n, 1 % n, 0, 1 % n)
 
 
-def closure_quads(n: int, gen_quads: Iterable[Quad],
-                  cap: int | None = None) -> frozenset[Quad]:
+def closure_quads(n: int, gen_quads: Iterable[Quad]) -> frozenset[Quad]:
     """The subgroup generated by gen_quads, closed coset by coset (Dimino).
 
     Each generator not yet inside grows the closed group H to <H, g> as a
     union of right cosets of H, so every element is made once, as h*r, and
     one product per (coset, generator) pair decides whether a coset is new:
-    about |G| products instead of |G| * #gens. The greedy generator sets are
-    built from the same step and are the ones an element-by-element closure
-    picks. TooLarge exactly when the order exceeds cap (ENUMERATION_CAP,
-    read at call time, by default).
+    about |G| products instead of |G| * #gens. TooLarge exactly when the
+    order exceeds ENUMERATION_CAP, read at call time.
     """
-    cap = ENUMERATION_CAP if cap is None else cap
     group = [identity_quad(n)]
     seen = set(group)
     gens: list[Quad] = []
     for g in gen_quads:
         if g not in seen:
             gens.append(g)
-            _adjoin_generator(n, group, seen, gens, cap)
+            _adjoin_generator(n, group, seen, gens, ENUMERATION_CAP)
     del seen  # the list holds the same elements: free the set before the copy
     return frozenset(group)
 
@@ -128,28 +128,43 @@ def _adjoin_generator(n: int, group: list[Quad], seen: set[Quad],
             seen.update(coset)
 
 
-def _greedy_generator_quads(n: int, element_quads: Iterable[Quad]) -> tuple[Quad, ...]:
-    """Small generating set extracted from a full element list, deterministically.
+def _transversal(n: int, gens: Sequence[Quad], point: Callable[[Quad], Hashable]
+                ) -> tuple[dict[Hashable, tuple[Quad, Quad]], list[Quad]]:
+    """A Schreier transversal of the orbit of point(I) under x -> s*x.
 
-    Each element not yet generated is kept and adjoined with one Dimino step.
-    NotASubgroup when the kept generators do not close to exactly the given
-    set, i.e. when the set is not closed under multiplication.
+    One BFS over the generators from I: returns {point(t): (t, t^-1)}, one t
+    in H per point of the orbit, and the Schreier generators t_{point(y)}^-1
+    * y of every product y = s*t that lands on a point already reached. By
+    Schreier's lemma these generate the stabilizer of point(I) in H.
     """
-    elements = sorted(element_quads)
-    total = len(elements)
-    gens: list[Quad] = []
-    group = [identity_quad(n)]
-    seen = set(group)
-    for q in elements:
-        if q not in seen:
-            gens.append(q)
-            _adjoin_generator(n, group, seen, gens, ENUMERATION_CAP)
-            if len(seen) == total:
-                break
-    if len(seen) != total or not all(q in seen for q in elements):
-        raise NotASubgroup(f"the {total} elements mod {n} are not closed "
-                           "under multiplication")
-    return tuple(gens)
+    one = identity_quad(n)
+    table = {point(one): (one, one)}
+    reps = [one]
+    schreier = []
+    for t in reps:  # grows while it is walked: the BFS queue
+        for s in gens:
+            y = quad_mul(n, s, t)
+            p = point(y)
+            w = table.get(p)
+            if w is None:
+                table[p] = y, quad_inv(n, y)
+                reps.append(y)
+            else:
+                schreier.append(quad_mul(n, w[1], y))
+    return table, schreier
+
+
+def _sifted_generators(n: int, candidates: Iterable[Quad]
+                       ) -> tuple[tuple[Quad, ...], StabilizerChain]:
+    """The candidates that the chain of those kept before each one misses,
+    in order, and the chain of all those kept."""
+    kept: list[Quad] = []
+    chain = StabilizerChain(n, kept)
+    for q in candidates:
+        if not chain.contains(q):
+            kept.append(q)
+            chain = StabilizerChain(n, kept)
+    return tuple(kept), chain
 
 
 class StabilizerChain:
@@ -178,9 +193,9 @@ class StabilizerChain:
     def __init__(self, n: int, gens: Sequence[Quad]):
         self.n = n
         one = identity_quad(n)
-        self._lines = {_p1_normalize(n, 1 % n, 0)[0]: 0}
-        self._line_reps = [one]
-        line_invs = [one]
+        # level 1: line code -> (u_l, u_l^-1), and its Schreier generators
+        self._lines, todo = _transversal(
+            n, gens, lambda y: _p1_normalize(n, y[0], y[2])[0])
         # level 2: strong generators and a -> (v_a, v_a^-1)
         self._strong: list[Quad] = []
         self._scalars = {1 % n: (one, one)}
@@ -188,18 +203,6 @@ class StabilizerChain:
         self._columns = [one]
         self._column_set = {one}
         self._column_gens: list[Quad] = []
-        todo = []
-        for u in self._line_reps:  # grows while it is walked: the BFS queue
-            for s in gens:
-                y = quad_mul(n, s, u)
-                code = _p1_normalize(n, y[0], y[2])[0]
-                i = self._lines.get(code)
-                if i is None:
-                    self._lines[code] = len(self._line_reps)
-                    self._line_reps.append(y)
-                    line_invs.append(quad_inv(n, y))
-                else:
-                    todo.append(quad_mul(n, line_invs[i], y))
         self._sift(todo)
 
     @property
@@ -208,11 +211,11 @@ class StabilizerChain:
 
     def contains(self, q: Quad) -> bool:
         n = self.n
-        i = self._lines.get(_p1_normalize(n, q[0], q[2])[0])
-        if i is None:
+        u = self._lines.get(_p1_normalize(n, q[0], q[2])[0])
+        if u is None:
             return False
         # u^-1 * q fixes the line <e1>; v^-1 * u^-1 * q fixes e1
-        g = quad_mul(n, quad_inv(n, self._line_reps[i]), q)
+        g = quad_mul(n, u[1], q)
         v = self._scalars.get(g[0])
         return v is not None and quad_mul(n, v[1], g) in self._column_set
 
@@ -228,7 +231,7 @@ class StabilizerChain:
         n = self.n
         x0, x1, x2, x3 = x = quad_inv(n, q)
         best = None
-        for u in self._line_reps:
+        for u, _ in self._lines.values():
             a, c = (x0 * u[0] + x1 * u[2]) % n, (x2 * u[0] + x3 * u[2]) % n
             code = _p1_normalize(n, a, c)[0]
             if best is None or code < best[0]:
@@ -248,9 +251,11 @@ class StabilizerChain:
             g = todo.pop()
             v = self._scalars.get(g[0])
             if v is None:
-                # a new scalar: g is a level-2 strong generator
+                # a new scalar: g is a level-2 strong generator, and level 2
+                # is rebuilt; its Schreier generators lie in H_e1
                 self._strong.append(g)
-                todo += self._scalar_orbit()
+                self._scalars, schreier = _transversal(n, self._strong, itemgetter(0))
+                todo += schreier
                 todo += [_conjugate(n, g, c) for c in self._column_gens]
                 continue
             c = quad_mul(n, v[1], g)
@@ -261,26 +266,6 @@ class StabilizerChain:
             _adjoin_generator(n, self._columns, self._column_set,
                               self._column_gens, n * n)
             todo += [_conjugate(n, s, c) for s in self._strong]
-
-    def _scalar_orbit(self) -> list[Quad]:
-        """Rebuild level 2 from the strong generators; returns its Schreier
-        generators v_{s a}^-1 * s * v_a, which lie in H_e1."""
-        n = self.n
-        one = identity_quad(n)
-        scalars = {1 % n: (one, one)}
-        reps = [one]
-        schreier = []
-        for v in reps:  # grows while it is walked
-            for s in self._strong:
-                y = quad_mul(n, s, v)
-                w = scalars.get(y[0])
-                if w is None:
-                    scalars[y[0]] = y, quad_inv(n, y)
-                    reps.append(y)
-                else:
-                    schreier.append(quad_mul(n, w[1], y))
-        self._scalars = scalars
-        return schreier
 
 
 def _conjugate(n: int, s: Quad, c: Quad) -> Quad:
@@ -616,12 +601,7 @@ class CartanNormalizer(SubgroupSpec):
         _check_divisor(self.n, m)
         if m == 1:
             return FullGroup(1)
-        d = 0
-        mm = m
-        while mm % self.ell == 0:
-            mm //= self.ell
-            d += 1
-        return CartanNormalizer(self.ell, d)
+        return CartanNormalizer(self.ell, _p_adic_valuation(m, self.ell))
 
 
 class EnumeratedGroup(SubgroupSpec):
@@ -638,8 +618,13 @@ class EnumeratedGroup(SubgroupSpec):
             if not quad_is_invertible(n, q):
                 raise NonInvertible(f"element {q} is singular mod {n}")
         self._elements = els
-        # NotASubgroup unless the set is closed under multiplication
-        self._gens = _greedy_generator_quads(n, els)
+        # each element is kept or already in the chain, so the set lies in
+        # the group the kept ones generate: closed exactly when it is no
+        # larger, and then the sift's last chain is this group's chain
+        self._gens, self._chain = _sifted_generators(n, sorted(els))
+        if self._chain.order != len(els):
+            raise NotASubgroup(f"the {len(els)} elements mod {n} are not "
+                               "closed under multiplication")
 
     def member_quad(self, q: Quad) -> bool:
         return q in self._elements
@@ -755,30 +740,13 @@ class SL2Part(SubgroupSpec):
 
     @cached_property
     def _gens(self) -> tuple[Quad, ...]:
-        # Schreier's lemma over det: t_u in the parent with det t_u = u, one
-        # for each u in det(H) by a BFS; then S = H meet SL2 is generated by
-        # t_u * g * t_{u det g}^-1 over every u and every generator g. Each is
-        # sifted through the chain of those kept so far and kept only if new.
+        # Schreier's lemma over det: S = H meet SL2 is the stabilizer of the
+        # determinant 1 under x -> g*x, so the transversal's Schreier
+        # generators t_{det y}^-1 * y generate it; the sift keeps the new ones
         n = self.n
-        gens = self.parent.generator_quads()
-        one = identity_quad(n)
-        reps = [one]
-        inverses = {1 % n: one}  # u -> t_u^-1
-        for t in reps:  # grows while it is walked: the BFS queue
-            for g in gens:
-                y = quad_mul(n, t, g)
-                u = quad_det(n, y)
-                if u not in inverses:
-                    inverses[u] = quad_inv(n, y)
-                    reps.append(y)
-        kept: list[Quad] = []
-        chain = StabilizerChain(n, kept)
-        for y in (quad_mul(n, t, g) for t in reps for g in gens):
-            s = quad_mul(n, y, inverses[quad_det(n, y)])
-            if not chain.contains(s):
-                kept.append(s)
-                chain = StabilizerChain(n, kept)
-        return tuple(kept)
+        _, schreier = _transversal(n, self.parent.generator_quads(),
+                                   lambda y: quad_det(n, y))
+        return _sifted_generators(n, schreier)[0]
 
     def coset_key(self, q: Quad) -> Hashable:
         # S*g1 = S*g2 iff the parent cosets agree and the determinants agree

@@ -25,8 +25,7 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
                                  nonsplit_cartan_normalizer_preimage, order,
                                  product_set_check, product_set_quads,
                                  reduce_subgroup, sigma_quad, sl2_order,
-                                 surjective_image_index_check, tau_quad,
-                                 _greedy_generator_quads)
+                                 surjective_image_index_check, tau_quad)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
                             euler_phi, quad_det, quad_inv, quad_is_invertible,
                             quad_mul, quad_reduce, unit_subgroup,
@@ -126,9 +125,10 @@ def test_cached_order_equals_enumerated_order():
 
 
 def test_closure_and_greedy_generators_match_the_reference_bfs():
-    """The coset-by-coset closure gives the element BFS's group, and the
-    greedy generator tuple is unchanged, on seeded random generator lists
-    with repeats, the identity and both orders."""
+    """The coset-by-coset closure gives the element BFS's group, and an
+    enumerated group's sifted generators are the reference greedy's, on
+    seeded random generator lists with repeats, the identity and both
+    orders."""
     rng = random.Random(4)
     for n in range(2, 13):
         pool = [q for q in itertools.product(range(n), repeat=4)
@@ -142,7 +142,7 @@ def test_closure_and_greedy_generators_match_the_reference_bfs():
         for gens in lists:
             want = _helpers.reference_closure_quads(n, gens)
             assert closure_quads(n, gens) == want, (n, gens)
-            assert (_greedy_generator_quads(n, want)
+            assert (EnumeratedGroup(n, want).generator_quads()
                     == _helpers.reference_greedy_generator_quads(n, want)), (n, gens)
 
 
@@ -168,12 +168,15 @@ def test_cartan_generators_have_the_formula_order(monkeypatch, ell, d):
 @pytest.mark.parametrize("group", [borel(5, delta_full(5)), CartanNormalizer(3, 2),
                                    lift_subgroup(borel(2, delta_full(2)), 4)],
                          ids=["borel-5", "cns-9", "lifted-4"])
-def test_closure_cap_is_exact(group):
-    """cap = |G| closes the group; one less raises before the last coset."""
+def test_closure_cap_is_exact(monkeypatch, group):
+    """A cap of |G| closes the group; one less raises before the last coset."""
     n, gens, size = group.n, group.generator_quads(), group.order
-    assert closure_quads(n, gens, cap=size) == group.element_quads
+    want = group.element_quads
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", size)
+    assert closure_quads(n, gens) == want
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", size - 1)
     with pytest.raises(TooLarge) as err:
-        closure_quads(n, gens, cap=size - 1)
+        closure_quads(n, gens)
     assert str(err.value) == f"closure mod {n} exceeds cap {size - 1}"
 
 
@@ -342,11 +345,24 @@ def test_enumerated_group_requires_identity():
         EnumeratedGroup(5, [(2, 0, 0, 1)])
 
 
-def test_enumerated_group_rejects_a_set_that_is_not_closed():
+def test_enumerated_group_rejects_a_set_that_is_not_closed(monkeypatch):
     # (2 0; 0 1) has order 4 mod 5, so {I, it} is not a group
     with pytest.raises(NotASubgroup):
         EnumeratedGroup(5, [(1, 0, 0, 1), (2, 0, 0, 1)])
     assert EnumeratedGroup(5, [(1, 0, 0, 1), (4, 0, 0, 1)]).order == 2
+
+    # {I, sigma, tau} generates SL2: refused on the chain's order, where a
+    # closure of the generators would build SL2 (or reach the cap) first
+    def not_closed(n):
+        return [identity_quad(n), sigma_quad(n), tau_quad(n)]
+
+    start = time.perf_counter()
+    with pytest.raises(NotASubgroup):
+        EnumeratedGroup(625, not_closed(625))
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
+    with pytest.raises(NotASubgroup):
+        EnumeratedGroup(7, not_closed(7))
 
 
 def test_generated_group_rejects_singular_generator():
@@ -649,6 +665,29 @@ def test_sl2_part_keeps_few_schreier_generators_at_deep_levels(grp):
     gens = SL2Part(grp).generator_quads()
     assert len(gens) <= 10
     assert StabilizerChain(grp.n, gens).order == grp.order // grp.det_image.order
+
+
+@pytest.mark.parametrize("n", [25, 27])
+def test_chain_membership_computes_no_inverse(monkeypatch, n):
+    """contains reads the stored inverses of the line transversal: with
+    quad_inv patched to raise, it still agrees with the group's predicate."""
+    b = borel(n, delta_pm1(n))
+    groups = [b, GeneratedGroup(n, _conjugated(n, b.generator_quads()))]
+    chains = [StabilizerChain(n, g.generator_quads()) for g in groups]
+    rng = random.Random(n)
+    quads = [q for q in (tuple(rng.randrange(n) for _ in range(4))
+                         for _ in range(400)) if quad_is_invertible(n, q)]
+    for g in groups:
+        gens = g.generator_quads()
+        quads += [quad_mul(n, x, y) for x in gens for y in gens]
+    want = [[g.member_quad(q) for q in quads] for g in groups]
+    assert all(any(row) and not all(row) for row in want)
+
+    def refuse(n, q):
+        raise AssertionError("contains computed an inverse")
+
+    monkeypatch.setattr(modscreen.subgroups, "quad_inv", refuse)
+    assert [[c.contains(q) for q in quads] for c in chains] == want
 
 
 def test_lifted_groups_flatten_to_the_first_base():
