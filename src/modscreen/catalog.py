@@ -19,7 +19,7 @@ from typing import IO, Iterable
 
 from .curves import curve_genus
 from .errors import NonInvertibleGenerator, ParseError
-from .points import (Verdict, fiber_degrees, galois_context,
+from .points import (Verdict, fiber_degrees, galois_context, rr_screen,
                      semidirect_lower_bound)
 from .subgroups import (FullGroup, GeneratedGroup, SubgroupSpec, borel,
                         factorize, lift_subgroup, reduce_subgroup)
@@ -156,9 +156,9 @@ def screen_entry(entry: CatalogEntry, n_max: int,
 
     Per modulus in the tower: the fiber of the most refined curve over the
     image's j-class is decomposed, and its minimum degree must beat
-    (delta order / 2) * genus for every intermediate curve. Independently,
-    genus zero at the prime itself rules isolation out. Either part forcing
-    every case gives the aggregate ForcedP1Parametrized.
+    (delta order / 2) * genus for every intermediate curve (rr_screen).
+    Independently, genus zero at the prime itself rules isolation out.
+    Either part forcing every case gives the aggregate ForcedP1Parametrized.
     """
     group = entry.subgroup()
     if entry.level == 1:
@@ -187,15 +187,14 @@ def screen_entry(entry: CatalogEntry, n_max: int,
         min_fiber = min(fibers)
         for delta in deltas:
             genus = _borel_genus(modulus, delta)
-            threshold = (delta.order // 2) * genus
-            fired = min_fiber > threshold
+            r = delta.order // 2
             rows.append(ScreenRow(
                 modulus=modulus,
                 delta_order=delta.order,
                 genus=genus,
                 min_fiber_degree=min_fiber,
-                threshold=threshold,
-                verdict=Verdict.FORCED_P1 if fired else Verdict.INCONCLUSIVE,
+                threshold=r * genus,
+                verdict=rr_screen(min_fiber, r, genus),
             ))
 
     fiber_ok = all(row.verdict is Verdict.FORCED_P1 for row in rows)
@@ -247,8 +246,7 @@ def emit_table2() -> Table:
         for delta in intermediate_deltas(modulus):
             genus = _borel_genus(modulus, delta)
             bound = semidirect_lower_bound(ell, delta.order)
-            forced = genus == 0 or bound > genus
-            verdict = Verdict.FORCED_P1 if forced else Verdict.INCONCLUSIVE
+            verdict = rr_screen(bound, 1, genus)
             rows.append((ell, delta.order, genus, bound, str(verdict)))
     return Table(
         header=("ell", "delta_order", "genus", "degree_lower_bound", "verdict"),

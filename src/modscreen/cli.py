@@ -208,7 +208,9 @@ def _cmd_screen(args) -> int:
         n_max = args.nmax
         if n_max is None:
             n_max = max(k, DEFAULT_SCREEN_EXPONENT.get(ell or 0, 2))
-        report = screen_entry(entry, n_max, ell=args.ell)
+        # --ell names the prime of the level-1 entries; every other entry
+        # is screened at its own level's prime
+        report = screen_entry(entry, n_max, ell=ell)
         record = {
             "label": report.label, "ell": report.ell, "n_max": report.n_max,
             "fiber_screen_passed": report.fiber_screen_passed,

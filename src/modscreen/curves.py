@@ -21,16 +21,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantFailed, NonIntegral, NotFullDeterminant
-from .subgroups import (SL2Part, SubgroupSpec, adjoin_minus_i, coset_action,
-                        gl2_order, index_via_orbit, level, reduce_subgroup,
-                        sigma_quad, sl2_order, subgroup_of, tau_quad)
+from .subgroups import (SubgroupSpec, _check_walk_length, adjoin_minus_i,
+                        coset_action, gl2_order, index_via_orbit, level,
+                        reduce_subgroup, sigma_quad, sl2_order, subgroup_of,
+                        tau_quad)
 # the benchmark's tracer test reads curves.quad_mul by name
 from .zmod import Quad, quad_mul  # noqa: F401
-
-
-def sl2_part(h: SubgroupSpec) -> SubgroupSpec:
-    """The subgroup of determinant-1 elements of H."""
-    return SL2Part(h)
 
 
 @dataclass(frozen=True)
@@ -114,10 +110,13 @@ def coset_space(h: SubgroupSpec) -> CosetSpace:
             f"determinant image has order {h.det_image.order}, "
             f"expected the full unit group mod {h.n}")
     n = h.n
+    # |S| = |H| / |det H|, and the mu cosets of S fill SL2, so the walk's
+    # length is known before it starts
+    filled = sl2_order(n) * h.det_image.order
+    _check_walk_length(h, filled // h.order)
     reps, (perm_s, perm_t) = coset_action(h, (sigma_quad(n), tau_quad(n)))
     space = CosetSpace(n=n, base=h, reps=reps, perm_s=perm_s, perm_t=perm_t)
-    # |S| = |H| / |det H|, and the mu cosets of S fill SL2
-    if space.mu * h.order != sl2_order(n) * h.det_image.order:
+    if space.mu * h.order != filled:
         raise InvariantFailed(f"{space.mu} cosets of the det-1 part of a group "
                               f"of order {h.order} do not fill SL2(Z/{n})")
     return space
@@ -213,5 +212,5 @@ def curve_genus(h: SubgroupSpec) -> int:
 
 __all__ = [
     "CosetSpace", "CurveData", "coset_space", "curve_data", "curve_genus",
-    "genus_from_counts", "label_prefix", "map_degree", "sl2_part",
+    "genus_from_counts", "label_prefix", "map_degree",
 ]

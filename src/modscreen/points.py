@@ -13,8 +13,9 @@ group at a lower modulus m, the orbits are taken at m and scaled by
 Only the general degree formula for an arbitrary automorphism set builds
 element sets, the products R*A and A*H (subgroups.product_set_quads, under
 the enumeration cap). On top of that sit the closed-form degree identities
-for the nonsplit Cartan normalizer tower and the Riemann-Roch screen that
-rules isolation out (never in).
+for the nonsplit Cartan normalizer tower and the Riemann-Roch screen
+(rr_screen), which rules isolation out (never in); every screen verdict of
+the catalog screen and of table 2 is its comparison.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .curves import curve_data
 from .errors import ModulusMismatch, NonIntegral
 from .subgroups import (GeneratedGroup, SubgroupSpec, adjoin_minus_i,
                         contains_minus_i, factorize, identity_quad,
@@ -194,13 +194,6 @@ def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
     )
 
 
-def degree_bound_check(deg_x: int, deg_f: int, deg_fx: int) -> bool:
-    """deg(x) <= deg(f) * deg(f(x)), the covering bound on point degrees."""
-    if min(deg_x, deg_f, deg_fx) < 1:
-        raise ValueError("degrees must be positive")
-    return deg_x <= deg_f * deg_fx
-
-
 def rr_screen(degree: int, r: int, genus: int) -> Verdict:
     """Points of degree above (components) * (genus) move in a pencil."""
     if degree < 1 or r < 1 or genus < 0:
@@ -241,30 +234,3 @@ def _check_odd_prime(ell: int) -> None:
 def _check_even_order(delta_order: int) -> None:
     if delta_order < 2 or delta_order % 2:
         raise ValueError(f"delta order must be even and positive, got {delta_order}")
-
-
-@dataclass(frozen=True)
-class PointDegreeReport:
-    degree: int
-    fiber_degrees: tuple[int, ...]
-    screen: Verdict
-    details: dict[str, int]
-
-
-def point_report(ctx: GaloisImageContext, h: SubgroupSpec,
-                 components: int = 1) -> PointDegreeReport:
-    """Distinguished-point degree, full fiber, and the isolation screen."""
-    degree = point_degree(ctx, h)
-    fibers = fiber_degrees(ctx, h)
-    genus = curve_data(h).genus
-    return PointDegreeReport(
-        degree=degree,
-        fiber_degrees=fibers,
-        screen=rr_screen(degree, components, genus),
-        details={
-            "index": degree // ctx.d_j,
-            "ambient_index": sum(fibers) // ctx.d_j,
-            "genus": genus,
-            "components": components,
-        },
-    )

@@ -13,17 +13,17 @@ coset by a canonical key (equal keys exactly when the cosets are equal). A
 group without a closed form answers order, membership and keys from a
 stabilizer chain (StabilizerChain) instead of its element set. One
 transversal walk (_transversal) serves the chain's first two levels and the
-det-1 part's Schreier generators, and one sift (_sifted_generators) picks
-every small generating set. An element set is built one way for every kind
-but EnumeratedGroup, which stores its own: the closure of the generators
-(SubgroupSpec.element_quads), refused up front when the order passes
-ENUMERATION_CAP. Instances are immutable after construction and safe to
-share.
+det-1 part's Schreier generators, which SL2Part sifts through the chain of
+those kept. An element set is built one way for every kind: the closure of
+the generators (SubgroupSpec.element_quads), refused up front when the order
+passes ENUMERATION_CAP. A walk whose length the orders give (all of H's
+cosets, or those of its det-1 part in SL2) is refused up front the same way
+when that length passes ORBIT_CAP (_check_walk_length). Instances are
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
@@ -152,19 +152,6 @@ def _transversal(n: int, gens: Sequence[Quad], point: Callable[[Quad], Hashable]
             else:
                 schreier.append(quad_mul(n, w[1], y))
     return table, schreier
-
-
-def _sifted_generators(n: int, candidates: Iterable[Quad]
-                       ) -> tuple[tuple[Quad, ...], StabilizerChain]:
-    """The candidates that the chain of those kept before each one misses,
-    in order, and the chain of all those kept."""
-    kept: list[Quad] = []
-    chain = StabilizerChain(n, kept)
-    for q in candidates:
-        if not chain.contains(q):
-            kept.append(q)
-            chain = StabilizerChain(n, kept)
-    return tuple(kept), chain
 
 
 class StabilizerChain:
@@ -604,48 +591,6 @@ class CartanNormalizer(SubgroupSpec):
         return CartanNormalizer(self.ell, _p_adic_valuation(m, self.ell))
 
 
-class EnumeratedGroup(SubgroupSpec):
-    """A subgroup given by its explicit element set."""
-
-    kind = "enumerated"
-
-    def __init__(self, n: int, element_quads: Iterable[Quad], label: str | None = None):
-        super().__init__(n, label)
-        els = frozenset(quad_reduce(q, n) for q in element_quads)
-        if identity_quad(n) not in els:
-            raise ValueError("element set must contain the identity")
-        for q in els:
-            if not quad_is_invertible(n, q):
-                raise NonInvertible(f"element {q} is singular mod {n}")
-        self._elements = els
-        # each element is kept or already in the chain, so the set lies in
-        # the group the kept ones generate: closed exactly when it is no
-        # larger, and then the sift's last chain is this group's chain
-        self._gens, self._chain = _sifted_generators(n, sorted(els))
-        if self._chain.order != len(els):
-            raise NotASubgroup(f"the {len(els)} elements mod {n} are not "
-                               "closed under multiplication")
-
-    def member_quad(self, q: Quad) -> bool:
-        return q in self._elements
-
-    @cached_property
-    def element_quads(self) -> frozenset[Quad]:
-        return self._elements
-
-    def generator_quads(self) -> tuple[Quad, ...]:
-        return self._gens
-
-    def reduced(self, m: int) -> SubgroupSpec:
-        _check_divisor(self.n, m)
-        return EnumeratedGroup(m, (quad_reduce(q, m) for q in self._elements))
-
-    def with_minus_i(self) -> SubgroupSpec:
-        n = self.n
-        m, els = minus_identity_quad(n), self._elements
-        return EnumeratedGroup(n, els | {quad_mul(n, m, q) for q in els})
-
-
 class GeneratedGroup(SubgroupSpec):
     """The closure of an explicit generator list, decided by its stabilizer chain."""
 
@@ -742,11 +687,18 @@ class SL2Part(SubgroupSpec):
     def _gens(self) -> tuple[Quad, ...]:
         # Schreier's lemma over det: S = H meet SL2 is the stabilizer of the
         # determinant 1 under x -> g*x, so the transversal's Schreier
-        # generators t_{det y}^-1 * y generate it; the sift keeps the new ones
+        # generators t_{det y}^-1 * y generate it. The sift keeps each one
+        # that the chain of those kept before it misses.
         n = self.n
         _, schreier = _transversal(n, self.parent.generator_quads(),
                                    lambda y: quad_det(n, y))
-        return _sifted_generators(n, schreier)[0]
+        kept: list[Quad] = []
+        chain = StabilizerChain(n, kept)
+        for q in schreier:
+            if not chain.contains(q):
+                kept.append(q)
+                chain = StabilizerChain(n, kept)
+        return tuple(kept)
 
     def coset_key(self, q: Quad) -> Hashable:
         # S*g1 = S*g2 iff the parent cosets agree and the determinants agree
@@ -817,10 +769,6 @@ def borel_index(n: int, delta: UnitSubgroup) -> int:
 
 # generic group operations
 
-def order(h: SubgroupSpec) -> int:
-    return h.order
-
-
 def contains_minus_i(h: SubgroupSpec) -> bool:
     return h.member_quad(minus_identity_quad(h.n))
 
@@ -866,10 +814,19 @@ def _check_orbit_cap(h: SubgroupSpec, j: int) -> None:
                             modulus=h.n, reached=j, cap=ORBIT_CAP)
 
 
+def _check_walk_length(h: SubgroupSpec, cosets: int) -> None:
+    """OrbitTooLarge before a walk that must reach this many cosets of H
+    passes ORBIT_CAP, with the message the walk itself would give there."""
+    if cosets > ORBIT_CAP:
+        _check_orbit_cap(h, ORBIT_CAP)
+
+
 def walked_orbit_sizes(h: SubgroupSpec, gens: tuple[Quad, ...]) -> list[int]:
     """Sizes of the orbits of <gens> on the right cosets of H, the orbit of
     H*1 first, by the coset walk: gens then the ambient generators reach
-    every coset, and the orbits are the components of gens' permutations."""
+    every coset, and the orbits are the components of gens' permutations.
+    The walk reaches all [GL2 : H] cosets, so that count is checked first."""
+    _check_walk_length(h, gl2_order(h.n) // h.order)
     walk = gens + tuple(g for g in FullGroup(h.n).generator_quads()
                         if g not in gens)
     reps, perms = coset_action(h, walk)
@@ -966,11 +923,6 @@ def kernel_generator_quads(n: int, d: int) -> tuple[Quad, ...]:
     return _dedup(n, gens)
 
 
-def kernel_subgroup(n: int, d: int) -> SubgroupSpec:
-    """ker(GL2(Z/n) -> GL2(Z/d)) as a generated group (no generators at d = n)."""
-    return GeneratedGroup(n, kernel_generator_quads(n, d), label=f"ker({n}->{d})")
-
-
 def level(h: SubgroupSpec) -> int:
     """Least divisor d of the modulus with the whole mod-d kernel inside H."""
     n = h.n
@@ -980,50 +932,20 @@ def level(h: SubgroupSpec) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ProductSetCheck:
-    """Size of the set H*K and whether that set is itself a group."""
-
-    size: int
-    is_group: bool
-
-
-def _product_coset_reps(h: SubgroupSpec, k: SubgroupSpec) -> dict[Hashable, Quad]:
-    # H*K is a union of right cosets H*k, so one representative per distinct
-    # H-coset met by K pins the whole set; only K must be enumerable
+def product_set_quads(h: SubgroupSpec, k: SubgroupSpec) -> frozenset[Quad]:
+    """H*K as a set. It is a union of right cosets H*k, so one representative
+    per distinct H-coset met by K pins it; only K must be enumerable."""
     if h.n != k.n:
         raise ModulusMismatch(f"groups live mod {h.n} and mod {k.n}")
     reps: dict[Hashable, Quad] = {}
     for q in sorted(k.element_quads):
-        key = h.coset_key(q)
-        if key not in reps:
-            reps[key] = q
-    return reps
-
-
-def product_set_quads(h: SubgroupSpec, k: SubgroupSpec) -> frozenset[Quad]:
-    reps = _product_coset_reps(h, k)
+        reps.setdefault(h.coset_key(q), q)
     size = h.order * len(reps)
     if size > ENUMERATION_CAP:
         raise TooLarge("product set exceeds cap", operation="product set",
                        modulus=h.n, reached=size, cap=ENUMERATION_CAP)
     n = h.n
     return frozenset(quad_mul(n, a, b) for a in h.element_quads for b in reps.values())
-
-
-def product_set_check(h: SubgroupSpec, k: SubgroupSpec) -> ProductSetCheck:
-    """Size of H*K and closure of H*K under right multiplication by both groups.
-
-    Closure under the generators of H and K decides groupness: the set always
-    contains the identity and sits inside the group the two generate, so being
-    stable under those generators makes it that whole group.
-    """
-    reps = _product_coset_reps(h, k)
-    n = h.n
-    gens = _dedup(n, list(h.generator_quads()) + list(k.generator_quads()))
-    closed = all(h.coset_key(quad_mul(n, q, g)) in reps
-                 for q in reps.values() for g in gens)
-    return ProductSetCheck(size=h.order * len(reps), is_group=closed)
 
 
 def subgroup_of(h: SubgroupSpec, g: SubgroupSpec) -> None:
@@ -1033,14 +955,6 @@ def subgroup_of(h: SubgroupSpec, g: SubgroupSpec) -> None:
     for q in h.generator_quads():
         if not g.member_quad(q):
             raise NotASubgroup(f"generator {q} escapes the claimed overgroup")
-
-
-def surjective_image_index_check(g: SubgroupSpec, h: SubgroupSpec, m: int) -> bool:
-    """Indices can only drop under reduction: [G:H] >= [G(m):H(m)]."""
-    subgroup_of(h, g)
-    big = index_via_orbit(g, h)
-    small = index_via_orbit(reduce_subgroup(g, m), reduce_subgroup(h, m))
-    return big >= small
 
 
 def _dedup(n: int, quads: Iterable[Quad]) -> tuple[Quad, ...]:

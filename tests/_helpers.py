@@ -15,8 +15,8 @@ from modscreen.zmod import (quad_inv, quad_is_invertible, quad_mul,
                             unit_subgroup, units)
 
 
-# Reference closure and greedy generator loop: the element-by-element BFS
-# that the coset-by-coset closure replaced, kept verbatim for comparison.
+# Reference closure: the element-by-element BFS that the coset-by-coset
+# closure replaced, kept verbatim for comparison.
 
 def reference_closure_quads(n, gen_quads, cap=ENUMERATION_CAP):
     """All products of the generators (the generated subgroup, groups being finite)."""
@@ -38,21 +38,6 @@ def reference_closure_quads(n, gen_quads, cap=ENUMERATION_CAP):
                     new.append(y)
         frontier = new
     return frozenset(seen)
-
-
-def reference_greedy_generator_quads(n, element_quads):
-    """Small generating set extracted from a full element list, deterministically."""
-    elements = sorted(element_quads)
-    total = len(elements)
-    gens = []
-    closed = frozenset({identity_quad(n)})
-    for q in elements:
-        if q not in closed:
-            gens.append(q)
-            closed = reference_closure_quads(n, gens)
-            if len(closed) == total:
-                break
-    return tuple(gens)
 
 
 # Reference unit-group closure and greedy generators: the element-by-element

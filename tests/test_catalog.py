@@ -2,6 +2,7 @@
 
 import pytest
 
+from modscreen import catalog
 from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
                                intermediate_deltas, load_catalog,
                                parse_catalog, screen_entry, serialize_catalog)
@@ -166,6 +167,27 @@ def test_screen_inconclusive_when_both_parts_fail():
     assert [(r.modulus, r.delta_order, r.genus) for r in rep.rows] == \
         [(121, 10, 106), (121, 22, 26)]
     assert all(r.min_fiber_degree == 1 for r in rep.rows)
+
+
+@pytest.mark.parametrize("min_fiber, verdicts", [
+    (530, ["Inconclusive", "ForcedP1Parametrized"]),
+    (531, ["ForcedP1Parametrized", "ForcedP1Parametrized"]),
+], ids=["at-threshold", "above-threshold"])
+def test_screen_rule_is_strict_at_the_threshold(monkeypatch, min_fiber,
+                                                verdicts):
+    # the rows' thresholds are 5 * 106 = 530 and 11 * 26 = 286: a minimum
+    # fiber equal to a threshold does not pass it
+    monkeypatch.setattr(catalog, "fiber_degrees",
+                        lambda ctx, h: (min_fiber, 10 * min_fiber))
+    b = borel(121, delta_pm1(121))
+    entry = CatalogEntry(label="121.b1", level=121, gens=b.generator_quads())
+    rep = screen_entry(entry, n_max=2)
+    assert [(r.threshold, r.min_fiber_degree) for r in rep.rows] == \
+        [(530, min_fiber), (286, min_fiber)]
+    assert [str(r.verdict) for r in rep.rows] == verdicts
+    passed = min_fiber > 530
+    assert rep.fiber_screen_passed is passed
+    assert rep.verdict is (Verdict.FORCED_P1 if passed else Verdict.INCONCLUSIVE)
 
 
 def test_screen_verdict_invariant():

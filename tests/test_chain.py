@@ -16,9 +16,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import modscreen.subgroups  # noqa: E402
 from modscreen.curves import curve_genus  # noqa: E402
-from modscreen.subgroups import (EnumeratedGroup, GeneratedGroup,  # noqa: E402
-                                 borel, contains_minus_i, level,
-                                 reduce_subgroup)
+from modscreen.subgroups import (GeneratedGroup, borel,  # noqa: E402
+                                 contains_minus_i, level, reduce_subgroup)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,  # noqa: E402
                             quad_is_invertible)
 
@@ -78,13 +77,13 @@ def test_chain_membership_is_closure_membership(case):
 
 
 @settings(PROPERTY, max_examples=60)
-@given(generator_lists(12), st.sampled_from([GeneratedGroup, EnumeratedGroup]))
-def test_chain_keys_are_exactly_the_right_cosets(case, kind):
-    """Over all of GL2: the enumerated kind builds its chain from its greedy
-    generators, so it checks the chain on a second generating set."""
+@given(generator_lists(12), st.booleans())
+def test_chain_keys_are_exactly_the_right_cosets(case, every_element):
+    """Over all of GL2, on the chain of the drawn generators and on a second
+    one, built from every element of the group in sorted order."""
     n, gens = case
     want = _helpers.reference_closure_quads(n, gens)
-    group = kind(n, gens if kind is GeneratedGroup else want)
+    group = GeneratedGroup(n, sorted(want) if every_element else gens)
     assert _helpers.key_classes_are_cosets(group.coset_key, gl2(n), want, n)
 
 

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import modscreen
+import modscreen.curves
 import modscreen.subgroups
 from modscreen.cli import build_parser, main
 
@@ -212,6 +214,26 @@ def test_screen_rejects_a_non_prime_ell_for_level_one(capsys, catalog_path, ell)
     assert err == f"error: a level-1 entry needs a prime ell, got {ell}\n"
 
 
+MIXED_PRIMES = "\n".join((
+    '{"label": "1.full", "level": 1, "gens": []}',
+    '{"label": "5.B", "level": 5, "gens": [[1,1,0,1], [2,0,0,1], [1,0,0,2]]}',
+    '{"label": "7.B", "level": 7, "gens": [[1,1,0,1], [3,0,0,1], [1,0,0,3]]}',
+)) + "\n"
+
+
+def test_screen_ell_applies_to_level_one_entries_only(capsys, tmp_path):
+    # --ell names the prime of 1.full; 5.B and 7.B keep their own primes
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(MIXED_PRIMES, encoding="utf-8")
+    code, out, err = run(capsys, "screen", "--catalog", str(path), "--ell", "5")
+    assert (code, err) == (0, "")
+    assert [line.split("\t")[:3] for line in out.splitlines()[1:]] == \
+        [["1.full", "5", "2"], ["5.B", "5", "2"], ["7.B", "7", "2"]]
+    # without --ell the level-1 entry still has no prime
+    assert run(capsys, "screen", "--catalog", str(path)) == \
+        (2, "", "error: a level-1 entry needs a prime ell, got None\n")
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 @pytest.mark.parametrize("argv", [["screen", "--ell", "5"],
                                   ["order", "--group", "file:5.B"]])
@@ -348,6 +370,62 @@ def test_orbit_cap_maps_to_exit_three(capsys, monkeypatch, argv, walked):
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err == f"error: coset walk of {walked} mod 5 reached 2 cosets, cap 2\n"
+
+
+def test_a_walk_of_known_length_past_the_cap_fails_fast(capsys):
+    # mu = 10007 * 5003 = 50,065,021 is known from the orders, so the walk
+    # is refused before it starts instead of after 10^7 cosets
+    start = time.perf_counter()
+    code, out, err = run(capsys, "genus", "--group", "cns:10007")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err == ("error: coset walk of cartan_nonsplit_normalizer mod 10007 "
+                   "reached 10000000 cosets, cap 10000000\n")
+
+
+def test_a_walk_of_known_length_is_refused_before_it_starts(capsys, monkeypatch,
+                                                           recwarn, tmp_path):
+    # the coset space and the whole-fiber walk know their length, so they
+    # raise the walk's own message without walking
+    def refuse(*args):
+        raise AssertionError("walked the cosets before checking the cap")
+
+    path = tmp_path / "walked.jsonl"
+    path.write_text(WALKED_BORELS, encoding="utf-8")
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 2)
+    monkeypatch.setattr(modscreen.subgroups, "coset_action", refuse)
+    monkeypatch.setattr(modscreen.curves, "coset_action", refuse)
+    assert run(capsys, "genus", "--group", "cns:5") == (3, "", (
+        "error: coset walk of cartan_nonsplit_normalizer mod 5 reached 2 "
+        "cosets, cap 2\n"))
+    code, out, err = run(capsys, "fiber-degrees", "--image", "cns:5",
+                         "--group", "file:5.T", "--catalog", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: coset walk of generated mod 5 reached 2 cosets, cap 2\n"
+    assert [str(w.message) for w in recwarn] == [
+        "adjoined -I to a subgroup mod 5 before the degree computation"]
+
+
+@pytest.mark.parametrize("argv, cosets", [
+    (("genus", "--group", "cns:5"), 10),
+    (("fiber-degrees", "--image", "cns:5", "--group", "file:5.T"), 12),
+], ids=["genus", "fiber-degrees"])
+def test_a_walk_of_known_length_finishes_at_the_cap(capsys, monkeypatch,
+                                                   recwarn, tmp_path, argv,
+                                                   cosets):
+    # mu = 10 cosets for cns:5, [GL2 : +-B] = 12 for 5.T: a cap of exactly
+    # that many lets the walk finish, one fewer stops it
+    path = tmp_path / "walked.jsonl"
+    path.write_text(WALKED_BORELS, encoding="utf-8")
+    argv = (*argv, "--catalog", str(path))
+    uncapped = run(capsys, *argv)
+    assert uncapped[0] == 0
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", cosets)
+    assert run(capsys, *argv) == uncapped
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", cosets - 1)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.endswith(f"reached {cosets - 1} cosets, cap {cosets - 1}\n")
 
 
 def test_borel_genus_uses_no_coset_walk(capsys, monkeypatch):

@@ -7,15 +7,14 @@ import warnings
 import pytest
 
 from modscreen import points
-from modscreen.curves import curve_genus, map_degree
+from modscreen.curves import map_degree
 from modscreen.errors import ModulusMismatch, NonIntegral
-from modscreen.points import (PointDegreeReport, Verdict,
-                              cartan_degree_formula, degree_bound_check,
-                              fiber_degrees, galois_context, level_reduction,
-                              point_degree, point_degree_general, point_report,
-                              rr_screen, semidirect_lower_bound)
-from modscreen.subgroups import (EnumeratedGroup, FullGroup, GeneratedGroup,
-                                 LiftedGroup, SL2Part, borel, closure_quads,
+from modscreen.points import (Verdict, cartan_degree_formula, fiber_degrees,
+                              galois_context, level_reduction, point_degree,
+                              point_degree_general, rr_screen,
+                              semidirect_lower_bound)
+from modscreen.subgroups import (FullGroup, GeneratedGroup,
+                                 LiftedGroup, SL2Part, borel,
                                  gl2_order, index_via_orbit, lift_subgroup,
                                  nonsplit_cartan_normalizer, preimage_descent,
                                  reduce_subgroup)
@@ -70,14 +69,14 @@ def test_point_degree_scales_with_dj():
 def test_point_degree_general_reduces_to_plus_minus():
     r = nonsplit_cartan_normalizer(5)
     h = borel(5, delta_pm1(5))
-    pm = EnumeratedGroup(5, [(1, 0, 0, 1), (4, 0, 0, 4)])
+    pm = GeneratedGroup(5, [(4, 0, 0, 4)])
     assert point_degree_general(galois_context(r, aut=pm), h) == \
         point_degree(galois_context(r), h)
 
 
 def test_point_degree_general_with_trivial_aut():
     r = nonsplit_cartan_normalizer(5)
-    one = EnumeratedGroup(5, [(1, 0, 0, 1)])
+    one = GeneratedGroup(5, [])
     h = borel(5, delta_pm1(5))
     assert point_degree_general(galois_context(r, aut=one), h) == \
         index_via_orbit(r, h)
@@ -98,7 +97,7 @@ def test_point_degree_general_against_set_arithmetic_mod_seven():
         r = rng.choice(pool)
         h = rng.choice(pool)
         a_gen = rng.choice(ambient)
-        aut = EnumeratedGroup(n, closure_quads(n, (a_gen,)))
+        aut = GeneratedGroup(n, [a_gen])
         if aut.order > 48:
             continue
         inv_auts = [quad_inv(n, a) for a in aut.element_quads]
@@ -205,7 +204,7 @@ def test_fiber_degrees_match_brute_force_orbits():
         pool = _helpers.structural_pool(n, max_order=5000)
         # a context built directly keeps R = {I} without -I, so R walks
         # with no generators at all; FullGroup's generators are the ambient ones
-        trivial = EnumeratedGroup(n, [(1, 0, 0, 1)])
+        trivial = GeneratedGroup(n, [])
         assert trivial.generator_quads() == ()
         images = [FullGroup(n), trivial] + rng.sample(pool, 2)
         for r in images:
@@ -222,7 +221,7 @@ def test_fiber_degrees_scale_with_dj():
 
 
 def test_fiber_degrees_reject_general_aut():
-    aut = EnumeratedGroup(5, closure_quads(5, ((2, 0, 0, 1),)))
+    aut = GeneratedGroup(5, [(2, 0, 0, 1)])
     ctx = galois_context(FullGroup(5), aut=aut)
     with pytest.raises(ValueError):
         fiber_degrees(ctx, borel(5, delta_full(5)))
@@ -359,14 +358,6 @@ def test_level_reduction_rejects_composite_modulus():
 
 # -------------------------------------------------------------- inequality
 
-def test_degree_bound_check_examples():
-    assert degree_bound_check(12, 2, 6)
-    assert degree_bound_check(5, 2, 3)
-    assert not degree_bound_check(7, 2, 3)
-    with pytest.raises(ValueError):
-        degree_bound_check(0, 1, 1)
-
-
 def test_degree_monotonicity_along_maps():
     """Nested groups: the degree upstairs never exceeds the map degree times
     the degree downstairs, with equality in the lifted setting."""
@@ -469,18 +460,3 @@ def test_cartan_degree_formula_past_level_two(ell, n):
         got = point_degree(ctx, borel(q, delta))
         assert got == cartan_degree_formula(ell, n, delta.order), delta.order
 
-
-# ------------------------------------------------------------------ report
-
-def test_point_report_bundles_the_pieces():
-    ctx = galois_context(nonsplit_cartan_normalizer(5))
-    h = borel(5, delta_pm1(5))
-    rep = point_report(ctx, h)
-    assert isinstance(rep, PointDegreeReport)
-    assert rep.degree == 12
-    assert rep.degree in set(rep.fiber_degrees)
-    assert sum(rep.fiber_degrees) == gl2_order(5) // h.order
-    # genus of the target curve is 0 here, so the screen must fire
-    assert curve_genus(h) == 0
-    assert rep.screen is Verdict.FORCED_P1
-    assert rep.details["index"] == 12

@@ -12,20 +12,18 @@ from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
                               ModulusMismatch, NonDivisor, NonInvertible,
                               NotASubgroup, TooLarge)
 from modscreen.points import galois_context, point_degree_general
-from modscreen.subgroups import (BorelGroup, CartanNormalizer, EnumeratedGroup,
-                                 FullGroup, GeneratedGroup, LiftedGroup, SL2Part,
+from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
+                                 GeneratedGroup, LiftedGroup, SL2Part,
                                  StabilizerChain, adjoin_minus_i, borel,
                                  borel_index, borel_order, closure_quads,
                                  contains_minus_i,
                                  coset_action, gl2_order, identity_quad,
-                                 index_via_orbit,
-                                 kernel_generator_quads, kernel_subgroup,
+                                 index_via_orbit, kernel_generator_quads,
                                  level, lift_subgroup, minus_identity_quad,
                                  nonsplit_cartan_normalizer,
-                                 nonsplit_cartan_normalizer_preimage, order,
-                                 product_set_check, product_set_quads,
-                                 reduce_subgroup, sigma_quad, sl2_order,
-                                 surjective_image_index_check, tau_quad)
+                                 nonsplit_cartan_normalizer_preimage,
+                                 product_set_quads, reduce_subgroup,
+                                 sigma_quad, sl2_order, tau_quad)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
                             euler_phi, quad_det, quad_inv, quad_is_invertible,
                             quad_mul, quad_reduce, unit_subgroup,
@@ -125,10 +123,9 @@ def test_cached_order_equals_enumerated_order():
 
 
 def test_closure_and_greedy_generators_match_the_reference_bfs():
-    """The coset-by-coset closure gives the element BFS's group, and an
-    enumerated group's sifted generators are the reference greedy's, on
-    seeded random generator lists with repeats, the identity and both
-    orders."""
+    """The coset-by-coset closure gives the element BFS's group, and a
+    generated group's chain its order, on seeded random generator lists with
+    repeats, the identity and both orders."""
     rng = random.Random(4)
     for n in range(2, 13):
         pool = [q for q in itertools.product(range(n), repeat=4)
@@ -142,8 +139,7 @@ def test_closure_and_greedy_generators_match_the_reference_bfs():
         for gens in lists:
             want = _helpers.reference_closure_quads(n, gens)
             assert closure_quads(n, gens) == want, (n, gens)
-            assert (EnumeratedGroup(n, want).generator_quads()
-                    == _helpers.reference_greedy_generator_quads(n, want)), (n, gens)
+            assert GeneratedGroup(n, gens).order == len(want), (n, gens)
 
 
 def _no_enumeration(self):
@@ -338,32 +334,7 @@ def test_cartan_preimage_variant():
     assert thin.order < pre.order
 
 
-# ------------------------------------------------------ enumerated kinds
-
-def test_enumerated_group_requires_identity():
-    with pytest.raises(ValueError):
-        EnumeratedGroup(5, [(2, 0, 0, 1)])
-
-
-def test_enumerated_group_rejects_a_set_that_is_not_closed(monkeypatch):
-    # (2 0; 0 1) has order 4 mod 5, so {I, it} is not a group
-    with pytest.raises(NotASubgroup):
-        EnumeratedGroup(5, [(1, 0, 0, 1), (2, 0, 0, 1)])
-    assert EnumeratedGroup(5, [(1, 0, 0, 1), (4, 0, 0, 1)]).order == 2
-
-    # {I, sigma, tau} generates SL2: refused on the chain's order, where a
-    # closure of the generators would build SL2 (or reach the cap) first
-    def not_closed(n):
-        return [identity_quad(n), sigma_quad(n), tau_quad(n)]
-
-    start = time.perf_counter()
-    with pytest.raises(NotASubgroup):
-        EnumeratedGroup(625, not_closed(625))
-    assert time.perf_counter() - start < 0.1
-    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
-    with pytest.raises(NotASubgroup):
-        EnumeratedGroup(7, not_closed(7))
-
+# ------------------------------------------------------- generated kinds
 
 def test_generated_group_rejects_singular_generator():
     with pytest.raises(NonInvertible):
@@ -371,11 +342,11 @@ def test_generated_group_rejects_singular_generator():
 
 
 def test_order_of_trivial_group():
-    assert order(EnumeratedGroup(7, [(1, 0, 0, 1)])) == 1
+    assert GeneratedGroup(7, []).order == 1
 
 
 def test_order_closed_form_for_full():
-    assert order(FullGroup(25)) == 300000
+    assert FullGroup(25).order == 300000
 
 
 # ------------------------------------------------------- index via orbit
@@ -526,13 +497,17 @@ def test_kernel_generators_close_to_the_kernel():
         assert got == want, (n, m)
 
 
+def _kernel(n, m):
+    return GeneratedGroup(n, kernel_generator_quads(n, m))
+
+
 def test_kernel_subgroup_order_is_fourth_power():
     for n, m in ((4, 2), (9, 3), (25, 5), (27, 9), (16, 2)):
-        assert kernel_subgroup(n, m).order == (n // m) ** 4, (n, m)
+        assert _kernel(n, m).order == (n // m) ** 4, (n, m)
 
 
 def test_kernel_at_m_equal_one_is_everything():
-    assert kernel_subgroup(6, 1).order == gl2_order(6)
+    assert _kernel(6, 1).order == gl2_order(6)
 
 
 # -------------------------------------------------------------- minus one
@@ -558,7 +533,7 @@ def test_adjoin_minus_i_on_lifted_and_enumerated():
     assert out.member_quad(minus_identity_quad(25))
     assert out.order == 2 * lifted.order
 
-    e = EnumeratedGroup(5, [(1, 0, 0, 1)])
+    e = GeneratedGroup(5, [])
     out = adjoin_minus_i(e)
     assert out.element_quads == frozenset({(1, 0, 0, 1), (4, 0, 0, 4)})
 
@@ -566,11 +541,11 @@ def test_adjoin_minus_i_on_lifted_and_enumerated():
 # ------------------------------------------------------------ kind hooks
 
 def _hook_pool(n):
-    """structural_pool(n), Borel and lifted groups without -I, and one
-    enumerated, one generated and one det-1 group, all at modulus n."""
+    """structural_pool(n), Borel and lifted groups without -I, and two
+    generated groups and one det-1 group, all at modulus n."""
     pool = _helpers.structural_pool(n)
     pool += [lift_subgroup(borel(m, delta_trivial(m)), n) for m in divisors(n)]
-    pool += [EnumeratedGroup(n, [(1, b, 0, 1) for b in range(n)]),
+    pool += [GeneratedGroup(n, [tau_quad(n)]),
              GeneratedGroup(n, [tau_quad(n), (1, 0, 0, n - 1)]),
              SL2Part(borel(n, delta_trivial(n)))]
     return pool
@@ -620,7 +595,7 @@ def test_element_sets_are_the_members(n):
 @pytest.mark.parametrize("n", [9, 25])
 def test_enumeration_past_the_cap_raises_before_any_closure(monkeypatch, n):
     """The cap is checked against the order before a single product."""
-    pool = [h for h in _hook_pool(n) if h.kind != "enumerated"]
+    pool = _hook_pool(n)
     pool += [SL2Part(h) for h in pool]
 
     def refuse(*args, **kwargs):
@@ -745,33 +720,37 @@ def test_sl2_part_generators_enumerate_nothing(monkeypatch, n):
 
 # ------------------------------------------------------------ product sets
 
+def _lift_order(h, m):
+    """|H*K| for K the kernel of reduction to m, as |H| [K : K meet H]."""
+    return h.order * index_via_orbit(_kernel(h.n, m), h)
+
+
 def test_product_with_kernel_is_the_lift():
     h = borel(25, delta_full(25))
-    k = kernel_subgroup(25, 5)
     lifted = lift_subgroup(borel(5, delta_full(5)), 25)
-    res = product_set_check(h, k)
-    assert res.size == 50000 == lifted.order
-    assert res.is_group
+    assert _lift_order(h, 5) == 50000 == lifted.order
+    # H*K is the lift itself, element for element
+    h, m = borel(9, delta_full(9)), 3
+    assert product_set_quads(h, _kernel(9, m)) == \
+        lift_subgroup(reduce_subgroup(h, m), 9).element_quads
 
 
 def test_product_set_trivial_cases():
     h = borel(7, delta_pm1(7))
-    k = EnumeratedGroup(7, [(1, 0, 0, 1)])
-    res = product_set_check(h, k)
-    assert res.size == h.order and res.is_group
-    res = product_set_check(FullGroup(3), nonsplit_cartan_normalizer(3))
-    assert res.size == gl2_order(3) and res.is_group
+    assert product_set_quads(h, GeneratedGroup(7, [])) == h.element_quads
+    full = FullGroup(3)
+    assert product_set_quads(full, nonsplit_cartan_normalizer(3)) == \
+        full.element_quads
 
 
 def test_product_set_can_fail_to_be_a_group():
     # two order-2 unipotent groups mod 2 multiply to a 4-element non-group
     # inside the 6-element ambient
-    upper = EnumeratedGroup(2, [(1, 0, 0, 1), (1, 1, 0, 1)])
-    lower = EnumeratedGroup(2, [(1, 0, 0, 1), (1, 0, 1, 1)])
-    res = product_set_check(upper, lower)
-    assert res.size == 4
-    assert not res.is_group
-    assert len(product_set_quads(upper, lower)) == 4
+    upper = GeneratedGroup(2, [(1, 1, 0, 1)])
+    lower = GeneratedGroup(2, [(1, 0, 1, 1)])
+    both = product_set_quads(upper, lower)
+    assert len(both) == 4
+    assert closure_quads(2, both) != both
 
 
 def test_preimage_factors_as_group_times_kernel():
@@ -789,29 +768,32 @@ def test_preimage_factors_as_group_times_kernel():
         if not ms:
             continue
         m = rng.choice(ms)
-        k = kernel_subgroup(n, m)
         lifted = lift_subgroup(reduce_subgroup(h, m), n)
         # HK sits inside the preimage since both factors do, so cardinality
         # equality is set equality
         assert all(lifted.member_quad(q) for q in h.generator_quads())
-        assert all(lifted.member_quad(q) for q in k.generator_quads())
-        res = product_set_check(h, k)
-        assert res.is_group
-        assert res.size == lifted.order, (n, m, h.kind)
+        assert all(lifted.member_quad(q) for q in kernel_generator_quads(n, m))
+        assert _lift_order(h, m) == lifted.order, (n, m, h.kind)
         checked += 1
 
 
 # ------------------------------------------------- image index comparison
 
+def _index_drops(g, h, m):
+    """[G:H] >= [G(m):H(m)]: indices can only drop under reduction."""
+    small = index_via_orbit(reduce_subgroup(g, m), reduce_subgroup(h, m))
+    return index_via_orbit(g, h) >= small
+
+
 def test_surjective_image_index_check_examples():
     g = FullGroup(25)
     h = borel(25, delta_full(25))
-    assert surjective_image_index_check(g, h, 5)
+    assert _index_drops(g, h, 5)
     # the two indices compared: 30 upstairs, 6 downstairs
     assert index_via_orbit(g, h) == 30
     assert index_via_orbit(FullGroup(5), borel(5, delta_full(5))) == 6
-    assert surjective_image_index_check(g, g, 5)
-    assert surjective_image_index_check(g, h, 25)
+    assert _index_drops(g, g, 5)
+    assert _index_drops(g, h, 25)
 
 
 def test_image_index_never_grows_under_reduction():
@@ -823,7 +805,7 @@ def test_image_index_never_grows_under_reduction():
         h = borel(n, small)
         g = FullGroup(n)
         for m in (m for m in range(2, n + 1) if n % m == 0):
-            assert surjective_image_index_check(g, h, m), (n, m)
+            assert _index_drops(g, h, m), (n, m)
 
 
 def test_subgroup_check_raises_for_non_subgroup():

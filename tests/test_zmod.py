@@ -7,7 +7,7 @@ import pytest
 
 import modscreen
 from modscreen.subgroups import SubgroupSpec
-from modscreen import zmod
+from modscreen import curves, points, subgroups, zmod
 from modscreen.zmod import (UnitSubgroup, delta_full, delta_pm1, delta_trivial,
                             divisors, euler_phi, factorize, is_prime, quad_det,
                             quad_inv, quad_is_invertible, quad_mul, quad_reduce,
@@ -170,6 +170,16 @@ def test_public_api_resolves():
     assert not [a for a in ("contains", "generators", "elements")
                 if hasattr(SubgroupSpec, a)]
     assert not [a for a in dir(UnitSubgroup) if a.endswith("_minus_one")]
+    # names that no computation reached are gone; GeneratedGroup, SL2Part,
+    # .order and kernel_generator_quads stand in for them
+    gone = {"EnumeratedGroup", "ProductSetCheck", "product_set_check",
+            "surjective_image_index_check", "kernel_subgroup", "order",
+            "point_report", "PointDegreeReport", "degree_bound_check",
+            "sl2_part"}
+    assert not gone & set(names)
+    assert not [name for name in gone if hasattr(modscreen, name)]
+    for module in (subgroups, points, curves):
+        assert not [name for name in gone if hasattr(module, name)], module
 
 
 def test_delta_shorthands():
