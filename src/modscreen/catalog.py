@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from typing import IO, Iterable
 
@@ -27,12 +26,23 @@ from .zmod import (Quad, UnitSubgroup, delta_pm1, euler_phi, is_prime,
                    quad_is_invertible, unit_subgroups_containing_minus_one)
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    label: str
-    level: int
-    gens: tuple[Quad, ...]
-    source_line: int = field(default=0, compare=False)
+    """One catalog record; source_line, where it was read, is left out of ==."""
+
+    __slots__ = ("label", "level", "gens", "source_line")
+
+    def __init__(self, label: str, level: int, gens: tuple[Quad, ...],
+                 source_line: int = 0):
+        self.label = label
+        self.level = level
+        self.gens = gens
+        self.source_line = source_line
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CatalogEntry):
+            return NotImplemented
+        return (self.label, self.level, self.gens) == \
+            (other.label, other.level, other.gens)
 
     def subgroup(self) -> SubgroupSpec:
         if self.level == 1:
@@ -129,25 +139,34 @@ def _borel_genus(n: int, delta: UnitSubgroup) -> int:
     return curve_genus(borel(n, delta))
 
 
-@dataclass(frozen=True)
 class ScreenRow:
-    modulus: int
-    delta_order: int
-    genus: int
-    min_fiber_degree: int
-    threshold: int
-    verdict: Verdict
+    __slots__ = ("modulus", "delta_order", "genus", "min_fiber_degree",
+                 "threshold", "verdict")
+
+    def __init__(self, modulus: int, delta_order: int, genus: int,
+                 min_fiber_degree: int, threshold: int, verdict: Verdict):
+        self.modulus = modulus
+        self.delta_order = delta_order
+        self.genus = genus
+        self.min_fiber_degree = min_fiber_degree
+        self.threshold = threshold
+        self.verdict = verdict
 
 
-@dataclass(frozen=True)
 class ScreenReport:
-    label: str
-    ell: int
-    n_max: int
-    rows: tuple[ScreenRow, ...]
-    genus_zero_at_ell: bool
-    fiber_screen_passed: bool
-    verdict: Verdict
+    __slots__ = ("label", "ell", "n_max", "rows", "genus_zero_at_ell",
+                 "fiber_screen_passed", "verdict")
+
+    def __init__(self, label: str, ell: int, n_max: int,
+                 rows: tuple[ScreenRow, ...], genus_zero_at_ell: bool,
+                 fiber_screen_passed: bool, verdict: Verdict):
+        self.label = label
+        self.ell = ell
+        self.n_max = n_max
+        self.rows = rows
+        self.genus_zero_at_ell = genus_zero_at_ell
+        self.fiber_screen_passed = fiber_screen_passed
+        self.verdict = verdict
 
 
 def screen_entry(entry: CatalogEntry, n_max: int,
@@ -214,10 +233,12 @@ def screen_entry(entry: CatalogEntry, n_max: int,
     )
 
 
-@dataclass(frozen=True)
 class Table:
-    header: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    __slots__ = ("header", "rows")
+
+    def __init__(self, header: tuple[str, ...], rows: tuple[tuple, ...]):
+        self.header = header
+        self.rows = rows
 
     def to_records(self) -> list[dict]:
         return [dict(zip(self.header, row)) for row in self.rows]

@@ -17,7 +17,6 @@ own cosets and keys. Everything is exact integer arithmetic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvariantFailed, NonIntegral, NotFullDeterminant
@@ -29,7 +28,6 @@ from .subgroups import (SubgroupSpec, _check_walk_length, adjoin_minus_i,
 from .zmod import Quad, quad_mul  # noqa: F401
 
 
-@dataclass(frozen=True)
 class CosetSpace:
     """Right cosets of S = H meet SL2 in SL2, acted on by the two generators.
 
@@ -40,11 +38,13 @@ class CosetSpace:
     the identity, so it is deterministic.
     """
 
-    n: int
-    base: SubgroupSpec
-    reps: list[Quad]
-    perm_s: list[int]
-    perm_t: list[int]
+    def __init__(self, n: int, base: SubgroupSpec, reps: list[Quad],
+                 perm_s: list[int], perm_t: list[int]):
+        self.n = n
+        self.base = base
+        self.reps = reps
+        self.perm_s = perm_s
+        self.perm_t = perm_t
 
     @property
     def mu(self) -> int:
@@ -133,17 +133,21 @@ def _counts(hpm: SubgroupSpec) -> tuple[int, int, int, int]:
     return counts
 
 
-@dataclass(frozen=True)
 class CurveData:
     """Numerical invariants of the curve, plus the level.index.genus label."""
 
-    mu: int
-    nu2: int
-    nu3: int
-    nu_inf: int
-    genus: int
-    label_prefix: str
-    adjoined_minus_i: bool
+    __slots__ = ("mu", "nu2", "nu3", "nu_inf", "genus", "label_prefix",
+                 "adjoined_minus_i")
+
+    def __init__(self, mu: int, nu2: int, nu3: int, nu_inf: int, genus: int,
+                 label_prefix: str, adjoined_minus_i: bool):
+        self.mu = mu
+        self.nu2 = nu2
+        self.nu3 = nu3
+        self.nu_inf = nu_inf
+        self.genus = genus
+        self.label_prefix = label_prefix
+        self.adjoined_minus_i = adjoined_minus_i
 
 
 def curve_data(h: SubgroupSpec) -> CurveData:

@@ -21,7 +21,6 @@ the catalog screen and of table 2 is its comparison.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ModulusMismatch, NonIntegral
@@ -41,7 +40,6 @@ class Verdict(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class GaloisImageContext:
     """A Galois image R, the degree of the j-field, and the automorphism set.
 
@@ -50,10 +48,14 @@ class GaloisImageContext:
     general degree formula.
     """
 
-    image: SubgroupSpec
-    d_j: int = 1
-    aut: SubgroupSpec | None = None
-    adjoined_minus_i: bool = False
+    __slots__ = ("image", "d_j", "aut", "adjoined_minus_i")
+
+    def __init__(self, image: SubgroupSpec, d_j: int = 1,
+                 aut: SubgroupSpec | None = None, adjoined_minus_i: bool = False):
+        self.image = image
+        self.d_j = d_j
+        self.aut = aut
+        self.adjoined_minus_i = adjoined_minus_i
 
 
 def galois_context(image: SubgroupSpec, d_j: int = 1,
@@ -141,7 +143,6 @@ def _require_minus_i(h: SubgroupSpec) -> SubgroupSpec:
     return hpm
 
 
-@dataclass(frozen=True)
 class LevelReductionResult:
     """Both sides of the degree identity along a reduction of level.
 
@@ -152,11 +153,15 @@ class LevelReductionResult:
     the degree identity only and makes no isolation claim of its own.
     """
 
-    h_prime: SubgroupSpec
-    lhs: int
-    rhs: int
-    equal: bool
-    hypothesis_holds: bool
+    __slots__ = ("h_prime", "lhs", "rhs", "equal", "hypothesis_holds")
+
+    def __init__(self, h_prime: SubgroupSpec, lhs: int, rhs: int, equal: bool,
+                 hypothesis_holds: bool):
+        self.h_prime = h_prime
+        self.lhs = lhs
+        self.rhs = rhs
+        self.equal = equal
+        self.hypothesis_holds = hypothesis_holds
 
 
 def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,

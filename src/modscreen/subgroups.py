@@ -578,8 +578,10 @@ class CartanNormalizer(SubgroupSpec):
     def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:
         # (N*g)*r has the pair of z -> (r12 + z*r22) / (r11 + z*r21), so walk
         # the pairs instead of the cosets: from sqrt(e), the coset N*1, then
-        # from one z of each pair when whole
+        # from one z of each pair when whole, which reaches all [GL2 : N]
         n = self.n
+        if whole:
+            _check_walk_length(self, gl2_order(n) // self.order)
         starts = ((x, y) for x in range(n) for y in units(n) if 2 * y < n)
         return quadratic_pair_orbits(n, self.eps, gens, starts if whole else [(0, 1)],
                                      lambda j: _check_orbit_cap(self, j))

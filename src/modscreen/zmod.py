@@ -6,7 +6,6 @@ entries reduced mod the modulus that every routine takes alongside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
@@ -142,16 +141,18 @@ def unit_group_generators(n: int) -> tuple[int, ...]:
     return delta_full(n).generators
 
 
-@dataclass(frozen=True)
 class UnitSubgroup:
-    """Subgroup of (Z/nZ)^x, carried as its full sorted element tuple."""
+    """Subgroup of (Z/nZ)^x, carried as its full sorted element tuple.
 
-    n: int
-    elements: tuple[int, ...]
+    An immutable value: equal (n, elements) compare and hash equal, so a
+    subgroup can key a cache (catalog._borel_genus) or a set.
+    """
 
-    def __post_init__(self):
-        _check_modulus(self.n)
-        els = self.elements
+    def __init__(self, n: int, elements: tuple[int, ...]):
+        _check_modulus(n)
+        object.__setattr__(self, "n", n)  # past the refusing __setattr__
+        object.__setattr__(self, "elements", elements)
+        els = elements
         if not els or list(els) != sorted(set(els)):
             raise ValueError("elements must be sorted and distinct")
         if els[0] < 0 or els[-1] >= self.n:
@@ -164,6 +165,19 @@ class UnitSubgroup:
         # to is the set exactly when the set is closed under multiplication
         if self._greedy_scan[1] != self._set:
             raise ValueError(f"not closed under multiplication mod {self.n}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UnitSubgroup):
+            return NotImplemented
+        return self.n == other.n and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.elements))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"UnitSubgroup is immutable: {name!r} stays as built")
+
+    __delattr__ = __setattr__
 
     @property
     def order(self) -> int:

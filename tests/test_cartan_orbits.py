@@ -122,6 +122,25 @@ def test_the_pair_walk_reads_the_orbit_cap(monkeypatch):
     assert c.orbit_sizes(gens, whole=True) == [250]
 
 
+def test_a_whole_pair_walk_past_the_cap_refuses_before_walking(capsys,
+                                                               monkeypatch):
+    # a whole walk reaches all [GL2 : N] = 250 pairs of cns:5:2, so a cap
+    # below that refuses up front, with the message and exit code the walk
+    # itself would give at the cap, and no pair is walked
+    def refuse(*args):
+        raise AssertionError("the pair walk ran past a known cap")
+
+    monkeypatch.setattr(modscreen.subgroups, "quadratic_pair_orbits", refuse)
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 249)
+    with pytest.raises(OrbitTooLarge) as err:
+        CartanNormalizer(5, 2).orbit_sizes(FullGroup(25).generator_quads(), True)
+    assert (err.value.reached, err.value.cap) == (249, 249)
+    assert main(["fiber-degrees", "--image", "cns:5:2", "--group", "cns:5:2"]) == 3
+    assert capsys.readouterr().err == ("error: coset walk of cartan_nonsplit_"
+                                       "normalizer mod 25 reached 249 cosets, "
+                                       "cap 249\n")
+
+
 def test_cartan_fibers_use_no_coset_walk(capsys, monkeypatch):
     argv = ["fiber-degrees", "--image", "cns:5:2", "--group", "cns:5:2"]
     assert main(argv) == 0

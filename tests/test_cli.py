@@ -316,6 +316,18 @@ def test_cli_import_leaves_the_verification_module_out():
     assert proc.stdout == b"False\n"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # every CLI call pays its imports; dataclasses would bring inspect, ast,
+    # dis and tokenize with it. -S keeps site hooks from importing them first
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
+    code = ("import sys, modscreen.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"[]\n"
+
+
 # ------------------------------------------------------ run-to-run output
 
 def test_stdout_is_identical_under_different_hash_seeds(catalog_path):

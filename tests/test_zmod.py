@@ -7,7 +7,7 @@ import pytest
 
 import modscreen
 from modscreen.subgroups import SubgroupSpec
-from modscreen import curves, points, subgroups, zmod
+from modscreen import catalog, curves, points, subgroups, zmod
 from modscreen.zmod import (UnitSubgroup, delta_full, delta_pm1, delta_trivial,
                             divisors, euler_phi, factorize, is_prime, quad_det,
                             quad_inv, quad_is_invertible, quad_mul, quad_reduce,
@@ -103,6 +103,29 @@ def test_unit_subgroup_rejects_sets_not_closed():
     with pytest.raises(ValueError):
         UnitSubgroup(4099, tuple(range(1, 4098)))
     assert UnitSubgroup(4099, tuple(range(1, 4099))).order == 4098
+
+
+def test_unit_subgroups_are_immutable_values():
+    # built apart, equal (n, elements) compare and hash equal: a subgroup
+    # keys catalog._borel_genus's cache and verify-formulae's sets
+    a, b = unit_subgroup(25, [7]), UnitSubgroup(25, (1, 7, 18, 24))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, delta_pm1(25)}) == 2
+    assert a != UnitSubgroup(5, (1, 2, 3, 4)) and a != (25, a.elements)
+    assert UnitSubgroup(4, (1, 3)) != UnitSubgroup(8, (1, 3))
+    catalog._borel_genus(25, a)
+    hits = catalog._borel_genus.cache_info().hits
+    assert catalog._borel_genus(25, b) == catalog._borel_genus(25, a)
+    assert catalog._borel_genus.cache_info().hits == hits + 2
+    # a field cannot be assigned or deleted, so a cached hash stays true;
+    # the cached properties still fill
+    for name in ("n", "elements", "order"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.n, a.elements, a.generators, a.contains(32)) == \
+        (25, (1, 7, 18, 24), (7,), True)
 
 
 def test_unit_subgroup_rejects_nonunit():
