@@ -27,16 +27,17 @@ from .zmod import (Quad, UnitSubgroup, delta_pm1, euler_phi, is_prime,
 
 
 class CatalogEntry:
-    """One catalog record; source_line, where it was read, is left out of ==."""
+    """One immutable catalog record; source_line, where it was read, is left
+    out of == and of the hash."""
 
     __slots__ = ("label", "level", "gens", "source_line")
 
     def __init__(self, label: str, level: int, gens: tuple[Quad, ...],
                  source_line: int = 0):
-        self.label = label
-        self.level = level
-        self.gens = gens
-        self.source_line = source_line
+        object.__setattr__(self, "label", label)  # past the refusing __setattr__
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "source_line", source_line)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatalogEntry):
@@ -44,10 +45,18 @@ class CatalogEntry:
         return (self.label, self.level, self.gens) == \
             (other.label, other.level, other.gens)
 
+    def __hash__(self) -> int:
+        return hash((self.label, self.level, self.gens))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"CatalogEntry is immutable: {name!r} stays as parsed")
+
+    __delattr__ = __setattr__
+
     def subgroup(self) -> SubgroupSpec:
         if self.level == 1:
-            return FullGroup(1, label=self.label)
-        return GeneratedGroup(self.level, self.gens, label=self.label)
+            return FullGroup(1)
+        return GeneratedGroup(self.level, self.gens)
 
 
 def parse_catalog(stream: str | IO[str] | Iterable[str]) -> list[CatalogEntry]:

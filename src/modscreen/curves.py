@@ -22,8 +22,8 @@ from functools import cached_property
 from .errors import InvariantFailed, NonIntegral, NotFullDeterminant
 from .subgroups import (SubgroupSpec, _check_walk_length, adjoin_minus_i,
                         coset_action, gl2_order, index_via_orbit, level,
-                        reduce_subgroup, sigma_quad, sl2_order, subgroup_of,
-                        tau_quad)
+                        permutation_orbit_sizes, reduce_subgroup, sigma_quad,
+                        sl2_order, subgroup_of, tau_quad)
 # the benchmark's tracer test reads curves.quad_mul by name
 from .zmod import Quad, quad_mul  # noqa: F401
 
@@ -68,19 +68,7 @@ class CosetSpace:
     @cached_property
     def cusp_widths(self) -> tuple[int, ...]:
         """Cycle lengths of the translation action, sorted; they sum to mu."""
-        seen = [False] * self.mu
-        widths = []
-        for i in range(self.mu):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                length += 1
-                j = self.perm_t[j]
-            widths.append(length)
-        return tuple(sorted(widths))
+        return tuple(sorted(permutation_orbit_sizes([self.perm_t], self.mu)))
 
     @property
     def counts(self) -> tuple[int, int, int, int]:

@@ -1,25 +1,29 @@
 """Subgroups of GL2(Z/NZ): predicates, generators, orders, indices, lifts, levels.
 
 Every group is carried two ways at once: a membership predicate and a small
-generating set. Index and fiber computations never enumerate the ambient
-group. A Borel-type H reads the orbits on its right cosets off the orbits on
-the lines of P^1(Z/NZ) (BorelGroup.orbit_sizes), and the nonsplit Cartan
-normalizer off the orbits on pairs of conjugate points of P^1(O/l^d), O =
-Z[sqrt(e)] (CartanNormalizer.orbit_sizes); every other kind walks right
-cosets H*g under the other group's generators (the default orbit_sizes:
-coset_action, the one walk behind index, genus and fiber computations
-without a closed form, and walked_orbit_sizes over it) and identifies a
-coset by a canonical key (equal keys exactly when the cosets are equal). A
-group without a closed form answers order, membership and keys from a
-stabilizer chain (StabilizerChain) instead of its element set. One
-transversal walk (_transversal) serves the chain's first two levels and the
-det-1 part's Schreier generators, which SL2Part sifts through the chain of
-those kept. An element set is built one way for every kind: the closure of
-the generators (SubgroupSpec.element_quads), refused up front when the order
-passes ENUMERATION_CAP. A walk whose length the orders give (all of H's
-cosets, or those of its det-1 part in SL2) is refused up front the same way
-when that length passes ORBIT_CAP (_check_walk_length). Instances are
-immutable after construction and safe to share.
+generating set. The base class, SubgroupSpec, is the group its generators
+generate: a kind supplies them (_gens), and membership, order and keys
+default to a stabilizer chain (StabilizerChain) built from them instead of
+the element set, and reduction to the group of the reduced generators; a
+kind overrides a hook only where it knows a closed form. Index and fiber
+computations never enumerate the ambient group. A Borel-type H reads the
+orbits on its right cosets off the orbits on the lines of P^1(Z/NZ)
+(BorelGroup.orbit_sizes), and the nonsplit Cartan normalizer off the orbits
+on pairs of conjugate points of P^1(O/l^d), O = Z[sqrt(e)]
+(CartanNormalizer.orbit_sizes); every other kind walks right cosets H*g
+under the other group's generators (the default orbit_sizes: coset_action,
+the one walk behind index, genus and fiber computations without a closed
+form, and walked_orbit_sizes over it, whose orbits permutation_orbit_sizes
+splits) and identifies a coset by a canonical key (equal keys exactly when
+the cosets are equal). One transversal walk (_transversal) serves the
+chain's first two levels and the det-1 part's Schreier generators, which
+SL2Part sifts through the chain of those kept. An element set is built one
+way for every kind: the closure of the generators
+(SubgroupSpec.element_quads), refused up front when the order passes
+ENUMERATION_CAP. A walk whose length the orders give (all of H's cosets, or
+those of its det-1 part in SL2) is refused up front the same way when that
+length passes ORBIT_CAP (_check_walk_length). Instances are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
@@ -261,30 +265,31 @@ def _conjugate(n: int, s: Quad, c: Quad) -> Quad:
 
 
 class SubgroupSpec:
-    """A subgroup of GL2(Z/nZ).
+    """A subgroup of GL2(Z/nZ): the group its generators _gens generate.
 
-    Concrete kinds supply membership, generators, exact order, reduction to a
-    divisor modulus, and a canonical right-coset key. The hooks below hold the
-    generic path; a kind overrides one where it knows a closed form. The
-    default order and key come from a stabilizer chain built once from the
-    generators; only element_quads enumerates the group, by closing the
-    generators, and it checks the cap against the order first.
+    A kind supplies _gens; every hook below is the generic path for the
+    group they generate, and a kind overrides one where it knows a closed
+    form. The default membership, order and key come from a stabilizer chain
+    built once from the generators, and the default reduction to a divisor
+    modulus generates the group of the reduced generators; only
+    element_quads enumerates the group, by closing the generators, and it
+    checks the cap against the order first.
     """
 
     kind = "abstract"
+    _gens: tuple[Quad, ...]
 
-    def __init__(self, n: int, label: str | None = None):
+    def __init__(self, n: int):
         _check_modulus(n)
         self.n = n
-        self.label = label
 
     # membership and generators
 
     def member_quad(self, q: Quad) -> bool:
-        raise NotImplementedError
+        return self._chain.contains(q)
 
     def generator_quads(self) -> tuple[Quad, ...]:
-        raise NotImplementedError
+        return self._gens
 
     # size and enumeration
 
@@ -301,16 +306,18 @@ class SubgroupSpec:
             raise TooLarge(f"enumeration of {self.kind} mod {n} needs {size} "
                            f"elements, cap {cap}", operation="enumeration",
                            modulus=n, reached=size, cap=cap)
-        return closure_quads(n, self.generator_quads())
+        return closure_quads(n, self._gens)
 
     @cached_property
     def _chain(self) -> StabilizerChain:
-        return StabilizerChain(self.n, self.generator_quads())
+        return StabilizerChain(self.n, self._gens)
 
     # structure
 
     def reduced(self, m: int) -> "SubgroupSpec":
-        raise NotImplementedError
+        _check_divisor(self.n, m)
+        # the image of a closure is the closure of the images
+        return GeneratedGroup(m, (quad_reduce(q, m) for q in self._gens))
 
     @property
     def preimage_base(self) -> "SubgroupSpec":
@@ -325,8 +332,7 @@ class SubgroupSpec:
     def with_minus_i(self) -> "SubgroupSpec":
         """The group generated by H and -I, for an H without -I."""
         n = self.n
-        return GeneratedGroup(n, self.generator_quads() + (minus_identity_quad(n),),
-                              label=self.label)
+        return GeneratedGroup(n, self._gens + (minus_identity_quad(n),))
 
     def coset_key(self, q: Quad) -> Hashable:
         return self._chain.key(q)
@@ -347,14 +353,13 @@ class SubgroupSpec:
     @cached_property
     def det_image(self) -> UnitSubgroup:
         n = self.n
-        return unit_subgroup(n, (quad_det(n, g) for g in self.generator_quads()))
+        return unit_subgroup(n, (quad_det(n, g) for g in self._gens))
 
     def has_full_determinant(self) -> bool:
         return self.det_image.order == euler_phi(self.n)
 
     def __repr__(self) -> str:
-        tag = f" {self.label!r}" if self.label else ""
-        return f"<{type(self).__name__} mod {self.n}{tag}>"
+        return f"<{type(self).__name__} mod {self.n}>"
 
 
 class FullGroup(SubgroupSpec):
@@ -365,7 +370,8 @@ class FullGroup(SubgroupSpec):
     def member_quad(self, q: Quad) -> bool:
         return quad_is_invertible(self.n, q)
 
-    def generator_quads(self) -> tuple[Quad, ...]:
+    @cached_property
+    def _gens(self) -> tuple[Quad, ...]:
         n = self.n
         gens = [sigma_quad(n), tau_quad(n)]
         gens += [(1 % n, 0, 0, u) for u in unit_group_generators(n)]
@@ -391,17 +397,18 @@ class BorelGroup(SubgroupSpec):
 
     kind = "borel"
 
-    def __init__(self, n: int, delta: UnitSubgroup, label: str | None = None):
+    def __init__(self, n: int, delta: UnitSubgroup):
         if delta.n != n:
             raise ModulusMismatch(f"Delta mod {delta.n} against modulus {n}")
-        super().__init__(n, label)
+        super().__init__(n)
         self.delta = delta
 
     def member_quad(self, q: Quad) -> bool:
         a, b, c, d = q
         return c == 0 and self.delta.contains(a) and gcd(d, self.n) == 1
 
-    def generator_quads(self) -> tuple[Quad, ...]:
+    @cached_property
+    def _gens(self) -> tuple[Quad, ...]:
         n = self.n
         gens = [tau_quad(n)]
         gens += [(g, 0, 0, 1 % n) for g in self.delta.generators]
@@ -410,7 +417,7 @@ class BorelGroup(SubgroupSpec):
 
     @cached_property
     def order(self) -> int:
-        return self.delta.order * self.n * euler_phi(self.n)
+        return borel_order(self.n, self.delta)
 
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
@@ -527,14 +534,14 @@ class CartanNormalizer(SubgroupSpec):
 
     kind = "cartan_nonsplit_normalizer"
 
-    def __init__(self, ell: int, d: int = 1, label: str | None = None):
+    def __init__(self, ell: int, d: int = 1):
         if not is_prime(ell):
             raise ValueError(f"{ell} is not prime")
         if ell == 2:
             raise EvenPrimeUnsupported("nonsplit Cartan normalizer needs an odd prime")
         if d < 1:
             raise ValueError(f"exponent must be >= 1, got {d}")
-        super().__init__(ell**d, label)
+        super().__init__(ell**d)
         self.ell = ell
         self.d = d
         self.eps = least_nonresidue(ell)
@@ -552,9 +559,6 @@ class CartanNormalizer(SubgroupSpec):
     def order(self) -> int:
         l, d = self.ell, self.d
         return 2 * l ** (2 * d - 2) * (l * l - 1)
-
-    def generator_quads(self) -> tuple[Quad, ...]:
-        return self._gens
 
     @cached_property
     def _gens(self) -> tuple[Quad, ...]:
@@ -598,25 +602,13 @@ class GeneratedGroup(SubgroupSpec):
 
     kind = "generated"
 
-    def __init__(self, n: int, gen_quads: Iterable[Quad], label: str | None = None):
-        super().__init__(n, label)
+    def __init__(self, n: int, gen_quads: Iterable[Quad]):
+        super().__init__(n)
         gens = _dedup(n, [quad_reduce(q, n) for q in gen_quads])
         for q in gens:
             if not quad_is_invertible(n, q):
                 raise NonInvertible(f"generator {q} is singular mod {n}")
         self._gens = gens
-
-    def member_quad(self, q: Quad) -> bool:
-        return self._chain.contains(q)
-
-    def generator_quads(self) -> tuple[Quad, ...]:
-        return self._gens
-
-    def reduced(self, m: int) -> SubgroupSpec:
-        _check_divisor(self.n, m)
-        # the image of a closure is the closure of the images
-        return GeneratedGroup(m, (quad_reduce(q, m) for q in self._gens),
-                              label=self.label)
 
 
 class LiftedGroup(SubgroupSpec):
@@ -624,16 +616,17 @@ class LiftedGroup(SubgroupSpec):
 
     kind = "lifted"
 
-    def __init__(self, base: SubgroupSpec, n: int, label: str | None = None):
+    def __init__(self, base: SubgroupSpec, n: int):
         if n % base.n:
             raise NonDivisor(f"base modulus {base.n} must divide {n}")
-        super().__init__(n, label)
+        super().__init__(n)
         self.base = base.preimage_base
 
     def member_quad(self, q: Quad) -> bool:
         return quad_is_invertible(self.n, q) and self.base.member_quad(quad_reduce(q, self.base.n))
 
-    def generator_quads(self) -> tuple[Quad, ...]:
+    @cached_property
+    def _gens(self) -> tuple[Quad, ...]:
         n, m = self.n, self.base.n
         gens = [lift_quad(g, m, n) for g in self.base.generator_quads()]
         gens += list(kernel_generator_quads(n, m))
@@ -671,8 +664,8 @@ class SL2Part(SubgroupSpec):
 
     kind = "sl2_part"
 
-    def __init__(self, parent: SubgroupSpec, label: str | None = None):
-        super().__init__(parent.n, label)
+    def __init__(self, parent: SubgroupSpec):
+        super().__init__(parent.n)
         self.parent = parent
 
     def member_quad(self, q: Quad) -> bool:
@@ -681,9 +674,6 @@ class SL2Part(SubgroupSpec):
     @cached_property
     def order(self) -> int:
         return self.parent.order // self.parent.det_image.order
-
-    def generator_quads(self) -> tuple[Quad, ...]:
-        return self._gens
 
     @cached_property
     def _gens(self) -> tuple[Quad, ...]:
@@ -706,20 +696,14 @@ class SL2Part(SubgroupSpec):
         # S*g1 = S*g2 iff the parent cosets agree and the determinants agree
         return (quad_det(self.n, q), self.parent.coset_key(q))
 
-    def reduced(self, m: int) -> SubgroupSpec:
-        # the image of a det-1 part need not be the det-1 part of the image,
-        # but it is generated by the images of the generators
-        _check_divisor(self.n, m)
-        return GeneratedGroup(m, (quad_reduce(q, m) for q in self.generator_quads()))
-
     def with_minus_i(self) -> SubgroupSpec:
         return SL2Part(adjoin_minus_i(self.parent))
 
 
 # constructors named for what they build
 
-def borel(n: int, delta: UnitSubgroup, label: str | None = None) -> BorelGroup:
-    return BorelGroup(n, delta, label)
+def borel(n: int, delta: UnitSubgroup) -> BorelGroup:
+    return BorelGroup(n, delta)
 
 
 def nonsplit_cartan_normalizer(q: int) -> CartanNormalizer:
@@ -832,15 +816,21 @@ def walked_orbit_sizes(h: SubgroupSpec, gens: tuple[Quad, ...]) -> list[int]:
     walk = gens + tuple(g for g in FullGroup(h.n).generator_quads()
                         if g not in gens)
     reps, perms = coset_action(h, walk)
+    return permutation_orbit_sizes(perms[:len(gens)], len(reps))
+
+
+def permutation_orbit_sizes(perms: Sequence[Sequence[int]], count: int) -> list[int]:
+    """Sizes of the orbits of the index permutations perms on range(count),
+    in the order of each orbit's least point."""
     sizes = []
-    assigned = [False] * len(reps)
-    for start in range(len(reps)):
+    assigned = [False] * count
+    for start in range(count):
         if assigned[start]:
             continue
         assigned[start] = True
         orbit = [start]
         for i in orbit:  # orbit grows while it is walked
-            for perm in perms[:len(gens)]:
+            for perm in perms:
                 j = perm[i]
                 if not assigned[j]:
                     assigned[j] = True

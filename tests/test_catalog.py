@@ -33,6 +33,24 @@ def test_catalog_entries_compare_without_their_source_line():
     assert entry != ("5.B", 5, gens)
 
 
+def test_catalog_entries_hash_by_value_and_refuse_assignment():
+    # entries that differ only in where they were read are one set element
+    gens = borel(5, delta_full(5)).generator_quads()
+    entry = CatalogEntry("5.B", 5, gens)
+    assert {CatalogEntry("5.B", 5, gens, source_line=k) for k in (0, 3, 9)} == {entry}
+    assert set(parse_catalog("# comment\n" + serialize_catalog([entry]))) == {entry}
+    assert len({entry, CatalogEntry("5.C", 5, gens)}) == 2
+    for name in CatalogEntry.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(entry, name, None)
+        with pytest.raises(AttributeError):
+            delattr(entry, name)
+    with pytest.raises(AttributeError):
+        entry.note = "x"
+    assert (entry.label, entry.level, entry.gens, entry.source_line) == \
+        ("5.B", 5, gens, 0)
+
+
 def test_parse_single_borel_record():
     entries = parse_catalog(BOREL5)
     assert len(entries) == 1
@@ -99,7 +117,6 @@ def test_level_one_record_is_the_full_profinite_image():
     (entry,) = parse_catalog('{"label": "1.triv", "level": 1, "gens": []}')
     g = entry.subgroup()
     assert g.n == 1 and g.order == 1
-    assert g.label == "1.triv"
 
 
 def test_serialize_round_trip():

@@ -14,7 +14,8 @@ from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
 from modscreen.points import galois_context, point_degree_general
 from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                                  GeneratedGroup, LiftedGroup, SL2Part,
-                                 StabilizerChain, adjoin_minus_i, borel,
+                                 StabilizerChain, SubgroupSpec,
+                                 adjoin_minus_i, borel,
                                  borel_index, borel_order, closure_quads,
                                  contains_minus_i,
                                  coset_action, gl2_order, identity_quad,
@@ -590,6 +591,70 @@ def test_element_sets_are_the_members(n):
     for h in _hook_pool(n):
         for g in (h, SL2Part(h)):
             assert g.element_quads == {q for q in gl2 if g.member_quad(q)}, (n, g)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_reduction_is_the_image_of_the_elements(n):
+    """The closed-form reductions of the full, Borel, Cartan and lifted kinds,
+    and the default one of the generated and det-1 kinds, against the image
+    of the element set."""
+    for h in _hook_pool(n):
+        for m in divisors(n):
+            assert reduce_subgroup(h, m).element_quads == \
+                {quad_reduce(q, m) for q in h.element_quads}, (n, h, m)
+
+
+class _OnlyGenerators(SubgroupSpec):
+    """A kind that supplies its generators and nothing else."""
+
+    def __init__(self, n, gens):
+        super().__init__(n)
+        self._gens = gens
+
+
+@pytest.mark.parametrize("n", [6, 8, 9])
+def test_a_kind_with_only_generators_is_the_generated_group(n):
+    """Every default hook of the base class answers as GeneratedGroup does on
+    the same generators."""
+    gl2 = [q for q in itertools.product(range(n), repeat=4)
+           if quad_is_invertible(n, q)]
+    rng = random.Random(n)
+    sample = rng.sample(gl2, 60)
+    full_gens = FullGroup(n).generator_quads()
+    for h in _hook_pool(n):
+        gen = GeneratedGroup(n, h.generator_quads())
+        bare = _OnlyGenerators(n, gen.generator_quads())
+        assert bare.generator_quads() == gen.generator_quads(), h
+        assert [bare.member_quad(q) for q in gl2] == \
+            [gen.member_quad(q) for q in gl2], h
+        assert bare.order == gen.order and bare.element_quads == gen.element_quads, h
+        assert [bare.coset_key(q) for q in sample] == \
+            [gen.coset_key(q) for q in sample], h
+        assert bare.curve_counts() is gen.curve_counts() is None, h
+        for gens, whole in ((full_gens, True), ((sigma_quad(n), tau_quad(n)), False)):
+            assert bare.orbit_sizes(gens, whole) == gen.orbit_sizes(gens, whole), h
+        assert bare.det_image == gen.det_image, h
+        assert bare.has_full_determinant() == gen.has_full_determinant(), h
+        assert bare.preimage_base is bare, h
+        for m in divisors(n):
+            a, b = bare.reduced(m), gen.reduced(m)
+            assert (a.kind, a.generator_quads()) == (b.kind, b.generator_quads()), (h, m)
+        a, b = bare.with_minus_i(), gen.with_minus_i()
+        assert (a.kind, a.generator_quads()) == (b.kind, b.generator_quads()), h
+        a, b = bare.lifted(2 * n), gen.lifted(2 * n)
+        assert (a.kind, a.order, a.generator_quads()) == \
+            (b.kind, b.order, b.generator_quads()), h
+        assert repr(bare) == f"<_OnlyGenerators mod {n}>"
+
+
+@pytest.mark.parametrize("n", [9, 25])
+def test_generators_are_built_once_per_group(n):
+    pool = _hook_pool(n)
+    pool += [SL2Part(h) for h in pool]
+    for h in pool:
+        assert h.generator_quads() is h.generator_quads(), h
+    assert {h.kind for h in pool} == {"full", "borel", "cartan_nonsplit_normalizer",
+                                      "generated", "lifted", "sl2_part"}
 
 
 @pytest.mark.parametrize("n", [9, 25])
