@@ -18,7 +18,7 @@ from typing import IO, Iterable
 
 from .curves import curve_genus
 from .errors import NonInvertibleGenerator, ParseError
-from .points import (Verdict, fiber_degrees, galois_context, rr_screen,
+from .points import (GaloisImageContext, Verdict, fiber_degrees, rr_screen,
                      semidirect_lower_bound)
 from .subgroups import (FullGroup, GeneratedGroup, SubgroupSpec, borel,
                         factorize, lift_subgroup, reduce_subgroup)
@@ -187,6 +187,11 @@ def screen_entry(entry: CatalogEntry, n_max: int,
     (delta order / 2) * genus for every intermediate curve (rr_screen).
     Independently, genus zero at the prime itself rules isolation out.
     Either part forcing every case gives the aggregate ForcedP1Parametrized.
+
+    The image is walked as given, -I or not: H = B_{+-1} contains the central
+    -I, so H*g*(-I) = H*g and the orbits of R and +-R on H's cosets are the
+    same. Nothing is adjoined, no warning is raised, and no stabilizer chain
+    is built at the entry's level (the genus-zero part builds one at l).
     """
     group = entry.subgroup()
     if entry.level == 1:
@@ -210,7 +215,7 @@ def screen_entry(entry: CatalogEntry, n_max: int,
         deltas = intermediate_deltas(modulus)
         if not deltas:
             continue
-        ctx = galois_context(lift_subgroup(group, modulus))
+        ctx = GaloisImageContext(lift_subgroup(group, modulus))
         fibers = fiber_degrees(ctx, borel(modulus, delta_pm1(modulus)))
         min_fiber = min(fibers)
         for delta in deltas:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from collections import Counter
 from functools import cache
 from typing import Sequence
@@ -312,6 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a notice is one line, "warning: <message>", with no path or source line
+    # of the file that raised it; library callers keep their own format
+    saved_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except ComputationCap as exc:
@@ -320,6 +325,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CatalogError, ModscreenError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = saved_format
 
 
 if __name__ == "__main__":

@@ -44,8 +44,9 @@ class GaloisImageContext:
     """A Galois image R, the degree of the j-field, and the automorphism set.
 
     aut=None means the generic two-element automorphism convention, under
-    which the image is +-adjoined; an explicit aut is carried verbatim for the
-    general degree formula.
+    which galois_context +-adjoins the image (catalog.screen_entry does not:
+    its H contains -I); an explicit aut is carried verbatim for the general
+    degree formula.
     """
 
     __slots__ = ("image", "d_j", "aut", "adjoined_minus_i")

@@ -1,15 +1,22 @@
 """Catalog parsing, the isolation screen, and the summary tables."""
 
+import random
+import warnings
+
 import pytest
 
-from modscreen import catalog
+import _helpers
+from modscreen import catalog, subgroups
 from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
                                intermediate_deltas, load_catalog,
                                parse_catalog, screen_entry, serialize_catalog)
 from modscreen.errors import NonInvertibleGenerator, ParseError
 from modscreen.points import Verdict
-from modscreen.subgroups import borel, nonsplit_cartan_normalizer
-from modscreen.zmod import delta_full, delta_pm1
+from modscreen.subgroups import (GeneratedGroup, borel, contains_minus_i,
+                                 lift_subgroup, minus_identity_quad,
+                                 nonsplit_cartan_normalizer)
+from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,
+                            unit_group_generators)
 
 
 BOREL5 = '{"label": "5.B", "level": 5, "gens": [[1,1,0,1], [2,0,0,1], [1,0,0,2]]}'
@@ -240,6 +247,75 @@ def test_screen_verdict_invariant():
         for row in rep.rows:
             assert (row.verdict is Verdict.FORCED_P1) == \
                 (row.min_fiber_degree > row.threshold)
+
+
+def _conjugated(n, gens, c):
+    return tuple(subgroups._conjugate(n, c, g) for g in gens)
+
+
+def _screen_facts(rep):
+    rows = [(r.modulus, r.delta_order, r.genus, r.min_fiber_degree,
+             r.threshold, r.verdict) for r in rep.rows]
+    return rows, rep.genus_zero_at_ell, rep.fiber_screen_passed, rep.verdict
+
+
+@pytest.mark.parametrize("level", [4, 8, 9, 16, 25, 27])
+def test_screen_is_the_same_with_minus_i_appended(level):
+    # H = B_{+-1} holds the central -I, so R and +-R have the same orbits on
+    # its cosets: the screen walks R as given and reports what +-R gives
+    rng = random.Random(1900 + level)
+    c = _helpers.generator_list(rng, level, 1)[0]
+    # a Galois image has full determinant: diag(1, u) for the unit generators
+    units = [(1, 0, 0, u) for u in unit_group_generators(level)]
+    images = [tuple(_helpers.generator_list(rng, level, count) + units)
+              for count in (1, 1, 2)]
+    images.append(_conjugated(level, borel(level, delta_trivial(level))
+                              .generator_quads(), c))
+    n_max = _helpers.prime_power_exponent(level)[1] + 1
+    without = 0
+    for gens in images:
+        without += not contains_minus_i(GeneratedGroup(level, gens))
+        entry = CatalogEntry(label="r", level=level, gens=gens)
+        pm = CatalogEntry(label="pm", level=level,
+                          gens=gens + (minus_identity_quad(level),))
+        assert (_screen_facts(screen_entry(entry, n_max))
+                == _screen_facts(screen_entry(pm, n_max))), gens
+    # the conjugated Borel with trivial Delta lacks -I at every level here
+    assert without >= 1
+
+
+def _entries_without_minus_i():
+    """A conjugated Borel at 25 and a lifted one at 27, both with trivial Delta."""
+    conj = _conjugated(25, borel(25, delta_trivial(25)).generator_quads(),
+                       (2, 1, 1, 1))
+    lifted = lift_subgroup(borel(3, delta_trivial(3)), 27).generator_quads()
+    return [CatalogEntry(label="25.T", level=25, gens=conj),
+            CatalogEntry(label="27.L", level=27, gens=lifted)]
+
+
+def test_screen_raises_no_warning_for_an_image_without_minus_i():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in _entries_without_minus_i():
+            assert not contains_minus_i(entry.subgroup())
+            screen_entry(entry, n_max=4)
+
+
+def test_screen_builds_stabilizer_chains_only_at_the_prime(monkeypatch):
+    # the images are walked by their generators; the one chain the screen
+    # needs is the genus-zero part's, at l
+    moduli = []
+    init = subgroups.StabilizerChain.__init__
+
+    def counting(self, n, gens):
+        moduli.append(n)
+        init(self, n, gens)
+
+    monkeypatch.setattr(subgroups.StabilizerChain, "__init__", counting)
+    for entry in _entries_without_minus_i():
+        moduli.clear()
+        rep = screen_entry(entry, n_max=4)
+        assert moduli and set(moduli) == {rep.ell}, entry.label
 
 
 def test_screen_requires_a_prime_for_level_one():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -326,6 +327,36 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"[]\n"
+
+
+# ---------------------------------------------------------------- notices
+
+@pytest.mark.parametrize("argv, notices", [
+    (("genus", "--group", "borel:5:"),
+     ["adjoined -I to a subgroup mod 5 before computing curve data"]),
+    (("point-degree", "--image", "borel:5:", "--group", "borel:5:"),
+     ["adjoined -I to the Galois image mod 5",
+      "adjoined -I to a subgroup mod 5 before the degree computation"]),
+], ids=["genus", "point-degree"])
+def test_notices_are_one_line_without_the_source_path(argv, notices):
+    # the same op prints the same stderr from any checkout and any edit of cli.py
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "modscreen.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "".join(f"warning: {m}\n" for m in notices)
+
+
+@pytest.mark.parametrize("argv", [
+    ("genus", "--group", "borel:5:"),
+    ("order", "--group", "bogus:3"),
+], ids=["notice", "error"])
+def test_main_restores_the_warning_format(capsys, recwarn, argv):
+    before = warnings.formatwarning
+    main(list(argv))
+    capsys.readouterr()
+    assert warnings.formatwarning is before
 
 
 # ------------------------------------------------------ run-to-run output
