@@ -18,7 +18,7 @@ from typing import IO, Iterable
 
 from .curves import curve_genus
 from .errors import NonInvertibleGenerator, ParseError
-from .points import (GaloisImageContext, Verdict, fiber_degrees, rr_screen,
+from .points import (Verdict, fiber_degrees, galois_context, rr_screen,
                      semidirect_lower_bound)
 from .subgroups import (FullGroup, GeneratedGroup, SubgroupSpec, borel,
                         factorize, lift_subgroup, reduce_subgroup)
@@ -188,10 +188,9 @@ def screen_entry(entry: CatalogEntry, n_max: int,
     Independently, genus zero at the prime itself rules isolation out.
     Either part forcing every case gives the aggregate ForcedP1Parametrized.
 
-    The image is walked as given, -I or not: H = B_{+-1} contains the central
-    -I, so H*g*(-I) = H*g and the orbits of R and +-R on H's cosets are the
-    same. Nothing is adjoined, no warning is raised, and no stabilizer chain
-    is built at the entry's level (the genus-zero part builds one at l).
+    The genus-zero part runs first: its coset space refuses an image whose
+    determinant mod l is not all of (Z/lZ)^x (NotFullDeterminant) before any
+    fiber is built. At the entry's own level the determinant need not be full.
     """
     group = entry.subgroup()
     if entry.level == 1:
@@ -208,6 +207,8 @@ def screen_entry(entry: CatalogEntry, n_max: int,
         ell = level_ell
     if n_max < max(k, 1):
         raise ValueError(f"n_max {n_max} below the entry's exponent {k}")
+    genus_zero = (entry.level == 1
+                  or curve_genus(reduce_subgroup(group, ell)) == 0)
 
     rows: list[ScreenRow] = []
     for n in range(max(k, 1), n_max + 1):
@@ -215,7 +216,7 @@ def screen_entry(entry: CatalogEntry, n_max: int,
         deltas = intermediate_deltas(modulus)
         if not deltas:
             continue
-        ctx = GaloisImageContext(lift_subgroup(group, modulus))
+        ctx = galois_context(lift_subgroup(group, modulus))
         fibers = fiber_degrees(ctx, borel(modulus, delta_pm1(modulus)))
         min_fiber = min(fibers)
         for delta in deltas:
@@ -231,10 +232,6 @@ def screen_entry(entry: CatalogEntry, n_max: int,
             ))
 
     fiber_ok = all(row.verdict is Verdict.FORCED_P1 for row in rows)
-    if entry.level == 1:
-        genus_zero = True
-    else:
-        genus_zero = curve_genus(reduce_subgroup(group, ell)) == 0
     forced = fiber_ok or genus_zero
     return ScreenReport(
         label=entry.label,

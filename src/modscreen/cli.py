@@ -3,6 +3,8 @@
 Output is tab-separated by default and line-delimited JSON with --json; both
 modes print to standard output only. Exit codes: 0 success, 2 for usage or
 parse problems, 3 when a computation hits an enumeration or orbit cap.
+screen writes one error line per failed entry, names the entry and goes on;
+it exits 3 if an entry hit a cap, else 2 if an entry failed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 from .catalog import (CatalogEntry, emit_table1, emit_table2, load_catalog,
                       screen_entry)
 from .curves import curve_data, label_prefix, map_degree
-from .errors import CatalogError, ComputationCap, ModscreenError
+from .errors import ComputationCap, ModscreenError
 from .points import fiber_degrees, galois_context, level_reduction, point_degree
 from .subgroups import (FullGroup, SubgroupSpec, borel, factorize, gl2_order,
                         level, lift_subgroup, nonsplit_cartan_normalizer,
@@ -200,7 +202,9 @@ def _cmd_screen(args) -> int:
         entries = [e for e in entries if e.label == args.label]
         if not entries:
             raise ValueError(f"no catalog entry labeled {args.label!r}")
-    records = []
+    if not args.json:
+        print("label\tell\tn_max\tfiber_screen_passed\tgenus_zero_at_ell\tverdict")
+    status = 0
     for entry in entries:
         if entry.level > 1:
             ell, k = factorize(entry.level)[0]
@@ -210,8 +214,13 @@ def _cmd_screen(args) -> int:
         if n_max is None:
             n_max = max(k, DEFAULT_SCREEN_EXPONENT.get(ell or 0, 2))
         # --ell names the prime of the level-1 entries; every other entry
-        # is screened at its own level's prime
-        report = screen_entry(entry, n_max, ell=ell)
+        # is screened at its own level's prime. A bad entry is named and
+        # skipped: one image says nothing about the others
+        try:
+            report = screen_entry(entry, n_max, ell=ell)
+        except (ModscreenError, ValueError) as exc:
+            status = max(status, _fail(exc, f"{entry.label}: "))
+            continue
         record = {
             "label": report.label, "ell": report.ell, "n_max": report.n_max,
             "fiber_screen_passed": report.fiber_screen_passed,
@@ -224,11 +233,8 @@ def _cmd_screen(args) -> int:
                 "genus": r.genus, "min_fiber_degree": r.min_fiber_degree,
                 "threshold": r.threshold, "verdict": str(r.verdict),
             } for r in report.rows]
-        records.append(record)
-    _emit(args, records, tsv_header=("label", "ell", "n_max",
-                                     "fiber_screen_passed",
-                                     "genus_zero_at_ell", "verdict"))
-    return 0
+        _emit(args, [record])
+    return status
 
 
 def _cmd_table(args, table) -> int:
@@ -310,6 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, where: str = "") -> int:
+    """Write exc's one error line; its exit code is 3 for a cap, else 2."""
+    print(f"error: {where}{exc}", file=sys.stderr)
+    return 3 if isinstance(exc, ComputationCap) else 2
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -319,12 +331,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
-    except ComputationCap as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CatalogError, ModscreenError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ModscreenError, OSError, ValueError) as exc:
+        return _fail(exc)
     finally:
         warnings.formatwarning = saved_format
 

@@ -31,17 +31,16 @@ from .zmod import Quad, quad_mul  # noqa: F401
 class CosetSpace:
     """Right cosets of S = H meet SL2 in SL2, acted on by the two generators.
 
-    base is H, a group of full determinant: the cosets are walked as the
-    cosets H*g they map onto, each represented by a det-1 element g.
+    H has full determinant: the cosets are walked as the cosets H*g they map
+    onto, each represented by a det-1 element g.
     perm_s[i] and perm_t[i] are the indices of reps[i] * (0 -1; 1 0) and
     reps[i] * (1 1; 0 1). Representative order is BFS discovery order from
     the identity, so it is deterministic.
     """
 
-    def __init__(self, n: int, base: SubgroupSpec, reps: list[Quad],
-                 perm_s: list[int], perm_t: list[int]):
+    def __init__(self, n: int, reps: list[Quad], perm_s: list[int],
+                 perm_t: list[int]):
         self.n = n
-        self.base = base
         self.reps = reps
         self.perm_s = perm_s
         self.perm_t = perm_t
@@ -103,7 +102,7 @@ def coset_space(h: SubgroupSpec) -> CosetSpace:
     filled = sl2_order(n) * h.det_image.order
     _check_walk_length(h, filled // h.order)
     reps, (perm_s, perm_t) = coset_action(h, (sigma_quad(n), tau_quad(n)))
-    space = CosetSpace(n=n, base=h, reps=reps, perm_s=perm_s, perm_t=perm_t)
+    space = CosetSpace(n=n, reps=reps, perm_s=perm_s, perm_t=perm_t)
     if space.mu * h.order != filled:
         raise InvariantFailed(f"{space.mu} cosets of the det-1 part of a group "
                               f"of order {h.order} do not fill SL2(Z/{n})")
@@ -124,18 +123,16 @@ def _counts(hpm: SubgroupSpec) -> tuple[int, int, int, int]:
 class CurveData:
     """Numerical invariants of the curve, plus the level.index.genus label."""
 
-    __slots__ = ("mu", "nu2", "nu3", "nu_inf", "genus", "label_prefix",
-                 "adjoined_minus_i")
+    __slots__ = ("mu", "nu2", "nu3", "nu_inf", "genus", "label_prefix")
 
     def __init__(self, mu: int, nu2: int, nu3: int, nu_inf: int, genus: int,
-                 label_prefix: str, adjoined_minus_i: bool):
+                 label_prefix: str):
         self.mu = mu
         self.nu2 = nu2
         self.nu3 = nu3
         self.nu_inf = nu_inf
         self.genus = genus
         self.label_prefix = label_prefix
-        self.adjoined_minus_i = adjoined_minus_i
 
 
 def curve_data(h: SubgroupSpec) -> CurveData:
@@ -165,7 +162,6 @@ def _curve_data(h: SubgroupSpec) -> tuple[CurveData, SubgroupSpec]:
         nu_inf=nu_inf,
         genus=genus,
         label_prefix=f"{lvl}.{idx}.{genus}",
-        adjoined_minus_i=hpm is not h,
     ), reduced
 
 

@@ -43,36 +43,28 @@ class Verdict(str, Enum):
 class GaloisImageContext:
     """A Galois image R, the degree of the j-field, and the automorphism set.
 
-    aut=None means the generic two-element automorphism convention, under
-    which galois_context +-adjoins the image (catalog.screen_entry does not:
-    its H contains -I); an explicit aut is carried verbatim for the general
-    degree formula.
+    R is taken as given, -I or not: under the +- convention (aut=None) every
+    degree is over +-H, and -I is central, so R and +-R have the same orbits
+    on H's cosets. An explicit aut is carried verbatim for the general formula.
     """
 
-    __slots__ = ("image", "d_j", "aut", "adjoined_minus_i")
+    __slots__ = ("image", "d_j", "aut")
 
     def __init__(self, image: SubgroupSpec, d_j: int = 1,
-                 aut: SubgroupSpec | None = None, adjoined_minus_i: bool = False):
+                 aut: SubgroupSpec | None = None):
         self.image = image
         self.d_j = d_j
         self.aut = aut
-        self.adjoined_minus_i = adjoined_minus_i
 
 
 def galois_context(image: SubgroupSpec, d_j: int = 1,
                    aut: SubgroupSpec | None = None) -> GaloisImageContext:
+    """The context of R as given, after checking d_j and aut's modulus."""
     if d_j < 1:
         raise ValueError(f"j-field degree must be >= 1, got {d_j}")
     if aut is not None and aut.n != image.n:
         raise ModulusMismatch(f"aut mod {aut.n} against image mod {image.n}")
-    adjoined = False
-    if _aut_is_plus_minus(aut, image.n) and not contains_minus_i(image):
-        warnings.warn(f"adjoined -I to the Galois image mod {image.n}",
-                      stacklevel=2)
-        image = adjoin_minus_i(image)
-        adjoined = True
-    return GaloisImageContext(image=image, d_j=d_j, aut=aut,
-                              adjoined_minus_i=adjoined)
+    return GaloisImageContext(image=image, d_j=d_j, aut=aut)
 
 
 def _aut_is_plus_minus(aut: SubgroupSpec | None, n: int) -> bool:
@@ -147,7 +139,7 @@ def _require_minus_i(h: SubgroupSpec) -> SubgroupSpec:
 class LevelReductionResult:
     """Both sides of the degree identity along a reduction of level.
 
-    hypothesis_holds records whether the image's level divides the target
+    hypothesis_holds records whether the +-image's level divides the target
     modulus; when it fails the identity is not guaranteed, and the sides are
     reported anyway. When the sides agree, isolation is known to transfer
     from the source curve down along the reduction map; this report states
@@ -173,6 +165,8 @@ def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
     of the reduction of H to l^m.
     """
     r = ctx.image
+    if not _aut_is_plus_minus(ctx.aut, r.n):
+        raise ValueError("level reduction needs the +- automorphism convention")
     if r.n != h.n:
         raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
     fac = factorize(h.n)
@@ -196,7 +190,7 @@ def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
         lhs=lhs,
         rhs=rhs,
         equal=lhs == rhs,
-        hypothesis_holds=target % level(r) == 0,
+        hypothesis_holds=target % level(adjoin_minus_i(r)) == 0,
     )
 
 

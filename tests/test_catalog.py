@@ -10,7 +10,8 @@ from modscreen import catalog, subgroups
 from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
                                intermediate_deltas, load_catalog,
                                parse_catalog, screen_entry, serialize_catalog)
-from modscreen.errors import NonInvertibleGenerator, ParseError
+from modscreen.errors import (NonInvertibleGenerator, NotFullDeterminant,
+                             ParseError)
 from modscreen.points import Verdict
 from modscreen.subgroups import (GeneratedGroup, borel, contains_minus_i,
                                  lift_subgroup, minus_identity_quad,
@@ -316,6 +317,30 @@ def test_screen_builds_stabilizer_chains_only_at_the_prime(monkeypatch):
         moduli.clear()
         rep = screen_entry(entry, n_max=4)
         assert moduli and set(moduli) == {rep.ell}, entry.label
+
+
+def test_screen_refuses_a_determinant_not_full_mod_ell_before_any_fiber(
+        monkeypatch):
+    # 9.c = <diag(2, 5)> has det 1 mod 9: its determinant mod 3 is not full,
+    # and the genus-zero part says so before a fiber is built
+    def refuse(ctx, h):
+        raise AssertionError("built a fiber")
+
+    monkeypatch.setattr(catalog, "fiber_degrees", refuse)
+    entry = CatalogEntry(label="9.c", level=9, gens=((2, 0, 0, 5),))
+    with pytest.raises(NotFullDeterminant, match="order 1, expected the full "
+                                                 "unit group mod 3"):
+        screen_entry(entry, n_max=3)
+
+
+def test_screen_needs_a_full_determinant_mod_ell_only():
+    # 9.d has a determinant image of order 2 mod 9, all of (Z/3Z)^x
+    entry = CatalogEntry(label="9.d", level=9,
+                         gens=((1, 1, 0, 1), (8, 0, 0, 1)))
+    assert entry.subgroup().det_image.order == 2
+    rep = screen_entry(entry, n_max=3)
+    assert (rep.genus_zero_at_ell, rep.fiber_screen_passed) == (True, True)
+    assert rep.verdict is Verdict.FORCED_P1
 
 
 def test_screen_requires_a_prime_for_level_one():

@@ -207,12 +207,15 @@ def test_screen_unknown_label_is_a_usage_error(capsys, catalog_path):
     assert "no.such" in err
 
 
+SCREEN_HEADER = "label\tell\tn_max\tfiber_screen_passed\tgenus_zero_at_ell\tverdict\n"
+
+
 @pytest.mark.parametrize("ell", ["4", "1", "0", "-3", "9"])
 def test_screen_rejects_a_non_prime_ell_for_level_one(capsys, catalog_path, ell):
     code, out, err = run(capsys, "screen", "--catalog", catalog_path,
                          "--label", "1.full", "--ell", ell)
-    assert (code, out) == (2, "")
-    assert err == f"error: a level-1 entry needs a prime ell, got {ell}\n"
+    assert (code, out) == (2, SCREEN_HEADER)
+    assert err == f"error: 1.full: a level-1 entry needs a prime ell, got {ell}\n"
 
 
 MIXED_PRIMES = "\n".join((
@@ -230,9 +233,75 @@ def test_screen_ell_applies_to_level_one_entries_only(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert [line.split("\t")[:3] for line in out.splitlines()[1:]] == \
         [["1.full", "5", "2"], ["5.B", "5", "2"], ["7.B", "7", "2"]]
-    # without --ell the level-1 entry still has no prime
-    assert run(capsys, "screen", "--catalog", str(path)) == \
-        (2, "", "error: a level-1 entry needs a prime ell, got None\n")
+    # without --ell the level-1 entry still has no prime; the others print
+    rows = out.splitlines(keepends=True)
+    assert run(capsys, "screen", "--catalog", str(path)) == (
+        2, "".join([rows[0]] + rows[2:]),
+        "error: 1.full: a level-1 entry needs a prime ell, got None\n")
+
+
+# one bad entry each: 9.c = <diag(2, 5)> has det 1 mod 9, so its determinant
+# mod 3 is not full; 12.x has no prime-power level
+BAD_DETERMINANT = "\n".join((
+    '{"label": "1.a", "level": 1, "gens": []}',
+    '{"label": "9.c", "level": 9, "gens": [[2,0,0,5]]}',
+)) + "\n"
+BAD_LEVEL = "\n".join((
+    '{"label": "5.B", "level": 5, "gens": [[1,1,0,1], [2,0,0,1], [1,0,0,2]]}',
+    '{"label": "12.x", "level": 12, "gens": [[1,1,0,1]]}',
+)) + "\n"
+
+
+@pytest.mark.parametrize("catalog, good, error", [
+    (BAD_DETERMINANT, "1.a\t5\t2\tTrue\tTrue\tForcedP1Parametrized",
+     "9.c: determinant image has order 1, expected the full unit group mod 3"),
+    (BAD_LEVEL, "5.B\t5\t2\tTrue\tTrue\tForcedP1Parametrized",
+     "12.x: level 12 is not a prime power"),
+], ids=["determinant", "level"])
+@pytest.mark.parametrize("mode", ["tsv", "json"])
+def test_screen_names_a_bad_entry_and_goes_on(capsys, tmp_path, catalog, good,
+                                             error, mode):
+    # the good entry prints what it prints when screened alone, and the
+    # bad one is named on stderr
+    path = tmp_path / "bad.jsonl"
+    path.write_text(catalog, encoding="utf-8")
+    argv = ("screen", "--catalog", str(path), "--ell", "5")
+    argv += ("--json",) if mode == "json" else ()
+    label = good.split("\t")[0]
+    code, alone, err = run(capsys, *argv, "--label", label)
+    assert (code, err) == (0, "")
+    if mode == "json":
+        assert json.loads(alone)["label"] == label
+    else:
+        assert alone == SCREEN_HEADER + good + "\n"
+    assert run(capsys, *argv) == (2, alone, f"error: {error}\n")
+
+
+# the genus-zero part walks the 56 cosets mod 7 of the split Cartan 7.S
+CAPPED = "\n".join((
+    '{"label": "1.full", "level": 1, "gens": []}',
+    '{"label": "7.S", "level": 7, "gens": [[3,0,0,1], [1,0,0,3]]}',
+    '{"label": "9.c", "level": 9, "gens": [[2,0,0,5]]}',
+    '{"label": "5.B", "level": 5, "gens": [[1,1,0,1], [2,0,0,1], [1,0,0,2]]}',
+)) + "\n"
+
+
+def test_screen_exits_three_when_an_entry_hits_a_cap(capsys, monkeypatch,
+                                                    tmp_path):
+    # a cap of 20 stops 7.S alone and the others still print; a cap
+    # outranks the failed entry 9.c
+    path = tmp_path / "capped.jsonl"
+    path.write_text(CAPPED, encoding="utf-8")
+    argv = ("screen", "--catalog", str(path), "--ell", "5")
+    code, out, err = run(capsys, *argv)
+    rows = out.splitlines(keepends=True)
+    assert [row.split("\t")[0] for row in rows] == ["label", "1.full", "7.S", "5.B"]
+    assert (code, err) == (2, "error: 9.c: determinant image has order 1, "
+                              "expected the full unit group mod 3\n")
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 20)
+    assert run(capsys, *argv) == (3, rows[0] + rows[1] + rows[3], (
+        "error: 7.S: coset walk of generated mod 7 reached 20 cosets, cap 20\n"
+        + err))
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
@@ -335,8 +404,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     (("genus", "--group", "borel:5:"),
      ["adjoined -I to a subgroup mod 5 before computing curve data"]),
     (("point-degree", "--image", "borel:5:", "--group", "borel:5:"),
-     ["adjoined -I to the Galois image mod 5",
-      "adjoined -I to a subgroup mod 5 before the degree computation"]),
+     ["adjoined -I to a subgroup mod 5 before the degree computation"]),
 ], ids=["genus", "point-degree"])
 def test_notices_are_one_line_without_the_source_path(argv, notices):
     # the same op prints the same stderr from any checkout and any edit of cli.py
@@ -502,6 +570,28 @@ def test_parser_is_built_once_and_reused(capsys):
     assert "--group" in capsys.readouterr().err
     assert run(capsys, "order", "--group", "borel:5:all", "--json") == \
         (0, '{"order": 80}\n', "")
+
+
+def test_point_degree_over_a_file_image_builds_no_chain(capsys, monkeypatch,
+                                                        tmp_path):
+    # the image is taken as given: nothing tests it for -I, and the Borel
+    # lines are walked under its generators, so no stabilizer chain is built
+    n = 121
+    subgroups = modscreen.subgroups
+    cns = subgroups.nonsplit_cartan_normalizer(n)
+    gens = [subgroups._conjugate(n, (1, 0, 1, 1), g) for g in cns.generator_quads()]
+    path = tmp_path / "cns.jsonl"
+    path.write_text(json.dumps({"label": "121.c", "level": n, "gens": gens}),
+                    encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("built a stabilizer chain")
+
+    monkeypatch.setattr(subgroups.StabilizerChain, "__init__", refuse)
+    code, out, err = run(capsys, "point-degree", "--image", "file:121.c",
+                         "--group", "borel:121:all", "--catalog", str(path))
+    assert (code, err) == (0, "")
+    assert int(out) > 1
 
 
 # Borel groups given by generators, so that their cosets are walked: B with

@@ -19,7 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import modscreen.subgroups  # noqa: E402
+from modscreen.catalog import parse_catalog  # noqa: E402
 from modscreen.cli import main  # noqa: E402
+from modscreen.errors import CatalogError  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None,
                     max_examples=120)
@@ -90,6 +92,22 @@ def _assert_clean_exit(code, err):
         assert len(err.splitlines()) == 1
 
 
+def _assert_clean_screen_exit(code, err, text):
+    """A catalog that does not parse is one error line; past the parse, each
+    failed entry writes one line naming it, in catalog order."""
+    try:
+        entries = parse_catalog(text)
+    except CatalogError:
+        _assert_clean_exit(code, err)
+        return
+    assert code in (0, 2, 3)
+    lines = err.splitlines()
+    assert bool(code) == bool(lines)
+    labels = iter(entry.label for entry in entries)
+    for line in lines:
+        assert any(line.startswith(f"error: {label}: ") for label in labels), err
+
+
 @settings(PROPERTY)
 @given(command=st.sampled_from(["order", "index", "level", "genus", "label"]),
        spec=group_specs,
@@ -113,11 +131,12 @@ def test_group_specs_exit_cleanly(command, spec, modulus, catalog):
 def test_catalogs_screen_cleanly(catalog, ell, nmax):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "catalog.jsonl")
+        text = "\n".join(catalog) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(catalog) + "\n")
+            fh.write(text)
         argv = ["screen", f"--catalog={path}"]
         if ell is not None:
             argv.append(f"--ell={ell}")
         if nmax is not None:
             argv.append(f"--nmax={nmax}")
-        _assert_clean_exit(*_run(argv))
+        _assert_clean_screen_exit(*_run(argv), text)

@@ -111,7 +111,6 @@ def test_curve_data_level_one():
     d = curve_data(FullGroup(1))
     assert (d.mu, d.nu2, d.nu3, d.nu_inf, d.genus) == (1, 1, 1, 1, 0)
     assert d.label_prefix == "1.1.0"
-    assert not d.adjoined_minus_i
 
 
 def test_curve_data_against_classical_formulas_spot():
@@ -128,7 +127,6 @@ def test_curve_data_against_classical_formulas_spot():
 def test_curve_data_adjoins_minus_i_with_warning():
     with pytest.warns(UserWarning):
         got = curve_data(borel(5, delta_trivial(5)))
-    assert got.adjoined_minus_i
     want = curve_data(borel(5, delta_pm1(5)))
     assert (got.mu, got.nu2, got.nu3, got.nu_inf, got.genus) == \
         (want.mu, want.nu2, want.nu3, want.nu_inf, want.genus)
@@ -296,8 +294,7 @@ def test_non_integral_genus_raises():
     n = 5
     q = identity_quad(n)
     # 12 + 2 - 0 - 0 - 6 * 2 = 2, not a multiple of 12
-    space = CosetSpace(n=n, base=FullGroup(n), reps=(q, q),
-                       perm_s=(1, 0), perm_t=(0, 1))
+    space = CosetSpace(n=n, reps=(q, q), perm_s=(1, 0), perm_t=(0, 1))
     with pytest.raises(NonIntegral):
         space.genus
 

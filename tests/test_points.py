@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from modscreen import points
+from modscreen import points, subgroups
 from modscreen.curves import map_degree
 from modscreen.errors import ModulusMismatch, NonIntegral
 from modscreen.points import (Verdict, cartan_degree_formula, fiber_degrees,
@@ -14,12 +14,14 @@ from modscreen.points import (Verdict, cartan_degree_formula, fiber_degrees,
                               point_degree_general, rr_screen,
                               semidirect_lower_bound)
 from modscreen.subgroups import (FullGroup, GeneratedGroup,
-                                 LiftedGroup, SL2Part, borel,
-                                 gl2_order, index_via_orbit, lift_subgroup,
+                                 LiftedGroup, SL2Part, adjoin_minus_i, borel,
+                                 contains_minus_i, gl2_order, index_via_orbit,
+                                 level, lift_subgroup, minus_identity_quad,
                                  nonsplit_cartan_normalizer, preimage_descent,
                                  reduce_subgroup)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
-                            quad_inv, quad_mul, unit_subgroup,
+                            quad_inv, quad_mul, unit_group_generators,
+                            unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
 import _helpers
@@ -37,12 +39,66 @@ def test_context_validates_aut_modulus():
         galois_context(FullGroup(5), aut=FullGroup(7))
 
 
-def test_context_adjoins_minus_i_with_warning():
+def _count_chains(monkeypatch):
+    """The moduli of the stabilizer chains built from here on."""
+    moduli = []
+    init = subgroups.StabilizerChain.__init__
+
+    def counting(self, n, gens):
+        moduli.append(n)
+        init(self, n, gens)
+
+    monkeypatch.setattr(subgroups.StabilizerChain, "__init__", counting)
+    return moduli
+
+
+def test_context_takes_the_image_as_given(monkeypatch):
+    # every degree is over +-H, and R and +-R have the same orbits on its
+    # cosets: the image is kept as it is, with no -I test and no notice
+    chains = _count_chains(monkeypatch)
     image = GeneratedGroup(5, [(1, 1, 0, 1)])
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         ctx = galois_context(image)
-    assert ctx.adjoined_minus_i
-    assert ctx.image.member_quad((4, 0, 0, 4))
+    assert ctx.image is image
+    assert chains == []
+    assert not contains_minus_i(image)
+
+
+def _conjugated_borel(n, c):
+    """B(n) with trivial Delta conjugated by c: no -I in it for n > 2."""
+    ci = quad_inv(n, c)
+    return [quad_mul(n, quad_mul(n, ci, g), c)
+            for g in borel(n, delta_trivial(n)).generator_quads()]
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 16, 25, 27])
+def test_degrees_are_the_same_with_minus_i_appended(n):
+    rng = random.Random(2200 + n)
+    diagonal = [(1, 0, 0, u) for u in unit_group_generators(n)]
+    images = [_helpers.generator_list(rng, n, count)
+              for count in (1, 1, 1, 2, 2, 3)]
+    images += [_helpers.generator_list(rng, n, 1) + diagonal,
+               _conjugated_borel(n, _helpers.generator_list(rng, n, 1)[0])]
+    hs = [borel(n, delta_pm1(n)), borel(n, delta_full(n)),
+          borel(n, _helpers.random_delta(rng, n))]
+    exponent = _helpers.prime_power_exponent(n)[1]
+    without = 0
+    for gens in images:
+        r = GeneratedGroup(n, gens)
+        without += not contains_minus_i(r)
+        ctx = galois_context(r)
+        pm = galois_context(GeneratedGroup(n, gens + [minus_identity_quad(n)]))
+        for h in hs:
+            case = (n, gens, h.delta.order)
+            assert point_degree(ctx, h) == point_degree(pm, h), case
+            assert fiber_degrees(ctx, h) == fiber_degrees(pm, h), case
+            for m in range(exponent + 1):
+                got, want = level_reduction(ctx, h, m), level_reduction(pm, h, m)
+                assert ((got.lhs, got.rhs, got.equal, got.hypothesis_holds)
+                        == (want.lhs, want.rhs, want.equal,
+                            want.hypothesis_holds)), (case, m)
+    assert without >= 1
 
 
 # ------------------------------------------------------------ point degree
@@ -349,6 +405,27 @@ def test_level_reduction_randomized_structural_suite():
         assert res.hypothesis_holds, (ell, e, b, m)
         assert res.equal, (ell, e, b, m, r.kind)
         cases += 1
+
+
+def test_level_reduction_hypothesis_reads_the_level_of_plus_minus_image():
+    # R has order 16, no -I and level 8; R*diag(-1, -1) holds diag(5, 1),
+    # so +-R holds the whole kernel mod 4 and has level 4
+    r = GeneratedGroup(8, [(1, 4, 0, 1), (1, 0, 4, 1), (1, 0, 0, 5),
+                           (3, 0, 0, 7)])
+    assert (r.order, contains_minus_i(r), level(r)) == (16, False, 8)
+    assert level(adjoin_minus_i(r)) == 4
+    res = level_reduction(galois_context(r), borel(8, delta_pm1(8)), 2)
+    assert (res.lhs, res.rhs, res.hypothesis_holds) == (4, 4, True)
+
+
+def test_level_reduction_refuses_a_non_plus_minus_automorphism_set():
+    # as fiber_degrees does: the orbit indices are the +- convention's
+    ctx = galois_context(nonsplit_cartan_normalizer(25),
+                         aut=GeneratedGroup(25, []))
+    with pytest.raises(ValueError, match="needs the [+]- automorphism"):
+        level_reduction(ctx, borel(25, delta_trivial(25)), 1)
+    with pytest.raises(ValueError, match="needs the [+]- automorphism"):
+        fiber_degrees(ctx, borel(25, delta_trivial(25)))
 
 
 def test_level_reduction_rejects_composite_modulus():
