@@ -21,7 +21,7 @@ from .subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                         adjoin_minus_i, borel, borel_index, borel_order,
                         contains_minus_i, gl2_order, index_via_orbit,
                         kernel_generator_quads, level, lift_subgroup,
-                        nonsplit_cartan_normalizer,
+                        nested_index, nonsplit_cartan_normalizer,
                         nonsplit_cartan_normalizer_preimage, reduce_subgroup,
                         sl2_order)
 from .zmod import (UnitSubgroup, delta_full, delta_pm1, delta_trivial,
@@ -45,7 +45,7 @@ __all__ = [
     "factorize", "fiber_degrees", "galois_context", "gl2_order",
     "index_via_orbit", "intermediate_deltas", "kernel_generator_quads",
     "label_prefix", "level", "level_reduction", "lift_subgroup",
-    "load_catalog", "map_degree", "nonsplit_cartan_normalizer",
+    "load_catalog", "map_degree", "nested_index", "nonsplit_cartan_normalizer",
     "nonsplit_cartan_normalizer_preimage", "parse_catalog", "point_degree",
     "point_degree_general", "reduce_subgroup", "rr_screen", "screen_entry",
     "semidirect_lower_bound", "serialize_catalog", "sl2_order",

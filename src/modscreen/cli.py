@@ -22,8 +22,8 @@ from .catalog import (CatalogEntry, emit_table1, emit_table2, load_catalog,
 from .curves import curve_data, label_prefix, map_degree
 from .errors import ComputationCap, ModscreenError
 from .points import fiber_degrees, galois_context, level_reduction, point_degree
-from .subgroups import (FullGroup, SubgroupSpec, borel, factorize, gl2_order,
-                        level, lift_subgroup, nonsplit_cartan_normalizer,
+from .subgroups import (FullGroup, SubgroupSpec, borel, factorize, level,
+                        lift_subgroup, nested_index, nonsplit_cartan_normalizer,
                         nonsplit_cartan_normalizer_preimage, reduce_subgroup)
 from .zmod import delta_full, delta_trivial, is_prime, unit_subgroup
 
@@ -125,8 +125,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_index(args) -> int:
     group = _resolve_group(args.group, args.modulus, args.catalog)
-    ambient = gl2_order(group.n)
-    _emit(args, [{"index": ambient // group.order}])
+    _emit(args, [{"index": nested_index(FullGroup(group.n), group)}])
     return 0
 
 
@@ -257,62 +256,64 @@ def build_parser() -> argparse.ArgumentParser:
                     "screens for matrix groups over Z/NZ.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit line-delimited JSON instead of TSV")
-    common.add_argument("--modulus", type=int, default=None,
-                        help="lift or reduce the group(s) to this modulus")
-    common.add_argument("--catalog", default=None,
-                        help="catalog file backing file:LABEL group specs")
+    def option(*args, **kwargs) -> argparse.ArgumentParser:
+        # one option as a parent parser: each command lists the ones it reads
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*args, **kwargs)
+        return p
 
     group_help = "full | borel:N:gens | cns:l:d | cnspre:l:d | file:LABEL"
+    json_opt = option("--json", action="store_true",
+                      help="emit line-delimited JSON instead of TSV")
+    catalog = option("--catalog", default=None,
+                     help="catalog file backing file:LABEL group specs")
+    groups = (option("--modulus", type=int, default=None,
+                     help="lift or reduce the group(s) to this modulus"),
+              catalog, option("--group", required=True, help=group_help))
+    image = option("--image", required=True,
+                   help="Galois image subgroup: " + group_help)
+    dj = option("--dj", type=int, default=1,
+                help="degree of the j-coordinate field")
 
-    def add(name, func, help_text, *, needs_group=True, needs_image=False):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if needs_group:
-            p.add_argument("--group", required=True, help=group_help)
-        if needs_image:
-            p.add_argument("--image", required=True,
-                           help="Galois image subgroup: " + group_help)
-            p.add_argument("--dj", type=int, default=1,
-                           help="degree of the j-coordinate field")
+    def add(name, func, help_text, *parents):
+        p = sub.add_parser(name, parents=[json_opt, *parents], help=help_text)
         p.set_defaults(func=func)
         return p
 
-    add("order", _cmd_order, "order of a subgroup")
-    add("index", _cmd_index, "index of a subgroup in the full matrix group")
-    add("level", _cmd_level, "least modulus the subgroup is pulled back from")
-    add("genus", _cmd_genus, "curve invariants of a subgroup")
-    add("label", _cmd_label, "level.index.genus label with a content hash")
-    p = add("map-degree", _cmd_map_degree, "degree of the covering between two curves")
+    add("order", _cmd_order, "order of a subgroup", *groups)
+    add("index", _cmd_index, "index of a subgroup in the full matrix group",
+        *groups)
+    add("level", _cmd_level, "least modulus the subgroup is pulled back from",
+        *groups)
+    add("genus", _cmd_genus, "curve invariants of a subgroup", *groups)
+    add("label", _cmd_label, "level.index.genus label with a content hash",
+        *groups)
+    p = add("map-degree", _cmd_map_degree,
+            "degree of the covering between two curves", *groups)
     p.add_argument("--target", required=True, help="codomain subgroup: " + group_help)
     add("point-degree", _cmd_point_degree,
         "degree of the distinguished point over the image's j-class",
-        needs_image=True)
+        *groups, image, dj)
     add("fiber-degrees", _cmd_fiber_degrees,
-        "degrees of all points over the image's j-class", needs_image=True)
+        "degrees of all points over the image's j-class", *groups, image, dj)
     p = add("reduce-level", _cmd_reduce_level,
-            "degree identity along a reduction of level", needs_image=True)
+            "degree identity along a reduction of level", *groups, image)
     p.add_argument("--m", type=int, required=True,
                    help="target exponent of the prime-power modulus")
-    p = sub.add_parser("screen", parents=[common],
-                       help="run the isolation screen over a catalog")
+    p = add("screen", _cmd_screen, "run the isolation screen over a catalog",
+            catalog)
     p.add_argument("--label", default=None, help="screen a single entry")
     p.add_argument("--nmax", type=int, default=None,
                    help="top exponent of the tower (default: per-prime table)")
     p.add_argument("--ell", type=int, default=None,
                    help="prime for level-1 entries")
-    p.set_defaults(func=_cmd_screen)
-    p = sub.add_parser("table1", parents=[common],
-                       help="genus/threshold table at 25, 27, 32")
-    p.set_defaults(func=lambda a: _cmd_table(a, emit_table1()))
-    p = sub.add_parser("table2", parents=[common],
-                       help="genus/degree-floor table at the prime squared")
-    p.set_defaults(func=lambda a: _cmd_table(a, emit_table2()))
-    p = sub.add_parser("verify-formulae", parents=[common],
-                       help="cross-check closed-form orders against enumeration")
+    add("table1", lambda a: _cmd_table(a, emit_table1()),
+        "genus/threshold table at 25, 27, 32")
+    add("table2", lambda a: _cmd_table(a, emit_table2()),
+        "genus/degree-floor table at the prime squared")
+    p = add("verify-formulae", _cmd_verify_formulae,
+            "cross-check closed-form orders against enumeration")
     p.add_argument("--max-modulus", type=int, default=12)
-    p.set_defaults(func=_cmd_verify_formulae)
     return parser
 
 

@@ -20,8 +20,8 @@ import warnings
 from functools import cached_property
 
 from .errors import InvariantFailed, NonIntegral, NotFullDeterminant
-from .subgroups import (SubgroupSpec, _check_walk_length, adjoin_minus_i,
-                        coset_action, gl2_order, index_via_orbit, level,
+from .subgroups import (FullGroup, SubgroupSpec, _check_walk_length,
+                        adjoin_minus_i, coset_action, level, nested_index,
                         permutation_orbit_sizes, reduce_subgroup, sigma_quad,
                         sl2_order, subgroup_of, tau_quad)
 # the benchmark's tracer test reads curves.quad_mul by name
@@ -140,20 +140,15 @@ def curve_data(h: SubgroupSpec) -> CurveData:
     return _curve_data(h)[0]
 
 
-def _curve_data(h: SubgroupSpec) -> tuple[CurveData, SubgroupSpec]:
-    """curve_data(h), and +-H reduced to its level; warns at the public
-    function's caller."""
+def _curve_data(h: SubgroupSpec) -> tuple[CurveData, SubgroupSpec, int]:
+    """curve_data(h), +-H and its level; warns at the public function's
+    caller. +-H is the preimage of its reduction there: the index is its own."""
     hpm = adjoin_minus_i(h)
     if hpm is not h:
         warnings.warn(f"adjoined -I to a subgroup mod {h.n} before computing "
                       "curve data", stacklevel=3)
     mu, nu2, nu3, nu_inf = _counts(hpm)
     lvl = level(hpm)
-    reduced = reduce_subgroup(hpm, lvl)
-    ambient = gl2_order(lvl)
-    if ambient % reduced.order:
-        raise NonIntegral(f"order {reduced.order} does not divide #GL2(Z/{lvl})")
-    idx = ambient // reduced.order
     genus = genus_from_counts(h.n, mu, nu2, nu3, nu_inf)
     return CurveData(
         mu=mu,
@@ -161,19 +156,19 @@ def _curve_data(h: SubgroupSpec) -> tuple[CurveData, SubgroupSpec]:
         nu3=nu3,
         nu_inf=nu_inf,
         genus=genus,
-        label_prefix=f"{lvl}.{idx}.{genus}",
-    ), reduced
+        label_prefix=f"{lvl}.{nested_index(FullGroup(h.n), hpm)}.{genus}",
+    ), hpm, lvl
 
 
 def map_degree(h1: SubgroupSpec, h2: SubgroupSpec) -> int:
-    """Degree of the covering from the curve of H1 down to the curve of H2."""
+    """Degree of the curve of H1 over the curve of H2: |+-H2| / |+-H1|."""
     a = adjoin_minus_i(h1)
     b = adjoin_minus_i(h2)
     if a is not h1 or b is not h2:
         warnings.warn("adjoined -I before computing the covering degree",
                       stacklevel=2)
     subgroup_of(a, b)
-    return index_via_orbit(b, a)
+    return nested_index(b, a)
 
 
 def label_prefix(h: SubgroupSpec) -> str:
@@ -186,9 +181,9 @@ def label_prefix(h: SubgroupSpec) -> str:
     """
     import hashlib  # only label needs it: kept off the import path
 
-    data, reduced = _curve_data(h)
-    els = sorted(reduced.element_quads)
-    blob = f"{reduced.n}|" + ";".join(",".join(map(str, q)) for q in els)
+    data, hpm, lvl = _curve_data(h)
+    els = sorted(reduce_subgroup(hpm, lvl).element_quads)
+    blob = f"{lvl}|" + ";".join(",".join(map(str, q)) for q in els)
     digest = hashlib.sha256(blob.encode("ascii")).hexdigest()[:8]
     return f"{data.label_prefix}#{digest}"
 

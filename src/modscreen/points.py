@@ -27,7 +27,7 @@ from .errors import ModulusMismatch, NonIntegral
 from .subgroups import (GeneratedGroup, SubgroupSpec, adjoin_minus_i,
                         contains_minus_i, factorize, identity_quad,
                         index_via_orbit, level, lift_subgroup,
-                        minus_identity_quad, preimage_descent,
+                        minus_identity_quad, nested_index, preimage_descent,
                         product_set_quads, reduce_subgroup)
 from .zmod import is_prime
 
@@ -46,12 +46,17 @@ class GaloisImageContext:
     R is taken as given, -I or not: under the +- convention (aut=None) every
     degree is over +-H, and -I is central, so R and +-R have the same orbits
     on H's cosets. An explicit aut is carried verbatim for the general formula.
+    d_j must be at least 1 and aut must live at R's modulus.
     """
 
     __slots__ = ("image", "d_j", "aut")
 
     def __init__(self, image: SubgroupSpec, d_j: int = 1,
                  aut: SubgroupSpec | None = None):
+        if d_j < 1:
+            raise ValueError(f"j-field degree must be >= 1, got {d_j}")
+        if aut is not None and aut.n != image.n:
+            raise ModulusMismatch(f"aut mod {aut.n} against image mod {image.n}")
         self.image = image
         self.d_j = d_j
         self.aut = aut
@@ -59,11 +64,7 @@ class GaloisImageContext:
 
 def galois_context(image: SubgroupSpec, d_j: int = 1,
                    aut: SubgroupSpec | None = None) -> GaloisImageContext:
-    """The context of R as given, after checking d_j and aut's modulus."""
-    if d_j < 1:
-        raise ValueError(f"j-field degree must be >= 1, got {d_j}")
-    if aut is not None and aut.n != image.n:
-        raise ModulusMismatch(f"aut mod {aut.n} against image mod {image.n}")
+    """The context of R as given (GaloisImageContext checks d_j and aut)."""
     return GaloisImageContext(image=image, d_j=d_j, aut=aut)
 
 
@@ -162,7 +163,7 @@ def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
     """Compare [R meet H' : R meet H] with [H' : H] for H' the mod-l^m relaxation.
 
     The modulus must be a prime power l^n with m <= n; H' is the full preimage
-    of the reduction of H to l^m.
+    of the reduction of H to l^m, so H <= H' and [H' : H] = |H'| / |H|.
     """
     r = ctx.image
     if not _aut_is_plus_minus(ctx.aut, r.n):
@@ -184,7 +185,7 @@ def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
     if fine % coarse:
         raise NonIntegral(f"index {coarse} does not divide index {fine}")
     lhs = fine // coarse
-    rhs = index_via_orbit(h_prime, h)
+    rhs = nested_index(h_prime, h)
     return LevelReductionResult(
         h_prime=h_prime,
         lhs=lhs,

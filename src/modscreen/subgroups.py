@@ -847,14 +847,19 @@ def preimage_descent(r: SubgroupSpec,
     When R is the full preimage of R_m = r.preimage_base at m < n, the kernel
     K of reduction to m is normal and inside R, so H*g*R is the preimage of
     pi(H)*pi(g)*R_m: the orbits match one to one and each grows by
-    s = [K : K meet H], the orbit of H*1 under K's generators; H_m = pi(H).
-    Otherwise (R, H, 1), and the orbits are taken at n.
+    s = [K : K meet H] = [K*H : H], K*H the full preimage of H_m = pi(H).
+    Otherwise m = n, (R, H, 1), and the orbits are taken at n.
     """
     base = r.preimage_base
-    if base.n == h.n:
-        return r, h, 1
-    scale = h.orbit_sizes(kernel_generator_quads(h.n, base.n), whole=False)[0]
-    return base, reduce_subgroup(h, base.n), scale
+    h_m = reduce_subgroup(h, base.n)
+    return base, h_m, nested_index(lift_subgroup(h_m, h.n), h)
+
+
+def nested_index(g: SubgroupSpec, h: SubgroupSpec) -> int:
+    """[G : H] = |G| / |H| for H inside G; NonIntegral unless |H| divides |G|."""
+    if g.order % h.order:
+        raise NonIntegral(f"order {h.order} does not divide order {g.order}")
+    return g.order // h.order
 
 
 def index_via_orbit(r: SubgroupSpec, h: SubgroupSpec) -> int:

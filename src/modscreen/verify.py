@@ -11,13 +11,15 @@ from math import gcd
 
 from .cli import _emit
 from .curves import coset_space
-from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup, SL2Part,
-                        SubgroupSpec, adjoin_minus_i, borel, borel_index,
-                        borel_order, closure_quads, contains_minus_i,
-                        gl2_order, minus_identity_quad, sl2_order,
-                        walked_orbit_sizes)
+from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
+                        LiftedGroup, SL2Part, SubgroupSpec, adjoin_minus_i,
+                        borel, borel_index, borel_order, closure_quads,
+                        contains_minus_i, gl2_order, kernel_generator_quads,
+                        minus_identity_quad, nonsplit_cartan_normalizer_preimage,
+                        preimage_descent, sl2_order, walked_orbit_sizes)
 from .zmod import (_unit_lattice_walk, delta_full, delta_pm1, delta_trivial,
-                   factorize, quad_det, unit_subgroups_containing_minus_one)
+                   divisors, factorize, quad_det,
+                   unit_subgroups_containing_minus_one)
 
 
 def _brute_gl2_count(n: int) -> int:
@@ -70,6 +72,16 @@ def verify_formulae(args) -> int:
         check(name, [orbit_profile(grp.orbit_sizes(g, whole=True)) for g in images],
               [orbit_profile(walked_orbit_sizes(grp, g)) for g in images])
 
+    def check_lift_scale(kind: str, grp: SubgroupSpec) -> None:
+        # the scale [K : K meet H] over the full preimage of a group mod m,
+        # a quotient of orders, against the orbit of H*1 under the kernel K
+        # of reduction to m, at every divisor m
+        n = grp.n
+        for m in divisors(n):
+            check(f"lift_scale({n},{m},{kind})",
+                  preimage_descent(LiftedGroup(FullGroup(m), n), grp)[2],
+                  grp.orbit_sizes(kernel_generator_quads(n, m), whole=False)[0])
+
     top = args.max_modulus
     for n in range(1, top + 1):
         check(f"gl2_order({n})", _brute_gl2_count(n), gl2_order(n))
@@ -88,12 +100,14 @@ def verify_formulae(args) -> int:
                   pm.curve_counts(), coset_space(pm).counts)
             check_orbits(f"borel_orbits({n},{delta.order})", grp)
             check_chain(f"borel{delta.order}", grp)
+            check_lift_scale(f"borel{delta.order}", grp)
     for ell in (3, 5, 7):
         for d in (1, 2):
             grp = CartanNormalizer(ell, d)
             check(f"cartan_order({ell},{d})", len(grp.element_quads), grp.order)
             check_chain("cartan", grp)
             check_orbits(f"cartan_orbits({grp.n})", grp)
+            check_lift_scale("cnspre", nonsplit_cartan_normalizer_preimage(grp.n))
     # the subgroups read off the unit group's structure against the walk
     for n in range(3, top + 1):
         if len(factorize(n)) == 1:

@@ -371,6 +371,10 @@ def test_verify_formulae_passes(capsys):
     # the Cartan orbit sizes from pairs in P^1(O/l^d) against the coset walk
     assert any(line.startswith("cartan_orbits(3)") for line in lines)
     assert any(line.startswith("cartan_orbits(49)") for line in lines)
+    # the lift scale, a quotient of orders, against the kernel walk: one row
+    # per Delta and divisor m of the modulus, and for the Cartan preimages
+    assert sum(line.startswith("lift_scale(8,") for line in lines) == 3 * 4
+    assert any(line.startswith("lift_scale(49,7,cnspre)") for line in lines)
     # the unit subgroups from the group's structure against the lattice walk,
     # one row per prime power
     assert [line.split("\t")[0] for line in lines if line.startswith("unit_")] == [
@@ -446,6 +450,37 @@ def test_stdout_is_identical_under_different_hash_seeds(catalog_path):
         assert outs[0].count(b"\n") >= 2, argv
 
 
+def _readme_examples():
+    """(argv, shown lines, elided) for each "$ modscreen" example of the
+    README's Command line section; elided when the output shown ends in ..."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line")[1].split("\n## ")[0]
+    block = section.split("Examples:\n\n```\n")[1].split("```")[0]
+    out = []
+    for line in block.splitlines():
+        if line.startswith("$ modscreen "):
+            out.append([line.split()[2:], [], False])
+        elif line == "...":
+            out[-1][2] = True
+        else:
+            out[-1][1].append(line.split())
+    return [pytest.param(*example, id=example[0][0]) for example in out]
+
+
+@pytest.mark.parametrize("argv, shown, elided", _readme_examples())
+def test_readme_example(capsys, monkeypatch, tmp_path, argv, shown, elided):
+    # the screen example reads images.jsonl from the working directory: the
+    # demo catalog's 5.B entry; whitespace is compared up to its runs
+    (tmp_path / "images.jsonl").write_text(CATALOG.splitlines()[1] + "\n",
+                                           encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    printed = [line.split() for line in out.splitlines()]
+    assert (printed[:len(shown)] if elided else printed) == shown
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_unknown_group_spec_is_a_usage_error(capsys):
@@ -458,6 +493,24 @@ def test_full_needs_a_modulus(capsys):
     code, _, err = run(capsys, "order", "--group", "full")
     assert code == 2
     assert "--modulus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [command, option, value]
+    for command in ("table1", "table2", "verify-formulae")
+    for option, value in (("--modulus", "5"), ("--catalog", "images.jsonl"))
+] + [
+    ["screen", "--catalog", "images.jsonl", "--modulus", "5"],
+    ["reduce-level", "--image", "cns:5", "--modulus", "25",
+     "--group", "borel:25:all", "--m", "1", "--dj", "2"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    # d_j cancels in both sides of reduce-level, and the tables, the
+    # formula checks and the screen name no group to lift or look up
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 def test_incompatible_modulus_is_a_usage_error(capsys):
@@ -610,7 +663,8 @@ def test_lifted_image_walks_at_its_own_level_under_the_cap(capsys, monkeypatch,
                                                            recwarn, tmp_path,
                                                            command, printed):
     # over the preimage of CNS(5) the 300 cosets mod 25 are 12 cosets mod 5
-    # times the 25 kernel cosets, and neither walk reaches a cap of 100
+    # times the 25 kernel cosets, and the one walk, mod 5, stays under a cap
+    # of 100
     path = tmp_path / "walked.jsonl"
     path.write_text(WALKED_BORELS, encoding="utf-8")
     catalog = ("--catalog", str(path))
@@ -625,11 +679,11 @@ def test_lifted_image_walks_at_its_own_level_under_the_cap(capsys, monkeypatch,
     code, _, err = run(capsys, command, "--image", "cns:5:2", *group)
     assert code == 3
     assert err == "error: coset walk of generated mod 25 reached 100 cosets, cap 100\n"
-    # the cap is checked in the kernel walk mod 25 and in the walk mod 5
+    # the scale [K : K meet H] = 25 is a quotient of orders, not a walk mod
+    # 25, so only the 12 cosets mod 5 meet the cap
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 20)
-    code, _, err = run(capsys, command, "--image", "cnspre:5:2", *group)
-    assert code == 3
-    assert err == "error: coset walk of generated mod 25 reached 20 cosets, cap 20\n"
+    code, out, _ = run(capsys, command, "--image", "cnspre:5:2", *group)
+    assert (code, out) == (0, printed)
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 10)
     code, _, err = run(capsys, command, "--image", "cnspre:5:1",
                        "--group", "file:5.T", *catalog, "--modulus", "25")

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from modscreen import curves
+from modscreen import curves, subgroups
 from modscreen.curves import (CosetSpace, CurveData, coset_space, curve_data,
                               curve_genus, genus_from_counts, label_prefix,
                               map_degree)
@@ -306,8 +306,10 @@ def test_coset_count_mismatch_raises(monkeypatch):
 
 
 def test_ambient_order_not_divisible_raises(monkeypatch):
-    monkeypatch.setattr(curves, "gl2_order", lambda n: 81)
-    with pytest.raises(NonIntegral):
+    # the index [GL2 : +-H] is a quotient of orders (subgroups.nested_index),
+    # and FullGroup reads gl2_order from its own module
+    monkeypatch.setattr(subgroups, "gl2_order", lambda n: 81)
+    with pytest.raises(NonIntegral, match="order 80 does not divide order 81"):
         curve_data(borel(5, delta_full(5)))
 
 

@@ -15,7 +15,8 @@ from modscreen.points import (Verdict, cartan_degree_formula, fiber_degrees,
                               semidirect_lower_bound)
 from modscreen.subgroups import (FullGroup, GeneratedGroup,
                                  LiftedGroup, SL2Part, adjoin_minus_i, borel,
-                                 contains_minus_i, gl2_order, index_via_orbit,
+                                 contains_minus_i, coset_action, gl2_order,
+                                 index_via_orbit, kernel_generator_quads,
                                  level, lift_subgroup, minus_identity_quad,
                                  nonsplit_cartan_normalizer, preimage_descent,
                                  reduce_subgroup)
@@ -37,6 +38,18 @@ def test_context_validates_dj():
 def test_context_validates_aut_modulus():
     with pytest.raises(ModulusMismatch):
         galois_context(FullGroup(5), aut=FullGroup(7))
+
+
+@pytest.mark.parametrize("d_j", [0, -2])
+def test_a_directly_built_context_validates_dj(d_j):
+    # built past galois_context, a d_j below 1 would give degrees <= 0
+    with pytest.raises(ValueError, match="j-field degree must be >= 1"):
+        points.GaloisImageContext(FullGroup(5), d_j=d_j)
+
+
+def test_a_directly_built_context_validates_aut_modulus():
+    with pytest.raises(ModulusMismatch):
+        points.GaloisImageContext(FullGroup(5), aut=FullGroup(7))
 
 
 def _count_chains(monkeypatch):
@@ -431,6 +444,65 @@ def test_level_reduction_refuses_a_non_plus_minus_automorphism_set():
 def test_level_reduction_rejects_composite_modulus():
     with pytest.raises(ValueError):
         level_reduction(galois_context(FullGroup(12)), borel(12, delta_pm1(12)), 1)
+
+
+# ------------------------------------------- index between nested groups
+
+def _conjugated(n, c, h):
+    """The group generated by c^-1 * H * c, a generated group."""
+    ci = quad_inv(n, c)
+    return GeneratedGroup(n, [quad_mul(n, quad_mul(n, ci, q), c)
+                              for q in h.generator_quads()])
+
+
+def _nested_pairs(n):
+    """Seeded (H, G) with -I in H <= G mod n: Borel in Borel, in the lift of
+    its reduction and in GL2, a lift in a lift, and each Borel pair
+    conjugated into generated groups."""
+    rng = random.Random(f"nested:{n}")
+    m = rng.choice(divisors(n)[1:-1])
+    p = _helpers.least_prime_factor(m)
+    h = borel(n, _helpers.random_delta(rng, n))
+    pairs = [(borel(n, delta_pm1(n)), h),
+             (h, lift_subgroup(reduce_subgroup(h, m), n)),
+             (h, FullGroup(n)),
+             (lift_subgroup(borel(m, delta_pm1(m)), n),
+              lift_subgroup(borel(m, _helpers.random_delta(rng, m)), n)),
+             (lift_subgroup(borel(m, delta_pm1(m)), n),
+              lift_subgroup(borel(p, delta_full(p)), n))]
+    c = _helpers.generator_list(rng, n, 1)[0]
+    return pairs + [(_conjugated(n, c, a), _conjugated(n, c, b))
+                    for a, b in pairs[:2]]
+
+
+NESTED_MODULI = [4, 8, 9, 12, 16, 18, 25, 27]
+
+
+@pytest.mark.parametrize("n", NESTED_MODULI)
+def test_map_degree_is_the_walked_index(n):
+    for i, (h, g) in enumerate(_nested_pairs(n)):
+        assert map_degree(h, g) == _helpers.reference_index(g, h), (n, i)
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 16, 25, 27])
+def test_level_reduction_rhs_is_the_walked_index(n):
+    ctx = galois_context(FullGroup(n))
+    for i, (h, _) in enumerate(_nested_pairs(n)):
+        for m in range(_helpers.prime_power_exponent(n)[1] + 1):
+            res = level_reduction(ctx, h, m)
+            assert res.rhs == index_via_orbit(res.h_prime, h) == \
+                _helpers.reference_index(res.h_prime, h), (n, i, m)
+
+
+@pytest.mark.parametrize("n", NESTED_MODULI)
+def test_descent_scale_is_the_kernel_orbit(n):
+    # over the full preimage of any group mod m, s = [K : K meet H], the
+    # orbit of H*1 under the kernel's generators
+    for i, (h, g) in enumerate(_nested_pairs(n)):
+        for grp, m in itertools.product((h, g), divisors(n)):
+            walked = coset_action(grp, kernel_generator_quads(n, m))[0]
+            scale = preimage_descent(LiftedGroup(FullGroup(m), n), grp)[2]
+            assert scale == len(walked), (n, i, m)
 
 
 # -------------------------------------------------------------- inequality
