@@ -4,14 +4,17 @@ A curve is pinned by four counts: mu, the index of the determinant-1 part in
 SL2(Z/NZ), the points of the two elliptic fiber types (nu2, nu3) and the cusps
 (nu_inf). The genus follows from them by the usual Euler characteristic
 bookkeeping, in one place (genus_from_counts). A group kind with closed forms
-for the counts supplies them through SubgroupSpec.curve_counts (the Borel-type
-groups do); every other kind gets them from one permutation representation,
-the right cosets of the determinant-1 part S = H meet SL2 inside SL2(Z/NZ)
-acted on by the rotation and translation generators (coset_space), which is
-also the oracle the closed forms are tested against. When det(H) is all of
-(Z/NZ)^x, S*g -> H*g maps those cosets one to one onto the right cosets of H
-in GL2(Z/NZ) and commutes with right multiplication, so the walk runs on H's
-own cosets and keys. Everything is exact integer arithmetic.
+for the counts supplies them through SubgroupSpec.curve_counts (the full group
+and the Borel-type groups do). Every other kind gets them from one permutation
+representation, the right cosets of the determinant-1 part S = H meet SL2
+inside SL2(Z/NZ) acted on by the rotation and translation generators. When
+det(H) is all of (Z/NZ)^x, S*g -> H*g maps those cosets one to one onto the
+right cosets of H in GL2(Z/NZ) and commutes with right multiplication. At a
+prime N the counts are fixed points of that action, read off the permutation
+character of H by counting the elements of H of each trace and determinant
+(_class_counts); at any other N the cosets are walked on H's own keys
+(coset_space), the oracle of the closed forms and of the class counts.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .subgroups import (FullGroup, SubgroupSpec, _check_walk_length,
                         adjoin_minus_i, coset_action, level, nested_index,
                         permutation_orbit_sizes, reduce_subgroup, sigma_quad,
                         sl2_order, subgroup_of, tau_quad)
-# the benchmark's tracer test reads curves.quad_mul by name
-from .zmod import Quad, quad_mul  # noqa: F401
+from .zmod import Quad, is_prime, quad_det, quad_inv, quad_mul, units
 
 
 class CosetSpace:
@@ -91,11 +93,9 @@ def genus_from_counts(n: int, mu: int, nu2: int, nu3: int, nu_inf: int) -> int:
 def coset_space(h: SubgroupSpec) -> CosetSpace:
     """Enumerate the cosets of the determinant-1 part of H inside SL2(Z/nZ),
     walked from H*1 as right cosets of H under sigma and tau; H must have
-    full determinant."""
-    if not h.has_full_determinant():
-        raise NotFullDeterminant(
-            f"determinant image has order {h.det_image.order}, "
-            f"expected the full unit group mod {h.n}")
+    full determinant. _counts walks them only at a modulus that is not prime;
+    the walk is the oracle of every closed form and of the class counts."""
+    _require_full_determinant(h)
     n = h.n
     # |S| = |H| / |det H|, and the mu cosets of S fill SL2, so the walk's
     # length is known before it starts
@@ -109,14 +109,65 @@ def coset_space(h: SubgroupSpec) -> CosetSpace:
     return space
 
 
+def _require_full_determinant(h: SubgroupSpec) -> None:
+    if not h.has_full_determinant():
+        raise NotFullDeterminant(
+            f"determinant image has order {h.det_image.order}, "
+            f"expected the full unit group mod {h.n}")
+
+
+def _class_counts(h: SubgroupSpec) -> tuple[int, int, int, int]:
+    """The counts of coset_space(h) at a prime modulus l, without its walk.
+
+    A coset H*g is fixed by x exactly when g x g^-1 is in H, so x fixes
+    |C(x)| |x^G meet H| / |H| cosets of G = GL2(F_l) (the permutation
+    character of H, Isaacs, Character Theory of Finite Groups, ch. 5). A
+    non-scalar x is conjugate to every non-scalar element of its trace and
+    determinant, so |x^G meet H| is the count of those in H
+    (StabilizerChain.trace_det_count) less the scalars among them, and |C(x)|
+    is (l-1)^2, l(l-1) or l^2-1 as its characteristic polynomial has 2, 1 or
+    0 roots. sigma, sigma*tau^-1 and tau are not scalar; nu2 and nu3 are the
+    cosets the first two fix, and nu_inf, the tau-cycles, is
+    (mu + (l-1) fix(tau)) / l, each tau^k with k != 0 being conjugate to tau.
+    """
+    _require_full_determinant(h)
+    ell = h.n
+    mu = nested_index(FullGroup(ell), h)
+    # counted, not walked, but the cap binds as it does on the walk
+    _check_walk_length(h, mu)
+
+    def fixed(x: Quad) -> int:
+        t, det = (x[0] + x[3]) % ell, quad_det(ell, x)
+        roots = sum(1 for r in range(ell) if (r * r - t * r + det) % ell == 0)
+        centralizer = (ell * ell - 1, ell * (ell - 1), (ell - 1) ** 2)[roots]
+        scalars = sum(1 for c in units(ell) if (2 * c - t) % ell == 0
+                      and (c * c - det) % ell == 0
+                      and h.member_quad((c, 0, 0, c)))
+        conjugates = h._chain.trace_det_count(t, det) - scalars
+        if centralizer * conjugates % h.order:
+            raise InvariantFailed(f"{centralizer} * {conjugates} conjugates of "
+                                  f"{x} mod {ell} is not a multiple of {h.order}")
+        return centralizer * conjugates // h.order
+
+    sigma, tau = sigma_quad(ell), tau_quad(ell)
+    cusps = mu + (ell - 1) * fixed(tau)
+    if cusps % ell:
+        raise InvariantFailed(f"{cusps} fixed cosets of tau mod {ell} "
+                              "do not split into its cycles")
+    return (mu, fixed(sigma), fixed(quad_mul(ell, sigma, quad_inv(ell, tau))),
+            cusps // ell)
+
+
 def _counts(hpm: SubgroupSpec) -> tuple[int, int, int, int]:
     """(mu, nu2, nu3, nu_inf) of a group containing -I: its kind's closed form
-    when it has one, else the coset walk. A full preimage has its base's
-    curve, so the counts come from the base."""
+    when it has one, else the class counts at a prime modulus and the coset
+    walk at any other. A full preimage has its base's curve, so the counts
+    come from the base."""
     base = hpm.preimage_base
     counts = base.curve_counts()
     if counts is None:
-        counts = coset_space(base).counts
+        counts = (_class_counts(base) if is_prime(base.n)
+                  else coset_space(base).counts)
     return counts
 
 

@@ -12,18 +12,18 @@ orbits on its right cosets off the orbits on the lines of P^1(Z/NZ)
 on pairs of conjugate points of P^1(O/l^d), O = Z[sqrt(e)]
 (CartanNormalizer.orbit_sizes); every other kind walks right cosets H*g
 under the other group's generators (the default orbit_sizes: coset_action,
-the one walk behind index, genus and fiber computations without a closed
-form, and walked_orbit_sizes over it, whose orbits permutation_orbit_sizes
-splits) and identifies a coset by a canonical key (equal keys exactly when
-the cosets are equal). One transversal walk (_transversal) serves the
-chain's first two levels and the det-1 part's Schreier generators, which
-SL2Part sifts through the chain of those kept. An element set is built one
-way for every kind: the closure of the generators
-(SubgroupSpec.element_quads), refused up front when the order passes
-ENUMERATION_CAP. A walk whose length the orders give (all of H's cosets, or
-those of its det-1 part in SL2) is refused up front the same way when that
-length passes ORBIT_CAP (_check_walk_length). Instances are immutable after
-construction and safe to share.
+the one walk behind index and fiber computations without a closed form and
+behind the genus at a modulus that is not prime, and walked_orbit_sizes
+over it, whose orbits permutation_orbit_sizes splits) and identifies a
+coset by a canonical key (equal keys exactly when the cosets are equal).
+One transversal walk (_transversal) serves the chain's first two levels
+and the det-1 part's Schreier generators, which SL2Part sifts through the
+chain of those kept. An element set is built one way for every kind: the
+closure of the generators (SubgroupSpec.element_quads), refused up front
+when the order passes ENUMERATION_CAP. A walk whose length the orders give
+(all of H's cosets, or those of its det-1 part in SL2) is refused up front
+the same way when that length passes ORBIT_CAP (_check_walk_length).
+Instances are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
                      NonIntegral, NonInvertible, NotASubgroup, OrbitTooLarge,
                      TooLarge)
 from .zmod import (Quad, UnitSubgroup, _check_modulus, _extend_subgroup,
-                   _p1_normalize, _p1_points, divisors,
+                   _p1_normalize, _p1_points, _unit_inverses, divisors,
                    euler_phi, factorize, is_prime, lift_quad, quad_det,
                    quad_inv, quad_is_invertible, quad_mul, quad_reduce,
                    quadratic_generator, quadratic_mobius, quadratic_mul,
@@ -170,7 +170,9 @@ class StabilizerChain:
       3. the kernel H_e1 = {(1 b; 0 d)} of that map, kept whole as its set C
          of elements (at most n * phi(n)).
     Every element of H is u_l * v_a * c in exactly one way, so
-    |H| = |L| |A| |C|, and membership is two products and three lookups.
+    |H| = |L| |A| |C|, membership is two products and three lookups, and the
+    elements of a given trace and determinant are counted over the |L| |A|
+    products u_l * v_a alone (trace_det_count).
 
     Built by Schreier-Sims with sifting (Seress, Permutation Group
     Algorithms, 2003, ch. 4): every Schreier generator of level 1 is sifted
@@ -233,6 +235,36 @@ class StabilizerChain:
         b, d = min(((y0 * b + y1 * d) % n, (y2 * b + y3 * d) % n)
                    for _, b, _, d in self._columns)
         return (y0, b, y2, d)
+
+    def trace_det_count(self, t: int, det: int) -> int:
+        """#{h in H : tr h = t, det h = det}, without enumerating H.
+
+        Every h is w * c with w = u_l * v_a and c = (1 b; 0 d) in C, and then
+        det h = det(w) * d and tr h = w0 + w2 * b + w3 * d. So det pins d, and
+        the b with (1 b; 0 d) in C form a coset b_d + sZ of the translations
+        sZ in C. On it the trace is the congruence w2 * s * k = r mod n in
+        k mod n/s, r = t - w0 - w2 * b_d - w3 * d: g/s solutions when
+        g = gcd(w2 * s, n) divides r, else none.
+        """
+        n = self.n
+        shift: dict[int, int] = {}  # d -> one b_d
+        step = n
+        for _, b, _, d in self._columns:
+            shift.setdefault(d, b)
+            if d == 1 % n:
+                step = gcd(step, b)
+        inverse = _unit_inverses(n)
+        count = 0
+        for u, _ in self._lines.values():
+            for v, _ in self._scalars.values():
+                w0, _, w2, w3 = w = quad_mul(n, u, v)
+                d = det * inverse[quad_det(n, w)] % n
+                b = shift.get(d)
+                if b is not None:
+                    g = gcd(w2 * step, n)
+                    if (t - w0 - w2 * b - w3 * d) % g == 0:
+                        count += g // step
+        return count
 
     def _sift(self, todo: list[Quad]) -> None:
         """Sift elements of H_L into levels 2 and 3 until every one of them,
@@ -391,6 +423,11 @@ class FullGroup(SubgroupSpec):
     def coset_key(self, q: Quad) -> Hashable:
         return 0
 
+    def curve_counts(self) -> tuple[int, int, int, int]:
+        # one coset, fixed by everything: one cusp and one point of each
+        # elliptic type
+        return 1, 1, 1, 1
+
 
 class BorelGroup(SubgroupSpec):
     """Upper-triangular matrices (x y; 0 z) whose upper-left entry lies in Delta."""
@@ -498,6 +535,7 @@ class BorelGroup(SubgroupSpec):
             e = pow(quad_det(n, s), -1, n)
             rows.append(tuple(x * e % n for x in s))
         delta = frozenset(self.delta.elements)
+        inverse = _unit_inverses(n)
         inverse_units: dict[int, int] = {}  # line code -> 1/u_j
         sizes: list[int] = []
         points = _p1_points(n)
@@ -505,16 +543,25 @@ class BorelGroup(SubgroupSpec):
             code, u = _p1_normalize(n, *start)
             if code in inverse_units:
                 continue
-            inverse_units[code] = pow(u, -1, n)
+            inverse_units[code] = inverse[u]
             line, scalars = [start], delta
             for c, d in line:  # grows while it is walked: the BFS queue
                 for s0, s1, s2, s3 in rows:
-                    y = (c * s0 + d * s2) % n, (c * s1 + d * s3) % n
-                    code, u = _p1_normalize(n, *y)
+                    y0, y1 = (c * s0 + d * s2) % n, (c * s1 + d * s3) % n
+                    # _p1_normalize, its two unit branches inlined: the walk
+                    # spends its time here
+                    u = inverse[y0]
+                    if u:
+                        code = y1 * u % n
+                    elif inverse[y1]:
+                        u = inverse[y1]
+                        code = n + y0 * u % n
+                    else:
+                        code, u = _p1_normalize(n, y0, y1)
                     inv = inverse_units.get(code)
                     if inv is None:
-                        inverse_units[code] = pow(u, -1, n)
-                        line.append(y)
+                        inverse_units[code] = inverse[u]
+                        line.append((y0, y1))
                     elif u * inv % n not in scalars:
                         # u/u_j generates the same group as u_j/u
                         scalars = _extend_subgroup(n, scalars, u * inv % n)

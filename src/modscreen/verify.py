@@ -5,21 +5,24 @@ counts stay off the import path of every other command.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import product
 from math import gcd
 
 from .cli import _emit
-from .curves import coset_space
+from .curves import _class_counts, coset_space
 from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
-                        LiftedGroup, SL2Part, SubgroupSpec, adjoin_minus_i,
-                        borel, borel_index, borel_order, closure_quads,
-                        contains_minus_i, gl2_order, kernel_generator_quads,
-                        minus_identity_quad, nonsplit_cartan_normalizer_preimage,
-                        preimage_descent, sl2_order, walked_orbit_sizes)
+                        LiftedGroup, SL2Part, SubgroupSpec, _conjugate,
+                        adjoin_minus_i, borel, borel_index, borel_order,
+                        closure_quads, contains_minus_i, gl2_order,
+                        kernel_generator_quads, minus_identity_quad,
+                        nonsplit_cartan_normalizer_preimage, preimage_descent,
+                        sl2_order, walked_orbit_sizes)
 from .zmod import (_unit_lattice_walk, delta_full, delta_pm1, delta_trivial,
-                   divisors, factorize, quad_det,
-                   unit_subgroups_containing_minus_one)
+                   divisors, factorize, is_prime, quad_det, quad_is_invertible,
+                   unit_group_generators, unit_subgroup,
+                   unit_subgroups_containing_minus_one, units)
 
 
 def _brute_gl2_count(n: int) -> int:
@@ -108,6 +111,30 @@ def verify_formulae(args) -> int:
             check_chain("cartan", grp)
             check_orbits(f"cartan_orbits({grp.n})", grp)
             check_lift_scale("cnspre", nonsplit_cartan_normalizer_preimage(grp.n))
+    # the curve counts at a prime from the permutation character, which read
+    # the stabilizer chain of the generators, against the coset walk: the
+    # Borel of every Delta, the Cartan normalizer, and a seeded conjugate of
+    # the split Cartan normalizer and of the Borel of a seeded Delta
+    for ell in filter(is_prime, range(2, top + 1)):
+        rng = random.Random(ell)
+        deltas = sorted({unit_subgroup(ell, [x]) for x in units(ell)},
+                        key=lambda d: (d.order, d.elements))
+        groups = [(f"borel{d.order}", borel(ell, d)) for d in deltas]
+        if ell > 2:
+            groups.append(("cns", CartanNormalizer(ell)))
+        c = (0, 0, 0, 0)
+        while not quad_is_invertible(ell, c):
+            c = tuple(rng.randrange(ell) for _ in range(4))
+        split = [(0, 1, 1, 0)]
+        for u in unit_group_generators(ell):
+            split += [(u, 0, 0, 1), (1, 0, 0, u)]
+        for base in (split,
+                     borel(ell, rng.choice(deltas)).generator_quads()):
+            groups.append(("generated", GeneratedGroup(
+                ell, [_conjugate(ell, c, g) for g in base])))
+        for kind, grp in groups:
+            check(f"class_counts({ell},{kind})", _class_counts(grp),
+                  coset_space(grp).counts)
     # the subgroups read off the unit group's structure against the walk
     for n in range(3, top + 1):
         if len(factorize(n)) == 1:

@@ -326,11 +326,20 @@ def _p1_normalize(n: int, c: int, d: int) -> tuple[int, int]:
     """Normal form of the unimodular row (c, d) as a point of P^1(Z/nZ).
 
     Returns (code, u): u is the unique unit with u*(c, d) in normal form, and
-    code numbers that form. At each p^e | n the form is (1, d/c) when p does
-    not divide c, else (c/d, 1); the code packs the local forms in mixed radix
-    2*p^e, so equal codes mean equal points (Cremona, Algorithms for Modular
-    Elliptic Curves, 2.2).
+    code numbers that form. The form is (1, d/c), code d/c, when c is a unit,
+    else (c/d, 1), code n + c/d, when d is a unit; at a prime power one of
+    the two always is. Otherwise, at composite n only, the form at each
+    p^e | n is (1, d/c) when p does not divide c, else (c/d, 1), and the code
+    is 2n plus the local forms packed in mixed radix 2*p^e. Equal codes mean
+    equal points (Cremona, Algorithms for Modular Elliptic Curves, 2.2).
     """
+    inverse = _unit_inverses(n)
+    s = inverse[c % n]
+    if s:
+        return d * s % n, s
+    s = inverse[d % n]
+    if s:
+        return n + c * s % n, s
     code = 0
     u = 0
     for pe, inv, idem in _p1_tables(n):
@@ -341,7 +350,7 @@ def _p1_normalize(n: int, c: int, d: int) -> tuple[int, int]:
             s = inv[d % pe]
             code = code * 2 * pe + pe + c * s % pe
         u += s * idem
-    return code, u % n
+    return 2 * n + code, u % n
 
 
 def _crt2(a: int, m: int, b: int, k: int) -> int:

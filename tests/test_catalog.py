@@ -6,10 +6,11 @@ import warnings
 import pytest
 
 import _helpers
-from modscreen import catalog, subgroups
+from modscreen import catalog, curves, subgroups
 from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
                                intermediate_deltas, load_catalog,
                                parse_catalog, screen_entry, serialize_catalog)
+from modscreen.cli import main
 from modscreen.errors import (NonInvertibleGenerator, NotFullDeterminant,
                              ParseError)
 from modscreen.points import Verdict
@@ -260,10 +261,11 @@ def _screen_facts(rep):
     return rows, rep.genus_zero_at_ell, rep.fiber_screen_passed, rep.verdict
 
 
-@pytest.mark.parametrize("level", [4, 8, 9, 16, 25, 27])
-def test_screen_is_the_same_with_minus_i_appended(level):
-    # H = B_{+-1} holds the central -I, so R and +-R have the same orbits on
-    # its cosets: the screen walks R as given and reports what +-R gives
+MINUS_I_LEVELS = [4, 8, 9, 16, 25, 27]
+
+
+def _seeded_images(level):
+    """Three seeded images and a conjugated Borel with trivial Delta."""
     rng = random.Random(1900 + level)
     c = _helpers.generator_list(rng, level, 1)[0]
     # a Galois image has full determinant: diag(1, u) for the unit generators
@@ -272,6 +274,14 @@ def test_screen_is_the_same_with_minus_i_appended(level):
               for count in (1, 1, 2)]
     images.append(_conjugated(level, borel(level, delta_trivial(level))
                               .generator_quads(), c))
+    return images
+
+
+@pytest.mark.parametrize("level", MINUS_I_LEVELS)
+def test_screen_is_the_same_with_minus_i_appended(level):
+    # H = B_{+-1} holds the central -I, so R and +-R have the same orbits on
+    # its cosets: the screen walks R as given and reports what +-R gives
+    images = _seeded_images(level)
     n_max = _helpers.prime_power_exponent(level)[1] + 1
     without = 0
     for gens in images:
@@ -366,6 +376,48 @@ def test_screen_rejects_tower_below_the_entry():
     entry = CatalogEntry(label="25.b", level=25, gens=b.generator_quads())
     with pytest.raises(ValueError):
         screen_entry(entry, n_max=1)
+
+
+def _this_files_entries():
+    """Every catalog image screened above, with -I appended to each image of
+    test_screen_is_the_same_with_minus_i_appended too."""
+    entries = [CatalogEntry(label="1.full", level=1, gens=()),
+               *parse_catalog(BOREL5),
+               CatalogEntry(label="5.cns", level=5,
+                            gens=nonsplit_cartan_normalizer(5).generator_quads()),
+               CatalogEntry(label="121.b1", level=121,
+                            gens=borel(121, delta_pm1(121)).generator_quads()),
+               CatalogEntry(label="9.d", level=9,
+                            gens=((1, 1, 0, 1), (8, 0, 0, 1))),
+               *_entries_without_minus_i()]
+    for level in MINUS_I_LEVELS:
+        for i, gens in enumerate(_seeded_images(level)):
+            entries.append(CatalogEntry(label=f"{level}.r{i}", level=level,
+                                        gens=gens))
+            entries.append(CatalogEntry(label=f"{level}.pm{i}", level=level,
+                                        gens=gens + (minus_identity_quad(level),)))
+    return entries
+
+
+def test_screen_walks_no_cosets(capsys, monkeypatch, tmp_path):
+    # the genus-zero part counts classes at l and the fibers walk P^1 lines,
+    # so a coset walk that always raises leaves every row as it is
+    entries = _this_files_entries()
+    path = tmp_path / "screened.jsonl"
+    path.write_text(serialize_catalog(entries), encoding="utf-8")
+    argv = ["screen", "--catalog", str(path), "--ell", "5"]
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert len(printed.out.splitlines()) == 1 + len(entries)
+
+    def refuse(*args):
+        raise AssertionError("walked the cosets")
+
+    monkeypatch.setattr(subgroups, "coset_action", refuse)
+    monkeypatch.setattr(curves, "coset_action", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr() == printed
 
 
 # ------------------------------------------------------------------ tables

@@ -277,7 +277,8 @@ def test_screen_names_a_bad_entry_and_goes_on(capsys, tmp_path, catalog, good,
     assert run(capsys, *argv) == (2, alone, f"error: {error}\n")
 
 
-# the genus-zero part walks the 56 cosets mod 7 of the split Cartan 7.S
+# the genus-zero part of the split Cartan 7.S has 56 cosets mod 7, checked
+# against the cap before its counts
 CAPPED = "\n".join((
     '{"label": "1.full", "level": 1, "gens": []}',
     '{"label": "7.S", "level": 7, "gens": [[3,0,0,1], [1,0,0,3]]}',
@@ -375,6 +376,15 @@ def test_verify_formulae_passes(capsys):
     # per Delta and divisor m of the modulus, and for the Cartan preimages
     assert sum(line.startswith("lift_scale(8,") for line in lines) == 3 * 4
     assert any(line.startswith("lift_scale(49,7,cnspre)") for line in lines)
+    # the curve counts at each prime from the permutation character against
+    # the coset walk: the Borel of every Delta, the Cartan normalizer at odd
+    # primes and two seeded conjugates
+    assert [line.split("\t")[0] for line in lines
+            if line.startswith("class_counts(7,")] == [
+        *(f"class_counts(7,borel{k})" for k in (1, 2, 3, 6)),
+        "class_counts(7,cns)", "class_counts(7,generated)",
+        "class_counts(7,generated)"]
+    assert sum(line.startswith("class_counts(") for line in lines) == 3 + 5 + 6 + 7
     # the unit subgroups from the group's structure against the lattice walk,
     # one row per prime power
     assert [line.split("\t")[0] for line in lines if line.startswith("unit_")] == [
@@ -528,8 +538,9 @@ def test_incompatible_modulus_is_a_usage_error(capsys):
      "cartan_nonsplit_normalizer"),
 ], ids=["point-degree", "genus", "fiber-degrees"])
 def test_orbit_cap_maps_to_exit_three(capsys, monkeypatch, argv, walked):
-    # every coset walk reads the one cap at call time; the Cartan H is
-    # walked, a Borel H is not (test_borel_fibers_use_no_coset_walk)
+    # every coset walk reads the one cap at call time, and so do the curve
+    # counts at a prime, on the cosets they count; the Cartan H meets the
+    # cap, a Borel H does not (test_borel_fibers_use_no_coset_walk)
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", 2)
     code, _, err = run(capsys, *argv)
     assert code == 3
@@ -545,6 +556,30 @@ def test_a_walk_of_known_length_past_the_cap_fails_fast(capsys):
     assert (code, out) == (3, "")
     assert err == ("error: coset walk of cartan_nonsplit_normalizer mod 10007 "
                    "reached 10000000 cosets, cap 10000000\n")
+
+
+def test_full_group_genus_at_a_large_prime_is_a_closed_form(capsys, monkeypatch):
+    # GL2 has one coset, so no stabilizer chain is built for it
+    def refuse(*args):
+        raise AssertionError("built a stabilizer chain")
+
+    monkeypatch.setattr(modscreen.subgroups.StabilizerChain, "__init__", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "genus", "--group", "full", "--modulus", "10007")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "1\t1\t1\t1\t0\t1.1.0"
+
+
+def test_cartan_genus_at_a_prime_counts_what_the_walk_counts(capsys):
+    # mu = 211 * 210 / 2 cosets, counted from the permutation character
+    code, out, err = run(capsys, "genus", "--group", "cns:211")
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split("\t")
+    assert row[:5] == ["22155", "107", "0", "105", "1768"]
+    walked = modscreen.curves.coset_space(
+        modscreen.subgroups.nonsplit_cartan_normalizer(211))
+    assert [str(x) for x in (*walked.counts, walked.genus)] == row[:5]
 
 
 def test_a_walk_of_known_length_is_refused_before_it_starts(capsys, monkeypatch,

@@ -12,11 +12,13 @@ from modscreen.curves import (CosetSpace, CurveData, coset_space, curve_data,
 from modscreen.errors import (InvariantFailed, NonIntegral, NotASubgroup,
                               NotFullDeterminant)
 from modscreen.subgroups import (FullGroup, GeneratedGroup, SL2Part,
-                                 adjoin_minus_i, borel, borel_index, gl2_order,
+                                 adjoin_minus_i, borel, borel_index,
+                                 contains_minus_i, gl2_order,
                                  identity_quad, lift_subgroup,
                                  nonsplit_cartan_normalizer, sl2_order)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, factorize,
-                            unit_subgroup, unit_subgroups_containing_minus_one)
+                            unit_group_generators, unit_subgroup,
+                            unit_subgroups_containing_minus_one, units)
 
 import _helpers
 import _oracles
@@ -186,9 +188,14 @@ def test_borel_curve_counts_against_classical_formulas_at_prime_powers():
 
 
 def test_kinds_without_a_closed_form_return_none():
-    for h in (FullGroup(5), nonsplit_cartan_normalizer(5),
+    for h in (nonsplit_cartan_normalizer(5),
               lift_subgroup(borel(3, delta_pm1(3)), 9)):
         assert h.curve_counts() is None
+
+
+def test_full_group_counts_are_one_fixed_coset():
+    for n in range(1, 31):
+        assert FullGroup(n).curve_counts() == coset_space(FullGroup(n)).counts
 
 
 def test_lifted_curves_are_their_bases_curves():
@@ -203,6 +210,47 @@ def test_lifted_curves_are_their_bases_curves():
                 assert (d.mu, d.nu2, d.nu3, d.nu_inf) == walked, (n, g)
                 checked += 1
     assert checked > 50
+
+
+# ------------------------------------------------- class counts at a prime
+
+def _prime_level_groups(ell):
+    """Seeded groups mod the prime ell with full determinant: random ones
+    (with diag(1, u) for the unit generators), a conjugate of the Borel of
+    every Delta and of the nonsplit Cartan normalizer; each as given and
+    with -I appended."""
+    rng = random.Random(2400 + ell)
+    diag = [(1, 0, 0, u) for u in unit_group_generators(ell)]
+    gen_lists = [_helpers.generator_list(rng, ell, count) + diag
+                 for count in (1, 1, 2, 2)]
+    deltas = {unit_subgroup(ell, [x]) for x in units(ell)}
+    structural = [borel(ell, d) for d in sorted(deltas, key=lambda d: d.elements)]
+    if ell > 2:
+        structural.append(nonsplit_cartan_normalizer(ell))
+    for h in structural:
+        c = _helpers.generator_list(rng, ell, 1)[0]
+        gen_lists.append([subgroups._conjugate(ell, c, g)
+                          for g in h.generator_quads()])
+    for gens in gen_lists:
+        yield GeneratedGroup(ell, gens)
+        yield GeneratedGroup(ell, gens + [(ell - 1, 0, 0, ell - 1)])
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_prime_counts_match_the_walk(monkeypatch, ell):
+    # at 2 and 3 sigma or sigma*tau^-1 shares its characteristic polynomial
+    # with a scalar or with tau; the counts at a prime walk no coset
+    groups = list(_prime_level_groups(ell))
+    walked = [coset_space(h).counts for h in groups]
+
+    def refuse(*args):
+        raise AssertionError("walked the cosets at a prime")
+
+    monkeypatch.setattr(subgroups, "coset_action", refuse)
+    monkeypatch.setattr(curves, "coset_action", refuse)
+    assert [curves._counts(h) for h in groups] == walked
+    # -I = I mod 2
+    assert ell == 2 or any(not contains_minus_i(h) for h in groups)
 
 
 # ------------------------------------------------------------- map degrees

@@ -2,6 +2,7 @@
 
 import random
 import re
+from math import gcd
 
 import pytest
 
@@ -259,3 +260,33 @@ def test_prime_power_does_not_walk_the_lattice(monkeypatch):
 @pytest.mark.parametrize("n", [15, 21, 24, 40])
 def test_composite_moduli_take_the_lattice_walk(n):
     assert unit_subgroups_containing_minus_one(n) == zmod._unit_lattice_walk(n)
+
+
+# ------------------------------------------------------------ P^1 normal form
+
+@pytest.mark.parametrize("n", [*range(1, 41), 60, 210])
+def test_p1_normal_form_names_each_line_once(n):
+    # every unimodular row mod n: one code per line of P^1(Z/nZ), u*(c, d)
+    # the one normal form of that line, psi(n) lines, and _p1_points hits
+    # each of them once
+    lines: dict[int, set] = {}
+    forms: dict[int, tuple[int, int]] = {}
+    for c in range(n):
+        for d in range(n):
+            if gcd(gcd(c, d), n) != 1:
+                continue
+            code, u = zmod._p1_normalize(n, c, d)
+            assert u in units(n)
+            form = (u * c % n, u * d % n)
+            assert forms.setdefault(code, form) == form, (n, c, d)
+            lines.setdefault(code, set()).add((c, d))
+    for code, rows in lines.items():
+        c, d = forms[code]
+        assert rows == {(u * c % n, u * d % n) for u in units(n)}, (n, code)
+    psi = n
+    for p, _ in factorize(n):
+        psi = psi * (p + 1) // p
+    assert len(lines) == psi
+    points = zmod._p1_points(n)
+    codes = {zmod._p1_normalize(n, c, d)[0] for c, d in points}
+    assert len(codes) == len(points) == psi
