@@ -123,12 +123,13 @@ def _class_counts(h: SubgroupSpec) -> tuple[int, int, int, int]:
     |C(x)| |x^G meet H| / |H| cosets of G = GL2(F_l) (the permutation
     character of H, Isaacs, Character Theory of Finite Groups, ch. 5). A
     non-scalar x is conjugate to every non-scalar element of its trace and
-    determinant, so |x^G meet H| is the count of those in H
-    (StabilizerChain.trace_det_count) less the scalars among them, and |C(x)|
-    is (l-1)^2, l(l-1) or l^2-1 as its characteristic polynomial has 2, 1 or
-    0 roots. sigma, sigma*tau^-1 and tau are not scalar; nu2 and nu3 are the
-    cosets the first two fix, and nu_inf, the tau-cycles, is
-    (mu + (l-1) fix(tau)) / l, each tau^k with k != 0 being conjugate to tau.
+    determinant, so |x^G meet H| is the count of those in H less the scalars
+    among them, and |C(x)| is (l-1)^2, l(l-1) or l^2-1 as its characteristic
+    polynomial has 2, 1 or 0 roots. sigma, sigma*tau^-1 and tau are not
+    scalar, and their three classes are counted in one pass
+    (StabilizerChain.trace_det_counts); nu2 and nu3 are the cosets the first
+    two fix, and nu_inf, the tau-cycles, is (mu + (l-1) fix(tau)) / l, each
+    tau^k with k != 0 being conjugate to tau.
     """
     _require_full_determinant(h)
     ell = h.n
@@ -136,26 +137,27 @@ def _class_counts(h: SubgroupSpec) -> tuple[int, int, int, int]:
     # counted, not walked, but the cap binds as it does on the walk
     _check_walk_length(h, mu)
 
-    def fixed(x: Quad) -> int:
-        t, det = (x[0] + x[3]) % ell, quad_det(ell, x)
+    sigma, tau = sigma_quad(ell), tau_quad(ell)
+    xs = (sigma, quad_mul(ell, sigma, quad_inv(ell, tau)), tau)
+    classes = [((x[0] + x[3]) % ell, quad_det(ell, x)) for x in xs]
+    fixed = []
+    for x, (t, det), count in zip(xs, classes, h._chain.trace_det_counts(classes)):
         roots = sum(1 for r in range(ell) if (r * r - t * r + det) % ell == 0)
         centralizer = (ell * ell - 1, ell * (ell - 1), (ell - 1) ** 2)[roots]
         scalars = sum(1 for c in units(ell) if (2 * c - t) % ell == 0
                       and (c * c - det) % ell == 0
                       and h.member_quad((c, 0, 0, c)))
-        conjugates = h._chain.trace_det_count(t, det) - scalars
+        conjugates = count - scalars
         if centralizer * conjugates % h.order:
             raise InvariantFailed(f"{centralizer} * {conjugates} conjugates of "
                                   f"{x} mod {ell} is not a multiple of {h.order}")
-        return centralizer * conjugates // h.order
-
-    sigma, tau = sigma_quad(ell), tau_quad(ell)
-    cusps = mu + (ell - 1) * fixed(tau)
+        fixed.append(centralizer * conjugates // h.order)
+    nu2, nu3, fixed_by_tau = fixed
+    cusps = mu + (ell - 1) * fixed_by_tau
     if cusps % ell:
         raise InvariantFailed(f"{cusps} fixed cosets of tau mod {ell} "
                               "do not split into its cycles")
-    return (mu, fixed(sigma), fixed(quad_mul(ell, sigma, quad_inv(ell, tau))),
-            cusps // ell)
+    return mu, nu2, nu3, cusps // ell
 
 
 def _counts(hpm: SubgroupSpec) -> tuple[int, int, int, int]:

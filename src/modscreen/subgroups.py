@@ -172,7 +172,7 @@ class StabilizerChain:
     Every element of H is u_l * v_a * c in exactly one way, so
     |H| = |L| |A| |C|, membership is two products and three lookups, and the
     elements of a given trace and determinant are counted over the |L| |A|
-    products u_l * v_a alone (trace_det_count).
+    products u_l * v_a alone (trace_det_counts).
 
     Built by Schreier-Sims with sifting (Seress, Permutation Group
     Algorithms, 2003, ch. 4): every Schreier generator of level 1 is sifted
@@ -236,8 +236,9 @@ class StabilizerChain:
                    for _, b, _, d in self._columns)
         return (y0, b, y2, d)
 
-    def trace_det_count(self, t: int, det: int) -> int:
-        """#{h in H : tr h = t, det h = det}, without enumerating H.
+    def trace_det_counts(self, classes: Sequence[tuple[int, int]]) -> list[int]:
+        """#{h in H : tr h = t, det h = det} for each (t, det) in classes, in
+        one pass over the |L| |A| products, without enumerating H.
 
         Every h is w * c with w = u_l * v_a and c = (1 b; 0 d) in C, and then
         det h = det(w) * d and tr h = w0 + w2 * b + w3 * d. So det pins d, and
@@ -254,17 +255,18 @@ class StabilizerChain:
             if d == 1 % n:
                 step = gcd(step, b)
         inverse = _unit_inverses(n)
-        count = 0
+        counts = [0] * len(classes)
         for u, _ in self._lines.values():
             for v, _ in self._scalars.values():
                 w0, _, w2, w3 = w = quad_mul(n, u, v)
-                d = det * inverse[quad_det(n, w)] % n
-                b = shift.get(d)
-                if b is not None:
-                    g = gcd(w2 * step, n)
-                    if (t - w0 - w2 * b - w3 * d) % g == 0:
-                        count += g // step
-        return count
+                g = gcd(w2 * step, n)
+                over = inverse[quad_det(n, w)]
+                for j, (t, det) in enumerate(classes):
+                    d = det * over % n
+                    b = shift.get(d)
+                    if b is not None and (t - w0 - w2 * b - w3 * d) % g == 0:
+                        counts[j] += g // step
+        return counts
 
     def _sift(self, todo: list[Quad]) -> None:
         """Sift elements of H_L into levels 2 and 3 until every one of them,
@@ -623,18 +625,22 @@ class CartanNormalizer(SubgroupSpec):
         # and the Cartan is exactly its stabilizer on P^1(O/l^d); (1 0; 0 -1)
         # sends it to its conjugate. So C*q is pinned by the point z of
         # (1, sqrt(e))*q, one z = x + y*sqrt(e) with y a unit per coset of C,
-        # and N*q by the pair {z, conj z}.
+        # and N*q by the pair {z, conj z}, whose key is x*n + y^2 (the walk's
+        # (x, y^2), quadratic_pair_key).
         return quadratic_pair_key(self.n, quadratic_mobius(self.n, self.eps, q, (0, 1)))
 
     def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:
         # (N*g)*r has the pair of z -> (r12 + z*r22) / (r11 + z*r21), so walk
-        # the pairs instead of the cosets: from sqrt(e), the coset N*1, then
-        # from one z of each pair when whole, which reaches all [GL2 : N]
+        # the pairs (x, y^2) instead of the cosets: from (0, 1) = sqrt(e), the
+        # coset N*1, then from every (x, Y) when whole, which reaches all
+        # [GL2 : N]
         n = self.n
+        starts = [(0, 1)]
         if whole:
             _check_walk_length(self, gl2_order(n) // self.order)
-        starts = ((x, y) for x in range(n) for y in units(n) if 2 * y < n)
-        return quadratic_pair_orbits(n, self.eps, gens, starts if whole else [(0, 1)],
+            squares = sorted({y * y % n for y in units(n)})
+            starts = ((x, y2) for x in range(n) for y2 in squares)
+        return quadratic_pair_orbits(n, self.eps, gens, starts, ORBIT_CAP,
                                      lambda j: _check_orbit_cap(self, j))
 
     def reduced(self, m: int) -> SubgroupSpec:

@@ -412,39 +412,55 @@ def quadratic_mobius(n: int, eps: int, q: Quad,
 
 
 def quadratic_pair_key(n: int, z: tuple[int, int]) -> int:
-    """One int for the pair {z, conj z} of O/nO."""
+    """One int for the pair {z, conj z} of O/nO, z = x + y*sqrt(eps) with y a
+    unit at an odd prime power n: x*n + y^2. The units mod n are cyclic, so
+    y^2 = y'^2 exactly when y' = +-y, and equal keys mean equal pairs."""
     x, y = z
-    return x * n + min(y, n - y)
+    return x * n + y * y % n
 
 
 def quadratic_pair_orbits(n: int, eps: int, gens: Sequence[Quad],
-                          starts: Iterable[tuple[int, int]],
-                          grow: Callable[[int], None]) -> list[int]:
+                          starts: Iterable[tuple[int, int]], cap: int,
+                          at_cap: Callable[[int], None]) -> list[int]:
     """Sizes of the orbits of <gens> on the pairs {z, conj z} of O/nO under
     z -> quadratic_mobius(n, eps, r, z), one for each orbit that starts meets,
-    in that order. Every z must have a unit sqrt(eps)-coefficient at an odd
-    prime power n. grow(j) runs before the walk takes a pair past the j it
-    knows, so that the caller can stop it.
+    in that order, at an odd prime power n.
+
+    A pair is walked as (x, Y), Y = y^2 for z = x + y*sqrt(eps) with y a unit,
+    and keyed as quadratic_pair_key; starts are such (x, Y). For
+    r = (r0 r1; r2 r3) let a = r0 + x*r2, so that the norm of the denominator
+    is m = N(r0 + z*r2) = a^2 - eps*r2^2*Y, a unit (quadratic_mobius). Then
+    z' = (r1 + z*r3) * conj(r0 + z*r2) / m, whose parts are
+      Re z' = ((r1 + x*r3)*a - eps*r2*r3*Y) / m,
+      Im z' = y*(r3*(r0 + x*r2) - r2*(r1 + x*r3)) / m = y*det(r) / N(r0 + z*r2),
+    so the pair of z' is (Re z', Y*det(r)^2 / m^2), and neither part needs y.
+    eps*r2^2, eps*r2*r3 and det(r)^2 are taken once per generator. at_cap(j)
+    runs only when the walk knows j >= cap pairs and needs another, so that
+    the caller can stop it.
     """
     inv = _unit_inverses(n)
+    steps = [(r0, r1, r2, r3, eps * r2 * r2 % n, eps * r2 * r3 % n,
+              (r0 * r3 - r1 * r2) ** 2 % n) for r0, r1, r2, r3 in gens]
     seen: set[int] = set()
     sizes = []
     for start in starts:
-        if quadratic_pair_key(n, start) in seen:
+        k = start[0] * n + start[1]
+        if k in seen:
             continue
-        grow(len(seen))
-        seen.add(quadratic_pair_key(n, start))
+        if len(seen) >= cap:
+            at_cap(len(seen))
+        seen.add(k)
         orbit = [start]
-        for x, y in orbit:  # grows while it is walked: the BFS queue
-            for r0, r1, r2, r3 in gens:
-                # quadratic_mobius and quadratic_pair_key, inlined: the walk
-                # spends its time here
-                a, b, p, q = r0 + x * r2, y * r2, r1 + x * r3, y * r3
-                i = inv[(a * a - eps * b * b) % n]
-                u, v = (p * a - eps * q * b) * i % n, (q * a - p * b) * i % n
-                k = u * n + min(v, n - v)
+        for x, y2 in orbit:  # grows while it is walked: the BFS queue
+            for r0, r1, r2, r3, er22, er23, det2 in steps:
+                a = r0 + x * r2
+                i = inv[(a * a - er22 * y2) % n]
+                u = ((r1 + x * r3) * a - er23 * y2) * i % n
+                v = y2 * det2 * i * i % n
+                k = u * n + v
                 if k not in seen:
-                    grow(len(seen))
+                    if len(seen) >= cap:
+                        at_cap(len(seen))
                     seen.add(k)
                     orbit.append((u, v))
         sizes.append(len(orbit))

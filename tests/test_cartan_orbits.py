@@ -8,7 +8,9 @@ checked against walked_orbit_sizes, the components of coset_action's
 permutations: the sorted sizes, and the size of the orbit of H*1, which
 comes first. Generator lists are random (det != 1, repeats, the identity),
 Cartan generators conjugated by a random matrix (as the file: images of a
-catalog are), Borel generators, the ambient group's and none at all.
+catalog are), Borel generators, the ambient group's and none at all. The
+walk's coordinate for a pair, (x, y^2), is checked against the min-key of
+the pair and quadratic_mobius, one generator at a time.
 """
 
 import random
@@ -23,7 +25,8 @@ from modscreen.cli import main  # noqa: E402
 from modscreen.errors import OrbitTooLarge  # noqa: E402
 from modscreen.subgroups import (CartanNormalizer, FullGroup,  # noqa: E402
                                  LiftedGroup, borel, walked_orbit_sizes)
-from modscreen.zmod import quad_inv, quad_mul  # noqa: E402
+from modscreen.zmod import (quad_inv, quad_mul, quadratic_mobius,  # noqa: E402
+                            quadratic_pair_key, quadratic_pair_orbits, units)
 
 import _helpers  # noqa: E402
 
@@ -61,6 +64,55 @@ def test_cartan_orbits_match_the_walk(n):
     c = CartanNormalizer(*_helpers.prime_power_exponent(n))
     for gens in image_lists(rng, n):
         assert_hook_matches_the_walk(c, gens)
+
+
+def old_pair_key(n, z):
+    """The min-key of the pair {x +- y*sqrt(e)}, x*n + min(y, -y): the oracle
+    of the walk's (x, y^2) coordinate."""
+    x, y = z
+    return x * n + min(y, n - y)
+
+
+def refuse_at_cap(j):
+    raise AssertionError(f"the walk reached the cap at {j} pairs")
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125])
+def test_the_pair_coordinate_is_x_and_y_squared(n):
+    # the walk keys {x + y*sqrt(e), x - y*sqrt(e)} by (x, y^2), which names
+    # the pair exactly when y -> y^2 is two to one on the units
+    us = units(n)
+    squares = {}
+    for y in us:
+        squares.setdefault(y * y % n, set()).add(y)
+    assert all(roots == {y, n - y} for roots in squares.values() for y in roots)
+    # equal keys exactly when z' is z or conj z
+    classes = {}
+    for x in range(n):
+        for y in us:
+            classes.setdefault(quadratic_pair_key(n, (x, y)), set()).add((x, y))
+    assert all(pair == {(x, y), (x, n - y)} for pair in classes.values()
+               for x, y in pair)
+    # one generator's cycles, started from every pair in the walk's order,
+    # against quadratic_mobius iterated under the old min-key
+    ell, d = _helpers.prime_power_exponent(n)
+    e = CartanNormalizer(ell, d).eps
+    starts = [(x, y) for x in range(n) for y in sorted(squares)]
+    for r in _helpers.generator_list(random.Random(n), n, 20)[:20]:
+        seen, cycles = set(), []
+        for x, y2 in starts:
+            z = (x, min(squares[y2]))
+            if old_pair_key(n, z) in seen:
+                continue
+            start, length = old_pair_key(n, z), 0
+            while True:
+                seen.add(old_pair_key(n, z))
+                z, length = quadratic_mobius(n, e, r, z), length + 1
+                if old_pair_key(n, z) == start:
+                    break
+            cycles.append(length)
+        assert quadratic_pair_orbits(n, e, [r], starts, len(starts),
+                                     refuse_at_cap) == cycles, (n, r)
 
 
 @st.composite
@@ -139,6 +191,22 @@ def test_a_whole_pair_walk_past_the_cap_refuses_before_walking(capsys,
     assert capsys.readouterr().err == ("error: coset walk of cartan_nonsplit_"
                                        "normalizer mod 25 reached 249 cosets, "
                                        "cap 249\n")
+
+
+def test_the_pair_walk_calls_back_only_at_the_cap(capsys, monkeypatch):
+    # under the default cap no walk of cns:5:3 comes near it, so the walk
+    # compares its count inline and never calls the cap check
+    calls = []
+    check = modscreen.subgroups._check_orbit_cap
+
+    def counted(h, j):
+        calls.append(j)
+        check(h, j)
+
+    monkeypatch.setattr(modscreen.subgroups, "_check_orbit_cap", counted)
+    assert main(["fiber-degrees", "--image", "cns:5:3", "--group", "cns:5:3"]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 def test_cartan_fibers_use_no_coset_walk(capsys, monkeypatch):

@@ -475,7 +475,14 @@ def _readme_examples():
             out[-1][2] = True
         else:
             out[-1][1].append(line.split())
-    return [pytest.param(*example, id=example[0][0]) for example in out]
+    # an example is named by its command, and a command's k-th example,
+    # k > 1, by command-k, so adding an example renames none before it
+    params, seen = [], {}
+    for example in out:
+        name = example[0][0]
+        seen[name] = k = seen.get(name, 0) + 1
+        params.append(pytest.param(*example, id=name if k == 1 else f"{name}-{k}"))
+    return params
 
 
 @pytest.mark.parametrize("argv, shown, elided", _readme_examples())
