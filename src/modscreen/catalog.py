@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import json
 from functools import cache
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .curves import curve_genus
 from .errors import NonInvertibleGenerator, ParseError
@@ -148,37 +148,37 @@ def _borel_genus(n: int, delta: UnitSubgroup) -> int:
     return curve_genus(borel(n, delta))
 
 
-class ScreenRow:
-    __slots__ = ("modulus", "delta_order", "genus", "min_fiber_degree",
-                 "threshold", "verdict")
+class ScreenRow(NamedTuple):
+    """The columns of one row under `screen --json`: one intermediate curve
+    of the tower against the fiber's least degree."""
 
-    def __init__(self, modulus: int, delta_order: int, genus: int,
-                 min_fiber_degree: int, threshold: int, verdict: Verdict):
-        self.modulus = modulus
-        self.delta_order = delta_order
-        self.genus = genus
-        self.min_fiber_degree = min_fiber_degree
-        self.threshold = threshold
-        self.verdict = verdict
+    modulus: int
+    delta_order: int
+    genus: int
+    min_fiber_degree: int
+    threshold: int
+    verdict: Verdict
 
 
-class ScreenReport:
-    __slots__ = ("label", "ell", "n_max", "rows", "genus_zero_at_ell",
-                 "fiber_screen_passed", "verdict")
+class ScreenReport(NamedTuple):
+    """The columns of `screen`, one line per entry; rows, the tower's
+    ScreenRows, are printed only under --json."""
 
-    def __init__(self, label: str, ell: int, n_max: int,
-                 rows: tuple[ScreenRow, ...], genus_zero_at_ell: bool,
-                 fiber_screen_passed: bool, verdict: Verdict):
-        self.label = label
-        self.ell = ell
-        self.n_max = n_max
-        self.rows = rows
-        self.genus_zero_at_ell = genus_zero_at_ell
-        self.fiber_screen_passed = fiber_screen_passed
-        self.verdict = verdict
+    label: str
+    ell: int
+    n_max: int
+    fiber_screen_passed: bool
+    genus_zero_at_ell: bool
+    verdict: Verdict
+    rows: tuple[ScreenRow, ...]
 
 
-def screen_entry(entry: CatalogEntry, n_max: int,
+# tower tops mirroring the prime-power towers of the source data set; other
+# primes default to the square
+DEFAULT_SCREEN_EXPONENT = {2: 5, 3: 3, 5: 2}
+
+
+def screen_entry(entry: CatalogEntry, n_max: int | None = None,
                  ell: int | None = None) -> ScreenReport:
     """Run the two-part isolation screen on one catalog image.
 
@@ -187,6 +187,11 @@ def screen_entry(entry: CatalogEntry, n_max: int,
     (delta order / 2) * genus for every intermediate curve (rr_screen).
     Independently, genus zero at the prime itself rules isolation out.
     Either part forcing every case gives the aggregate ForcedP1Parametrized.
+
+    The tower is l^n for max(k, 1) <= n <= n_max, l^k the entry's level.
+    Without n_max its top is max(k, DEFAULT_SCREEN_EXPONENT.get(l, 2)), taken
+    once l and k are checked. ell names the prime of a level-1 entry; any
+    other entry is screened at its own level's prime, which ell must match.
 
     The genus-zero part runs first: its coset space refuses an image whose
     determinant mod l is not all of (Z/lZ)^x (NotFullDeterminant) before any
@@ -205,6 +210,8 @@ def screen_entry(entry: CatalogEntry, n_max: int,
         if ell is not None and ell != level_ell:
             raise ValueError(f"entry lives at {level_ell}, not {ell}")
         ell = level_ell
+    if n_max is None:
+        n_max = max(k, DEFAULT_SCREEN_EXPONENT.get(ell, 2))
     if n_max < max(k, 1):
         raise ValueError(f"n_max {n_max} below the entry's exponent {k}")
     genus_zero = (entry.level == 1
@@ -222,26 +229,14 @@ def screen_entry(entry: CatalogEntry, n_max: int,
         for delta in deltas:
             genus = _borel_genus(modulus, delta)
             r = delta.order // 2
-            rows.append(ScreenRow(
-                modulus=modulus,
-                delta_order=delta.order,
-                genus=genus,
-                min_fiber_degree=min_fiber,
-                threshold=r * genus,
-                verdict=rr_screen(min_fiber, r, genus),
-            ))
+            rows.append(ScreenRow(modulus, delta.order, genus, min_fiber,
+                                  r * genus, rr_screen(min_fiber, r, genus)))
 
     fiber_ok = all(row.verdict is Verdict.FORCED_P1 for row in rows)
-    forced = fiber_ok or genus_zero
-    return ScreenReport(
-        label=entry.label,
-        ell=ell,
-        n_max=n_max,
-        rows=tuple(rows),
-        genus_zero_at_ell=genus_zero,
-        fiber_screen_passed=fiber_ok,
-        verdict=Verdict.FORCED_P1 if forced else Verdict.INCONCLUSIVE,
-    )
+    verdict = (Verdict.FORCED_P1 if fiber_ok or genus_zero
+               else Verdict.INCONCLUSIVE)
+    return ScreenReport(entry.label, ell, n_max, fiber_ok, genus_zero,
+                        verdict, tuple(rows))
 
 
 class Table:

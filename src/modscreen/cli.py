@@ -17,19 +17,15 @@ from collections import Counter
 from functools import cache
 from typing import Sequence
 
-from .catalog import (CatalogEntry, emit_table1, emit_table2, load_catalog,
-                      screen_entry)
+from .catalog import (CatalogEntry, ScreenReport, emit_table1, emit_table2,
+                      load_catalog, screen_entry)
 from .curves import curve_data, label_prefix, map_degree
 from .errors import ComputationCap, ModscreenError
 from .points import fiber_degrees, galois_context, level_reduction, point_degree
-from .subgroups import (FullGroup, SubgroupSpec, borel, factorize, level,
-                        lift_subgroup, nested_index, nonsplit_cartan_normalizer,
+from .subgroups import (FullGroup, SubgroupSpec, borel, level, lift_subgroup,
+                        nested_index, nonsplit_cartan_normalizer,
                         nonsplit_cartan_normalizer_preimage, reduce_subgroup)
 from .zmod import delta_full, delta_trivial, is_prime, unit_subgroup
-
-# screening exponents mirroring the prime-power tower tops used in the source
-# data set; other primes default to the square
-DEFAULT_SCREEN_EXPONENT = {2: 5, 3: 3, 5: 2}
 
 
 def _resolve_group(spec: str, modulus: int | None,
@@ -138,11 +134,7 @@ def _cmd_level(args) -> int:
 def _cmd_genus(args) -> int:
     group = _resolve_group(args.group, args.modulus, args.catalog)
     data = curve_data(group)
-    _emit(args, [{
-        "mu": data.mu, "nu2": data.nu2, "nu3": data.nu3,
-        "nu_inf": data.nu_inf, "genus": data.genus,
-        "label_prefix": data.label_prefix,
-    }], tsv_header=("mu", "nu2", "nu3", "nu_inf", "genus", "label_prefix"))
+    _emit(args, [data._asdict()], data._fields)
     return 0
 
 
@@ -186,10 +178,7 @@ def _cmd_reduce_level(args) -> int:
     ctx = galois_context(_resolve_group(args.image, args.modulus, args.catalog))
     group = _resolve_group(args.group, args.modulus, args.catalog)
     result = level_reduction(ctx, group, args.m)
-    _emit(args, [{
-        "lhs": result.lhs, "rhs": result.rhs, "equal": result.equal,
-        "hypothesis_holds": result.hypothesis_holds,
-    }], tsv_header=("lhs", "rhs", "equal", "hypothesis_holds"))
+    _emit(args, [result._asdict()], result._fields)
     return 0
 
 
@@ -202,36 +191,22 @@ def _cmd_screen(args) -> int:
         if not entries:
             raise ValueError(f"no catalog entry labeled {args.label!r}")
     if not args.json:
-        print("label\tell\tn_max\tfiber_screen_passed\tgenus_zero_at_ell\tverdict")
+        print("\t".join(ScreenReport._fields[:-1]))
     status = 0
     for entry in entries:
-        if entry.level > 1:
-            ell, k = factorize(entry.level)[0]
-        else:
-            ell, k = args.ell, 0
-        n_max = args.nmax
-        if n_max is None:
-            n_max = max(k, DEFAULT_SCREEN_EXPONENT.get(ell or 0, 2))
         # --ell names the prime of the level-1 entries; every other entry
         # is screened at its own level's prime. A bad entry is named and
         # skipped: one image says nothing about the others
         try:
-            report = screen_entry(entry, n_max, ell=ell)
+            report = screen_entry(entry, args.nmax,
+                                  ell=args.ell if entry.level == 1 else None)
         except (ModscreenError, ValueError) as exc:
             status = max(status, _fail(exc, f"{entry.label}: "))
             continue
-        record = {
-            "label": report.label, "ell": report.ell, "n_max": report.n_max,
-            "fiber_screen_passed": report.fiber_screen_passed,
-            "genus_zero_at_ell": report.genus_zero_at_ell,
-            "verdict": str(report.verdict),
-        }
+        record = report._asdict()
+        rows = record.pop("rows")
         if args.json:
-            record["rows"] = [{
-                "modulus": r.modulus, "delta_order": r.delta_order,
-                "genus": r.genus, "min_fiber_degree": r.min_fiber_degree,
-                "threshold": r.threshold, "verdict": str(r.verdict),
-            } for r in report.rows]
+            record["rows"] = [row._asdict() for row in rows]
         _emit(args, [record])
     return status
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InvariantFailed, NonIntegral, NotFullDeterminant
 from .subgroups import (FullGroup, SubgroupSpec, _check_walk_length,
@@ -173,19 +174,16 @@ def _counts(hpm: SubgroupSpec) -> tuple[int, int, int, int]:
     return counts
 
 
-class CurveData:
-    """Numerical invariants of the curve, plus the level.index.genus label."""
+class CurveData(NamedTuple):
+    """The columns of `genus`: the curve's four counts, its genus and the
+    level.index.genus label."""
 
-    __slots__ = ("mu", "nu2", "nu3", "nu_inf", "genus", "label_prefix")
-
-    def __init__(self, mu: int, nu2: int, nu3: int, nu_inf: int, genus: int,
-                 label_prefix: str):
-        self.mu = mu
-        self.nu2 = nu2
-        self.nu3 = nu3
-        self.nu_inf = nu_inf
-        self.genus = genus
-        self.label_prefix = label_prefix
+    mu: int
+    nu2: int
+    nu3: int
+    nu_inf: int
+    genus: int
+    label_prefix: str
 
 
 def curve_data(h: SubgroupSpec) -> CurveData:
@@ -200,17 +198,11 @@ def _curve_data(h: SubgroupSpec) -> tuple[CurveData, SubgroupSpec, int]:
     if hpm is not h:
         warnings.warn(f"adjoined -I to a subgroup mod {h.n} before computing "
                       "curve data", stacklevel=3)
-    mu, nu2, nu3, nu_inf = _counts(hpm)
+    counts = _counts(hpm)
     lvl = level(hpm)
-    genus = genus_from_counts(h.n, mu, nu2, nu3, nu_inf)
-    return CurveData(
-        mu=mu,
-        nu2=nu2,
-        nu3=nu3,
-        nu_inf=nu_inf,
-        genus=genus,
-        label_prefix=f"{lvl}.{nested_index(FullGroup(h.n), hpm)}.{genus}",
-    ), hpm, lvl
+    genus = genus_from_counts(h.n, *counts)
+    label = f"{lvl}.{nested_index(FullGroup(h.n), hpm)}.{genus}"
+    return CurveData(*counts, genus, label), hpm, lvl
 
 
 def map_degree(h1: SubgroupSpec, h2: SubgroupSpec) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ModulusMismatch, NonIntegral
 from .subgroups import (GeneratedGroup, SubgroupSpec, adjoin_minus_i,
@@ -137,8 +138,9 @@ def _require_minus_i(h: SubgroupSpec) -> SubgroupSpec:
     return hpm
 
 
-class LevelReductionResult:
-    """Both sides of the degree identity along a reduction of level.
+class LevelReductionResult(NamedTuple):
+    """The columns of `reduce-level`: both sides of the degree identity
+    along a reduction of level.
 
     hypothesis_holds records whether the +-image's level divides the target
     modulus; when it fails the identity is not guaranteed, and the sides are
@@ -147,15 +149,10 @@ class LevelReductionResult:
     the degree identity only and makes no isolation claim of its own.
     """
 
-    __slots__ = ("h_prime", "lhs", "rhs", "equal", "hypothesis_holds")
-
-    def __init__(self, h_prime: SubgroupSpec, lhs: int, rhs: int, equal: bool,
-                 hypothesis_holds: bool):
-        self.h_prime = h_prime
-        self.lhs = lhs
-        self.rhs = rhs
-        self.equal = equal
-        self.hypothesis_holds = hypothesis_holds
+    lhs: int
+    rhs: int
+    equal: bool
+    hypothesis_holds: bool
 
 
 def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
@@ -186,13 +183,8 @@ def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
         raise NonIntegral(f"index {coarse} does not divide index {fine}")
     lhs = fine // coarse
     rhs = nested_index(h_prime, h)
-    return LevelReductionResult(
-        h_prime=h_prime,
-        lhs=lhs,
-        rhs=rhs,
-        equal=lhs == rhs,
-        hypothesis_holds=target % level(adjoin_minus_i(r)) == 0,
-    )
+    return LevelReductionResult(lhs, rhs, lhs == rhs,
+                                target % level(adjoin_minus_i(r)) == 0)
 
 
 def rr_screen(degree: int, r: int, genus: int) -> Verdict:

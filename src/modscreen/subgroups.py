@@ -420,6 +420,8 @@ class FullGroup(SubgroupSpec):
         return FullGroup(m)
 
     def lifted(self, n: int) -> SubgroupSpec:
+        if n % self.n:
+            raise NonDivisor(f"base modulus {self.n} must divide {n}")
         return FullGroup(n)
 
     def coset_key(self, q: Quad) -> Hashable:

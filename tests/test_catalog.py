@@ -1,5 +1,6 @@
 """Catalog parsing, the isolation screen, and the summary tables."""
 
+import json
 import random
 import warnings
 
@@ -376,6 +377,23 @@ def test_screen_rejects_tower_below_the_entry():
     entry = CatalogEntry(label="25.b", level=25, gens=b.generator_quads())
     with pytest.raises(ValueError):
         screen_entry(entry, n_max=1)
+
+
+def test_screen_default_tower_is_the_clis(capsys, tmp_path):
+    # without n_max the tower tops are 2^5, 3^3 and the square of any other
+    # prime, or the entry's own exponent when that is higher; screen prints
+    # exactly these reports
+    entries = [CatalogEntry(label=f"{n}.b", level=n,
+                            gens=borel(n, delta_full(n)).generator_quads())
+               for n in (4, 64, 9, 5, 7)]
+    reports = [screen_entry(entry) for entry in entries]
+    assert [rep.n_max for rep in reports] == [5, 6, 3, 2, 2]
+    path = tmp_path / "towers.jsonl"
+    path.write_text(serialize_catalog(entries), encoding="utf-8")
+    assert main(["screen", "--catalog", str(path), "--json"]) == 0
+    printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert printed == [dict(rep._asdict(), rows=[r._asdict() for r in rep.rows])
+                       for rep in reports]
 
 
 def _this_files_entries():

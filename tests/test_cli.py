@@ -351,6 +351,33 @@ def test_table_json_mode(capsys):
                           "threshold": 8, "verdict": "Inconclusive"}
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["genus", "--group", "borel:7:all"],
+     '{"mu": 8, "nu2": 0, "nu3": 2, "nu_inf": 2, "genus": 0, '
+     '"label_prefix": "7.8.0"}'),
+    (["reduce-level", "--image", "cns:5", "--modulus", "25",
+      "--group", "borel:25:all", "--m", "1"],
+     '{"lhs": 5, "rhs": 5, "equal": true, "hypothesis_holds": true}'),
+    (["screen", "--catalog", "ONE_ENTRY"],
+     '{"label": "5.B", "ell": 5, "n_max": 2, "fiber_screen_passed": true, '
+     '"genus_zero_at_ell": true, "verdict": "ForcedP1Parametrized", '
+     '"rows": [{"modulus": 25, "delta_order": 4, "genus": 4, '
+     '"min_fiber_degree": 50, "threshold": 8, '
+     '"verdict": "ForcedP1Parametrized"}, {"modulus": 25, "delta_order": 10, '
+     '"genus": 0, "min_fiber_degree": 50, "threshold": 0, '
+     '"verdict": "ForcedP1Parametrized"}]}'),
+], ids=["genus", "reduce-level", "screen"])
+def test_json_line_snapshot(capsys, tmp_path, argv, line):
+    # the exact bytes, key order included: each record's fields are printed
+    # in the order they are declared
+    one_entry = tmp_path / "one.jsonl"
+    one_entry.write_text(CATALOG.splitlines()[1] + "\n", encoding="utf-8")
+    argv = [str(one_entry) if a == "ONE_ENTRY" else a for a in argv]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out.splitlines()[0] == line
+
+
 # ------------------------------------------------------------ verification
 
 def test_verify_formulae_passes(capsys):

@@ -375,9 +375,12 @@ def test_level_reduction_when_target_already_at_that_level():
 
 def test_level_reduction_trivial_for_full_image():
     ctx = galois_context(FullGroup(27))
-    res = level_reduction(ctx, borel(27, delta_pm1(27)), 1)
+    h = borel(27, delta_pm1(27))
+    res = level_reduction(ctx, h, 1)
+    # H' as level_reduction builds it: the full preimage of +-H mod 3
+    h_prime = lift_subgroup(reduce_subgroup(adjoin_minus_i(h), 3), 27)
     assert res.equal
-    assert res.rhs == index_via_orbit(res.h_prime, borel(27, delta_pm1(27)))
+    assert res.rhs == index_via_orbit(h_prime, borel(27, delta_pm1(27)))
 
 
 def test_level_reduction_without_hypothesis_is_advisory():
@@ -487,11 +490,14 @@ def test_map_degree_is_the_walked_index(n):
 @pytest.mark.parametrize("n", [4, 8, 9, 16, 25, 27])
 def test_level_reduction_rhs_is_the_walked_index(n):
     ctx = galois_context(FullGroup(n))
+    ell, k = _helpers.prime_power_exponent(n)
     for i, (h, _) in enumerate(_nested_pairs(n)):
-        for m in range(_helpers.prime_power_exponent(n)[1] + 1):
+        for m in range(k + 1):
             res = level_reduction(ctx, h, m)
-            assert res.rhs == index_via_orbit(res.h_prime, h) == \
-                _helpers.reference_index(res.h_prime, h), (n, i, m)
+            # H' as level_reduction builds it: the full preimage of +-H mod l^m
+            h_prime = lift_subgroup(reduce_subgroup(adjoin_minus_i(h), ell**m), n)
+            assert res.rhs == index_via_orbit(h_prime, h) == \
+                _helpers.reference_index(h_prime, h), (n, i, m)
 
 
 @pytest.mark.parametrize("n", NESTED_MODULI)

@@ -437,6 +437,14 @@ def test_lift_of_full_is_full():
     assert lift_subgroup(FullGroup(1), 40).kind == "full"
 
 
+def test_lift_of_full_rejects_non_multiple():
+    # the message every other kind gives through LiftedGroup
+    with pytest.raises(NonDivisor, match="^base modulus 5 must divide 7$"):
+        FullGroup(5).lifted(7)
+    with pytest.raises(NonDivisor, match="^base modulus 5 must divide 7$"):
+        borel(5, delta_full(5)).lifted(7)
+
+
 def test_lift_order_and_containment():
     lifted = lift_subgroup(borel(5, delta_full(5)), 25)
     assert lifted.order == 50000
