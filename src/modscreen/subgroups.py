@@ -304,8 +304,9 @@ class SubgroupSpec:
     A kind supplies _gens; every hook below is the generic path for the
     group they generate, and a kind overrides one where it knows a closed
     form. The default membership, order and key come from a stabilizer chain
-    built once from the generators, and the default reduction to a divisor
-    modulus generates the group of the reduced generators; only
+    built once from the generators, the default level from the scan of the
+    kernel generators (scanned_level), and the default reduction to a
+    divisor modulus generates the group of the reduced generators; only
     element_quads enumerates the group, by closing the generators, and it
     checks the cap against the order first.
     """
@@ -347,6 +348,11 @@ class SubgroupSpec:
         return StabilizerChain(self.n, self._gens)
 
     # structure
+
+    @cached_property
+    def level(self) -> int:
+        """Least divisor d of n with the whole mod-d kernel inside H."""
+        return scanned_level(self)
 
     def reduced(self, m: int) -> "SubgroupSpec":
         _check_divisor(self.n, m)
@@ -400,6 +406,7 @@ class FullGroup(SubgroupSpec):
     """All of GL2(Z/nZ)."""
 
     kind = "full"
+    level = 1
 
     def member_quad(self, q: Quad) -> bool:
         return quad_is_invertible(self.n, q)
@@ -460,13 +467,19 @@ class BorelGroup(SubgroupSpec):
     def order(self) -> int:
         return borel_order(self.n, self.delta)
 
+    @property
+    def level(self) -> int:
+        # every mod-d kernel, d a proper divisor, holds (1 0; d 1), which is
+        # not upper triangular
+        return self.n
+
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
         return BorelGroup(m, self.delta.reduced(m))
 
     def with_minus_i(self) -> SubgroupSpec:
         n = self.n
-        return BorelGroup(n, unit_subgroup(n, self.delta.elements + (n - 1,)))
+        return BorelGroup(n, unit_subgroup(n, self.delta.generators + (n - 1,)))
 
     @cached_property
     def _delta_class(self) -> list[int]:
@@ -645,6 +658,12 @@ class CartanNormalizer(SubgroupSpec):
         return quadratic_pair_orbits(n, self.eps, gens, starts, ORBIT_CAP,
                                      lambda j: _check_orbit_cap(self, j))
 
+    @property
+    def level(self) -> int:
+        # the kernel mod every proper divisor of n = l^d holds
+        # (1 l^(d-1); 0 1), which has neither shape
+        return self.n
+
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
         if m == 1:
@@ -694,6 +713,13 @@ class LiftedGroup(SubgroupSpec):
     @property
     def preimage_base(self) -> SubgroupSpec:
         return self.base
+
+    @property
+    def level(self) -> int:
+        # the mod-m kernel lies inside, m = base.n, so the level divides m;
+        # for d | m the mod-d kernel lies inside exactly when its image mod
+        # m, the mod-d kernel there, lies in the base
+        return self.base.level
 
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
@@ -934,9 +960,8 @@ def reduce_subgroup(h: SubgroupSpec, m: int) -> SubgroupSpec:
 
 
 def lift_subgroup(h: SubgroupSpec, n: int) -> SubgroupSpec:
-    """Full preimage of H at the multiple modulus n."""
-    if n % h.n:
-        raise NonDivisor(f"{h.n} does not divide {n}")
+    """Full preimage of H at the multiple modulus n; NonDivisor, from the
+    kind's lifted, at any other n."""
     return h if n == h.n else h.lifted(n)
 
 
@@ -976,7 +1001,16 @@ def kernel_generator_quads(n: int, d: int) -> tuple[Quad, ...]:
 
 
 def level(h: SubgroupSpec) -> int:
-    """Least divisor d of the modulus with the whole mod-d kernel inside H."""
+    """Least divisor d of the modulus with the whole mod-d kernel inside H:
+    the kind's closed form where it has one (full 1, Borel and Cartan
+    normalizer n, a lift its base's level), else scanned_level."""
+    return h.level
+
+
+def scanned_level(h: SubgroupSpec) -> int:
+    """The level by scan: the first divisor d of the modulus whose mod-d
+    kernel generators all lie in H. The kernels of two good divisors
+    generate the kernel of their gcd, so the first is the least."""
     n = h.n
     for d in divisors(n):
         if all(h.member_quad(g) for g in kernel_generator_quads(n, d)):

@@ -16,9 +16,9 @@ from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
                         LiftedGroup, SL2Part, SubgroupSpec, _conjugate,
                         adjoin_minus_i, borel, borel_index, borel_order,
                         closure_quads, contains_minus_i, gl2_order,
-                        kernel_generator_quads, minus_identity_quad,
+                        kernel_generator_quads, level, minus_identity_quad,
                         nonsplit_cartan_normalizer_preimage, preimage_descent,
-                        sl2_order, walked_orbit_sizes)
+                        scanned_level, sl2_order, walked_orbit_sizes)
 from .zmod import (_unit_lattice_walk, delta_full, delta_pm1, delta_trivial,
                    divisors, factorize, is_prime, quad_det, quad_is_invertible,
                    unit_group_generators, unit_subgroup,
@@ -85,10 +85,21 @@ def verify_formulae(args) -> int:
                   preimage_descent(LiftedGroup(FullGroup(m), n), grp)[2],
                   grp.orbit_sizes(kernel_generator_quads(n, m), whole=False)[0])
 
+    def check_level(kind: str, grp: SubgroupSpec) -> None:
+        # the kind's closed-form level against the kernel-generator scan, for
+        # the group and for its full preimage at twice the modulus
+        lift = LiftedGroup(grp, 2 * grp.n)
+        for name, h in ((kind, grp), (f"lifted_{kind}", lift)):
+            check(f"level({h.n},{name})", level(h), scanned_level(h))
+
     top = args.max_modulus
     for n in range(1, top + 1):
         check(f"gl2_order({n})", _brute_gl2_count(n), gl2_order(n))
         check(f"sl2_order({n})", _brute_sl2_count(n), sl2_order(n))
+        check_level("full", FullGroup(n))
+        fac = factorize(n)
+        if len(fac) == 1 and fac[0][0] > 2:
+            check_level("cartan", CartanNormalizer(*fac[0]))
     for n in range(3, top + 1):
         deltas = {delta_trivial(n), delta_pm1(n), delta_full(n)}
         deltas.update(unit_subgroups_containing_minus_one(n))
@@ -104,6 +115,7 @@ def verify_formulae(args) -> int:
             check_orbits(f"borel_orbits({n},{delta.order})", grp)
             check_chain(f"borel{delta.order}", grp)
             check_lift_scale(f"borel{delta.order}", grp)
+            check_level(f"borel{delta.order}", grp)
     for ell in (3, 5, 7):
         for d in (1, 2):
             grp = CartanNormalizer(ell, d)

@@ -403,6 +403,16 @@ def test_verify_formulae_passes(capsys):
     # per Delta and divisor m of the modulus, and for the Cartan preimages
     assert sum(line.startswith("lift_scale(8,") for line in lines) == 3 * 4
     assert any(line.startswith("lift_scale(49,7,cnspre)") for line in lines)
+    # each kind's closed-form level against the kernel-generator scan, and
+    # that of its full preimage at twice the modulus: full at every n,
+    # Cartan at 3, 5 and 7, Borel at every Delta from 3 on
+    assert sum(line.startswith("level(") for line in lines) == 2 * (8 + 3 + 15)
+    assert [line.split("\t")[0] for line in lines
+            if line.startswith("level(8,")] == [
+        "level(8,lifted_full)", "level(8,full)", "level(8,lifted_borel1)",
+        "level(8,lifted_borel2)", "level(8,borel1)", "level(8,borel2)",
+        "level(8,borel4)"]
+    assert any(line.startswith("level(14,lifted_cartan)") for line in lines)
     # the curve counts at each prime from the permutation character against
     # the coset walk: the Borel of every Delta, the Cartan normalizer at odd
     # primes and two seeded conjugates

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import modscreen.subgroups
+from modscreen.cli import main as cli_main
 from modscreen.curves import coset_space, label_prefix
 from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
                               ModulusMismatch, NonDivisor, NonInvertible,
@@ -24,10 +25,10 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                                  nonsplit_cartan_normalizer,
                                  nonsplit_cartan_normalizer_preimage,
                                  product_set_quads, reduce_subgroup,
-                                 sigma_quad, sl2_order, tau_quad)
+                                 scanned_level, sigma_quad, sl2_order, tau_quad)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
-                            euler_phi, quad_det, quad_inv, quad_is_invertible,
-                            quad_mul, quad_reduce, unit_subgroup,
+                            euler_phi, factorize, quad_det, quad_inv,
+                            quad_is_invertible, quad_mul, quad_reduce, unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
 import _helpers
@@ -445,6 +446,16 @@ def test_lift_of_full_rejects_non_multiple():
         borel(5, delta_full(5)).lifted(7)
 
 
+@pytest.mark.parametrize("group", [
+    FullGroup(5), borel(5, delta_pm1(5)), CartanNormalizer(5),
+    GeneratedGroup(5, [(1, 1, 0, 1)]), LiftedGroup(FullGroup(1), 5)],
+    ids=lambda h: h.kind)
+def test_lift_to_a_non_multiple_has_one_message(group):
+    for lift in (lambda n: lift_subgroup(group, n), group.lifted):
+        with pytest.raises(NonDivisor, match="^base modulus 5 must divide 7$"):
+            lift(7)
+
+
 def test_lift_order_and_containment():
     lifted = lift_subgroup(borel(5, delta_full(5)), 25)
     assert lifted.order == 50000
@@ -493,6 +504,62 @@ def test_level_detects_full_preimages():
     h = lift_subgroup(nonsplit_cartan_normalizer(3), 27)
     assert level(h) == 3
     assert level(nonsplit_cartan_normalizer(27)) == 27
+
+
+def _closed_form_level_pool(n, rng):
+    """Full, Borel (trivial, +-1, full and two seeded cyclic Delta) and the
+    Cartan normalizer at an odd prime power, each also lifted to a seeded
+    multiple of n up to 80 and rebuilt from its generators."""
+    deltas = {delta_trivial(n), delta_full(n)}
+    if n > 2:
+        deltas.add(delta_pm1(n))
+    deltas.update(unit_subgroup(n, [rng.choice(units(n))]) for _ in range(2))
+    pool = [FullGroup(n)] + [borel(n, d) for d in sorted(deltas, key=lambda d: d.elements)]
+    fac = factorize(n)
+    if len(fac) == 1 and fac[0][0] > 2:
+        pool.append(CartanNormalizer(*fac[0]))
+    pool += [lift_subgroup(h, n * rng.randint(1, max(1, 80 // n))) for h in pool]
+    return pool + [GeneratedGroup(h.n, h.generator_quads()) for h in pool]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_level_hook_equals_the_scan(n):
+    """Each kind's closed-form level against the kernel-generator scan, and
+    against the scan of the group rebuilt from its generators."""
+    rng = random.Random(2700 + n)
+    pool = _closed_form_level_pool(n, rng)
+    kinds = {h.kind for h in pool}
+    assert {"full", "borel", "generated"} <= kinds, kinds
+    for h in pool:
+        assert level(h) == scanned_level(h), (h, h.kind)
+    assert all(level(h) == n for h in pool if h.kind == "borel")
+
+
+def test_level_hooks_scan_no_kernel_generators(monkeypatch, capsys):
+    """A Borel genus and a Cartan preimage's level read their closed forms."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("scanned the kernel generators")
+
+    monkeypatch.setattr(modscreen.subgroups, "kernel_generator_quads", refuse)
+    assert cli_main(["genus", "--group", "borel:625:all"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t") == \
+        ["750", "2", "0", "30", "48", "625.750.48"]
+    assert cli_main(["level", "--group", "cnspre:13:2"]) == 0
+    assert capsys.readouterr().out == "13\n"
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_borel_with_minus_i_closes_the_generators_of_delta(n):
+    """<Delta's generators, -1> is <Delta's elements, -1> for every Delta."""
+    deltas = [delta_trivial(n)]
+    for d in deltas:  # grows while it is walked: every subgroup, once
+        for u in units(n):
+            e = unit_subgroup(n, d.generators + (u,))
+            if e not in deltas:
+                deltas.append(e)
+    for d in deltas:
+        assert borel(n, d).with_minus_i().delta == \
+            unit_subgroup(n, d.elements + (n - 1,)), d.elements
 
 
 # ------------------------------------------------------- kernel machinery
