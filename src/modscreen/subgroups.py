@@ -795,14 +795,11 @@ def nonsplit_cartan_normalizer(q: int) -> CartanNormalizer:
     ell, d = fac[0]
     return CartanNormalizer(ell, d)
 
+
 def nonsplit_cartan_normalizer_preimage(q: int) -> SubgroupSpec:
     """Full preimage at modulus q = l^d of the mod-l normalizer."""
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    ell, d = fac[0]
-    base = CartanNormalizer(ell, 1)
-    return base if d == 1 else LiftedGroup(base, q)
+    thin = nonsplit_cartan_normalizer(q)
+    return thin if thin.d == 1 else LiftedGroup(CartanNormalizer(thin.ell), q)
 
 
 def least_nonresidue(ell: int) -> int:

@@ -116,12 +116,17 @@ def _check_modulus(n: int) -> None:
         raise ValueError(f"modulus must be >= 1, got {n}")
 
 
-def _unit_closure(n: int, gens: Iterable[int]) -> frozenset[int]:
-    """The subgroup generated by the units gens, one _extend_subgroup each."""
+def _unit_closure(n: int, gens: Iterable[int]) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The subgroup generated by the units gens, and the gens it adjoined: one
+    _extend_subgroup for each gen not already inside, none for the rest."""
     out = frozenset({1 % n})
+    kept = []
     for g in gens:
-        out = _extend_subgroup(n, out, g % n)
-    return out
+        g %= n
+        if g not in out:
+            kept.append(g)
+            out = _extend_subgroup(n, out, g)
+    return out, tuple(kept)
 
 
 def _extend_subgroup(n: int, sub: frozenset[int], g: int) -> frozenset[int]:
@@ -137,34 +142,28 @@ def _extend_subgroup(n: int, sub: frozenset[int], g: int) -> frozenset[int]:
 
 @cache
 def unit_group_generators(n: int) -> tuple[int, ...]:
-    """A small generating set of (Z/nZ)^x, found greedily in ascending order."""
+    """A small generating set of (Z/nZ)^x: the generators of delta_full(n),
+    scanned once for each n."""
     return delta_full(n).generators
 
 
 class UnitSubgroup:
-    """Subgroup of (Z/nZ)^x, carried as its full sorted element tuple.
+    """The subgroup of (Z/nZ)^x that the units gens generate, closed once and
+    carried as its sorted element tuple; with no gens, the trivial subgroup.
 
     An immutable value: equal (n, elements) compare and hash equal, so a
     subgroup can key a cache (catalog._borel_genus) or a set.
     """
 
-    def __init__(self, n: int, elements: tuple[int, ...]):
+    def __init__(self, n: int, gens: Iterable[int] = ()):
         _check_modulus(n)
+        gens = list(gens)
+        if any(gcd(g, n) != 1 for g in gens):
+            raise ValueError(f"generators must be units mod {n}")
+        closed = _unit_closure(n, gens)[0]  # reduces each generator mod n
         object.__setattr__(self, "n", n)  # past the refusing __setattr__
-        object.__setattr__(self, "elements", elements)
-        els = elements
-        if not els or list(els) != sorted(set(els)):
-            raise ValueError("elements must be sorted and distinct")
-        if els[0] < 0 or els[-1] >= self.n:
-            raise ValueError(f"element is not a residue mod {self.n}")
-        if any(gcd(x, self.n) != 1 for x in els):
-            raise ValueError(f"non-unit element mod {self.n}")
-        if 1 % self.n not in els:
-            raise ValueError("subgroup must contain 1")
-        # the greedy generators reach every element, so the group they close
-        # to is the set exactly when the set is closed under multiplication
-        if self._greedy_scan[1] != self._set:
-            raise ValueError(f"not closed under multiplication mod {self.n}")
+        object.__setattr__(self, "elements", tuple(sorted(closed)))
+        object.__setattr__(self, "_set", closed)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnitSubgroup):
@@ -183,49 +182,31 @@ class UnitSubgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def _set(self) -> frozenset[int]:
-        return frozenset(self.elements)
-
     def contains(self, x: int) -> bool:
         return x % self.n in self._set
 
     @cached_property
-    def _greedy_scan(self) -> tuple[tuple[int, ...], frozenset[int]]:
-        # ascending: each element not yet generated is kept and adjoined
-        gens: list[int] = []
-        closed = _unit_closure(self.n, ())
-        for u in self.elements:
-            if u not in closed:
-                gens.append(u)
-                closed = _extend_subgroup(self.n, closed, u)
-        return tuple(gens), closed
-
-    @property
     def generators(self) -> tuple[int, ...]:
-        return self._greedy_scan[0]
+        """The ascending greedy scan of the elements, run when first read:
+        each element not yet generated is kept and adjoined."""
+        return _unit_closure(self.n, self.elements)[1]
 
     def reduced(self, m: int) -> "UnitSubgroup":
         if m < 1 or self.n % m:
             raise NonDivisor(f"{m} does not divide {self.n}")
-        return UnitSubgroup(m, tuple(sorted(_unit_closure(m, self.generators))))
+        return UnitSubgroup(m, self.elements)
 
 
-def unit_subgroup(n: int, gens: Iterable[int] = ()) -> UnitSubgroup:
-    """Closure of the given units; with no generators, the trivial subgroup."""
-    _check_modulus(n)
-    g = [x % n for x in gens]
-    if any(gcd(x, n) != 1 for x in g):
-        raise ValueError(f"generators must be units mod {n}")
-    return UnitSubgroup(n, tuple(sorted(_unit_closure(n, g))))
+# the one constructor, under the name most callers build by
+unit_subgroup = UnitSubgroup
 
 
 def delta_trivial(n: int) -> UnitSubgroup:
-    return unit_subgroup(n, ())
+    return UnitSubgroup(n)
 
 
 def delta_pm1(n: int) -> UnitSubgroup:
-    return unit_subgroup(n, (n - 1,))
+    return UnitSubgroup(n, (n - 1,))
 
 
 def delta_full(n: int) -> UnitSubgroup:
@@ -250,17 +231,15 @@ def unit_subgroups_containing_minus_one(n: int) -> tuple[UnitSubgroup, ...]:
     p, e = fac[0]
     if p == 2:
         # <-1, 5^(2^j)> has order 2^(e-1-j), so the largest j comes first
-        subs = [_unit_closure(n, (n - 1, pow(5, 2**j, n)))
-                for j in reversed(range(e - 1))]
+        gens = [(n - 1, pow(5, 2**j, n)) for j in reversed(range(e - 1))]
     else:
         phi = euler_phi(n)
         primes = [q for q, _ in factorize(phi)]
         g = next(u for u in units(n)
                  if all(pow(u, phi // q, n) != 1 for q in primes))
-        # one subgroup of each order d, and the divisors ascend
-        subs = [{pow(g, phi // d * i, n) for i in range(d)}
-                for d in divisors(phi) if d % 2 == 0]
-    return tuple(UnitSubgroup(n, tuple(sorted(s))) for s in subs)
+        # <g^(phi/d)>, one subgroup of each order d, and the divisors ascend
+        gens = [(pow(g, phi // d, n),) for d in divisors(phi) if d % 2 == 0]
+    return tuple(UnitSubgroup(n, s) for s in gens)
 
 
 def _unit_lattice_walk(n: int) -> tuple[UnitSubgroup, ...]:
@@ -270,7 +249,7 @@ def _unit_lattice_walk(n: int) -> tuple[UnitSubgroup, ...]:
     this way.
     """
     us = units(n)
-    base = _unit_closure(n, (n - 1,))
+    base = frozenset({1, n - 1})
     found = {base}
     frontier = [base]
     while frontier:
@@ -285,7 +264,7 @@ def _unit_lattice_walk(n: int) -> tuple[UnitSubgroup, ...]:
                     new.append(bigger)
         frontier = new
     ordered = sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    return tuple(UnitSubgroup(n, tuple(sorted(s))) for s in ordered)
+    return tuple(UnitSubgroup(n, s) for s in ordered)
 
 
 # points of P^1(Z/nZ): normal forms of unimodular rows, one per line

@@ -336,6 +336,22 @@ def test_cartan_preimage_variant():
     assert thin.order < pre.order
 
 
+def test_cartan_preimage_takes_its_prime_power_from_the_thin_constructor():
+    for q in (0, 1, 2, 6, 8, 12):
+        errors = []
+        for make in (nonsplit_cartan_normalizer, nonsplit_cartan_normalizer_preimage):
+            with pytest.raises(Exception) as caught:
+                make(q)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1], q
+    for q in (3, 5, 9, 125):
+        (ell, d), = factorize(q)
+        pre = nonsplit_cartan_normalizer_preimage(q)
+        base = pre if d == 1 else pre.base
+        assert (pre.n, base.kind, base.ell, base.d) == \
+            (q, "cartan_nonsplit_normalizer", ell, 1)
+
+
 # ------------------------------------------------------- generated kinds
 
 def test_generated_group_rejects_singular_generator():

@@ -88,22 +88,69 @@ def test_unit_group_generators_generate():
 
 def test_unit_subgroup_closure_is_a_group():
     rng = random.Random(104)
-    for _ in range(100):
-        n = rng.randint(3, 50)
-        gens = [rng.choice(units(n)) for _ in range(rng.randint(1, 3))]
-        d = unit_subgroup(n, gens)
-        els = set(d.elements)
-        assert 1 in els
-        assert all(a * b % n in els for a in els for b in els)
+    for n in range(1, 65):
+        for _ in range(4):
+            units_drawn = [rng.choice(units(n)) for _ in range(rng.randint(0, 3))]
+            # repeats, 1, and unreduced and negative residues of the same units
+            gens = units_drawn * 2 + [1] + [g + n for g in units_drawn] + \
+                [g - n for g in units_drawn]
+            rng.shuffle(gens)
+            d = unit_subgroup(n, gens)
+            els = set(d.elements)
+            assert 1 % n in els
+            assert all(a * b % n in els for a in els for b in els)
+            assert els == reference_unit_closure(n, gens), (n, gens)
+            assert d.generators == reference_unit_generators(n, d.elements), (n, gens)
 
 
 def test_unit_subgroup_rejects_sets_not_closed():
-    with pytest.raises(ValueError):
-        UnitSubgroup(7, (1, 2))
+    # a set that is not closed is not refused: it generates its closure
+    assert UnitSubgroup(7, (1, 2)).elements == (1, 2, 4)
     # above 2000 elements too: every unit mod the prime 4099 but -1
-    with pytest.raises(ValueError):
-        UnitSubgroup(4099, tuple(range(1, 4098)))
+    assert UnitSubgroup(4099, tuple(range(1, 4098))) == delta_full(4099)
     assert UnitSubgroup(4099, tuple(range(1, 4099))).order == 4098
+
+
+def test_unit_subgroup_round_trips_through_its_elements():
+    for n in range(3, 65):
+        for d in unit_subgroups_containing_minus_one(n):
+            again = UnitSubgroup(n, d.elements)
+            assert again == d and again.generators == d.generators, (n, d.elements)
+
+
+@pytest.mark.parametrize("n", [125, 243, 256, 625])
+def test_each_unit_subgroup_is_closed_once(monkeypatch, n):
+    calls = []
+    extend = zmod._extend_subgroup
+
+    def counted(m, sub, g):
+        calls.append(g)
+        return extend(m, sub, g)
+
+    monkeypatch.setattr(zmod, "_extend_subgroup", counted)
+    rng = random.Random(n)
+    drawn = [rng.choice(units(n)) for _ in range(4)]
+    gens = drawn + [1, n - 1] + drawn[:2]
+    built = []
+    # one extension for each given generator not already inside, no more:
+    # no second closure re-checks the group
+    for build, given in ((lambda: unit_subgroup(n, gens), gens),
+                         (lambda: delta_full(n), units(n))):
+        calls.clear()
+        built.append(build())
+        assert len(calls) <= len(reference_unit_generators(n, given))
+    calls.clear()
+    lattice = unit_subgroups_containing_minus_one(n)
+    # <g^(phi/d)> at an odd prime power, <-1, 5^(2^j)> at 2^e
+    assert len(calls) <= len(lattice) * (2 if n % 2 == 0 else 1)
+    # the greedy scan runs when .generators is first read, and only then
+    for d in built + list(lattice):
+        calls.clear()
+        assert d.generators == reference_unit_generators(n, d.elements)
+        assert len(calls) == len(d.generators)
+        calls.clear()
+        d.generators
+        assert not calls
 
 
 def test_unit_subgroups_are_immutable_values():
@@ -134,16 +181,20 @@ def test_unit_subgroup_rejects_nonunit():
         unit_subgroup(10, [5])
 
 
-@pytest.mark.parametrize("build, message", [
+@pytest.mark.parametrize("build, want", [
     (lambda: UnitSubgroup(0, (1,)), "modulus must be >= 1, got 0"),
     (lambda: unit_subgroup(0), "modulus must be >= 1, got 0"),
     (lambda: unit_subgroup(-4, [1]), "modulus must be >= 1, got -4"),
-    (lambda: UnitSubgroup(7, (1, 8)), "not a residue mod 7"),
-    (lambda: UnitSubgroup(7, (-1, 1)), "not a residue mod 7"),
+    # an unreduced residue is reduced mod n and closed, not refused
+    (lambda: UnitSubgroup(7, (1, 8)), delta_trivial(7)),
+    (lambda: UnitSubgroup(7, (-1, 1)), delta_pm1(7)),
 ], ids=["UnitSubgroup-mod-0", "unit_subgroup-mod-0", "unit_subgroup-mod-minus-4",
         "UnitSubgroup-8-mod-7", "UnitSubgroup-minus-1-mod-7"])
-def test_unit_subgroup_rejects_bad_modulus_and_unreduced_residues(build, message):
-    with pytest.raises(ValueError, match=message):
+def test_unit_subgroup_rejects_bad_modulus_and_unreduced_residues(build, want):
+    if isinstance(want, UnitSubgroup):
+        assert build() == want
+        return
+    with pytest.raises(ValueError, match=want):
         build()
 
 
