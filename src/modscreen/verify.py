@@ -19,9 +19,9 @@ from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
                         kernel_generator_quads, level, minus_identity_quad,
                         nonsplit_cartan_normalizer_preimage, preimage_descent,
                         scanned_level, sl2_order, walked_orbit_sizes)
-from .zmod import (_unit_lattice_walk, delta_full, delta_pm1, delta_trivial,
-                   divisors, factorize, is_prime, quad_det, quad_is_invertible,
-                   unit_group_generators, unit_subgroup,
+from .zmod import (Quad, _unit_lattice_walk, delta_full, delta_pm1,
+                   delta_trivial, divisors, factorize, is_prime, quad_det,
+                   quad_is_invertible, unit_group_generators, unit_subgroup,
                    unit_subgroups_containing_minus_one, units)
 
 
@@ -36,6 +36,13 @@ def _brute_sl2_count(n: int) -> int:
     one = 1 % n
     return sum(1 for q in product(range(n), repeat=4)
                if quad_det(n, q) == one)
+
+
+def _invertible_matrix(rng: random.Random, n: int) -> Quad:
+    c = (0, 0, 0, 0)
+    while not quad_is_invertible(n, c):
+        c = tuple(rng.randrange(n) for _ in range(4))
+    return c
 
 
 def verify_formulae(args) -> int:
@@ -67,11 +74,12 @@ def verify_formulae(args) -> int:
         # the orbit of H*1, then each orbit size with its multiplicity
         return sizes[0], tuple(sorted(Counter(sizes).items()))
 
-    def check_orbits(name: str, grp: SubgroupSpec) -> None:
-        # the hook against the coset walk, under GL2 and under the image
-        # generated by (1 0; 1 1) and (-1 0; 0 1)
+    def check_orbits(name: str, grp: SubgroupSpec, *extra) -> None:
+        # the hook against the coset walk, under GL2, under the image
+        # generated by (1 0; 1 1) and (-1 0; 0 1) and under the extra images
         n = grp.n
-        images = (FullGroup(n).generator_quads(), ((1, 0, 1, 1), (n - 1, 0, 0, 1)))
+        images = (FullGroup(n).generator_quads(), ((1, 0, 1, 1), (n - 1, 0, 0, 1)),
+                  *extra)
         check(name, [orbit_profile(grp.orbit_sizes(g, whole=True)) for g in images],
               [orbit_profile(walked_orbit_sizes(grp, g)) for g in images])
 
@@ -121,7 +129,12 @@ def verify_formulae(args) -> int:
             grp = CartanNormalizer(ell, d)
             check(f"cartan_order({ell},{d})", len(grp.element_quads), grp.order)
             check_chain("cartan", grp)
-            check_orbits(f"cartan_orbits({grp.n})", grp)
+            # also under N's own generators and a seeded conjugate of them,
+            # where the pair walk steps all but one generator once per cycle
+            own = grp.generator_quads()
+            c = _invertible_matrix(random.Random(grp.n), grp.n)
+            check_orbits(f"cartan_orbits({grp.n})", grp, own,
+                         tuple(_conjugate(grp.n, c, g) for g in own))
             check_lift_scale("cnspre", nonsplit_cartan_normalizer_preimage(grp.n))
     # the curve counts at a prime from the permutation character, which read
     # the stabilizer chain of the generators, against the coset walk: the
@@ -134,9 +147,7 @@ def verify_formulae(args) -> int:
         groups = [(f"borel{d.order}", borel(ell, d)) for d in deltas]
         if ell > 2:
             groups.append(("cns", CartanNormalizer(ell)))
-        c = (0, 0, 0, 0)
-        while not quad_is_invertible(ell, c):
-            c = tuple(rng.randrange(ell) for _ in range(4))
+        c = _invertible_matrix(rng, ell)
         split = [(0, 1, 1, 0)]
         for u in unit_group_generators(ell):
             split += [(u, 0, 0, 1), (1, 0, 0, u)]

@@ -11,8 +11,8 @@ from modscreen.points import _aut_is_plus_minus, _require_minus_i
 from modscreen.subgroups import (ENUMERATION_CAP, BorelGroup, CartanNormalizer,
                                  FullGroup, coset_action, gl2_order,
                                  identity_quad, lift_subgroup)
-from modscreen.zmod import (quad_inv, quad_is_invertible, quad_mul,
-                            unit_subgroup, units)
+from modscreen.zmod import (_unit_inverses, quad_inv, quad_is_invertible,
+                            quad_mul, unit_subgroup, units)
 
 
 # Reference closure: the element-by-element BFS that the coset-by-coset
@@ -69,6 +69,42 @@ def reference_unit_generators(n, elements):
             gens.append(u)
             closed = reference_unit_closure(n, gens)
     return tuple(gens)
+
+
+# Reference Cartan pair walk: every generator steps from every pair, the walk
+# that the walk by cycles of one generator replaced, kept for comparison.
+
+def reference_pair_orbits(n, eps, gens, starts, cap, at_cap):
+    """Sizes of the orbits of <gens> on the pairs (x, y^2) that starts meet,
+    in that order: quadratic_pair_orbits stepping every generator from every
+    pair, with the same closed step and the same cap check."""
+    inv = _unit_inverses(n)
+    steps = [(r0, r1, r2, r3, eps * r2 * r2 % n, eps * r2 * r3 % n,
+              (r0 * r3 - r1 * r2) ** 2 % n) for r0, r1, r2, r3 in gens]
+    seen = set()
+    sizes = []
+    for start in starts:
+        k = start[0] * n + start[1]
+        if k in seen:
+            continue
+        if len(seen) >= cap:
+            at_cap(len(seen))
+        seen.add(k)
+        orbit = [start]
+        for x, y2 in orbit:  # grows while it is walked: the BFS queue
+            for r0, r1, r2, r3, er22, er23, det2 in steps:
+                a = r0 + x * r2
+                i = inv[(a * a - er22 * y2) % n]
+                u = ((r1 + x * r3) * a - er23 * y2) * i % n
+                v = y2 * det2 * i * i % n
+                k = u * n + v
+                if k not in seen:
+                    if len(seen) >= cap:
+                        at_cap(len(seen))
+                    seen.add(k)
+                    orbit.append((u, v))
+        sizes.append(len(orbit))
+    return sizes
 
 
 # Reference orbit walks: every coset at the image's modulus n, with no descent

@@ -25,8 +25,9 @@ from modscreen.cli import main  # noqa: E402
 from modscreen.errors import OrbitTooLarge  # noqa: E402
 from modscreen.subgroups import (CartanNormalizer, FullGroup,  # noqa: E402
                                  LiftedGroup, borel, walked_orbit_sizes)
-from modscreen.zmod import (quad_inv, quad_mul, quadratic_mobius,  # noqa: E402
-                            quadratic_pair_key, quadratic_pair_orbits, units)
+from modscreen.zmod import (_cycle_split, quad_inv, quad_mul,  # noqa: E402
+                            quadratic_mobius, quadratic_pair_key,
+                            quadratic_pair_orbits, units)
 
 import _helpers  # noqa: E402
 
@@ -148,6 +149,75 @@ def test_cartan_orbits_match_the_walk_on_random_generators(case):
 def test_deep_cartan_orbits_match_the_walk(n):
     c = CartanNormalizer(*_helpers.prime_power_exponent(n))
     assert_hook_matches_the_walk(c, conjugated(random.Random(n), n, c.generator_quads()))
+
+
+WALK_LEVELS = [3, 9, 25, 27, 49, 121, 125, 169, 343]
+
+
+def own_and_conjugates(rng, n):
+    """The normalizer's own generators, shuffled, and two conjugates of them:
+    the lists on which every other generator normalizes the cycle generator."""
+    own = list(CartanNormalizer(*_helpers.prime_power_exponent(n)).generator_quads())
+    rng.shuffle(own)
+    return [own, conjugated(rng, n, own), conjugated(rng, n, own)]
+
+
+def all_pairs(n):
+    squares = sorted({y * y % n for y in units(n)})
+    return [(x, y2) for x in range(n) for y2 in squares]
+
+
+@pytest.mark.parametrize("n", WALK_LEVELS)
+def test_the_walk_by_cycles_matches_the_walk_by_pairs(n):
+    # the sizes of every orbit in the order the starts meet them, from the
+    # pair of N*1 alone and from every pair, against the walk that steps
+    # each generator from each pair
+    rng = random.Random(n)
+    lists = own_and_conjugates(rng, n)
+    lists.append(lists[0] + _helpers.generator_list(rng, n, 1)[:1])
+    lists += [_helpers.generator_list(rng, n, k)[:k] for k in (1, 2, 3)]
+    lists.append(())
+    e = CartanNormalizer(*_helpers.prime_power_exponent(n)).eps
+    pairs = all_pairs(n)
+    for starts in ([(0, 1)], pairs):
+        for gens in lists:
+            args = (n, e, gens, starts, len(pairs), refuse_at_cap)
+            assert quadratic_pair_orbits(*args) == \
+                _helpers.reference_pair_orbits(*args), (n, gens)
+
+
+@pytest.mark.parametrize("n", WALK_LEVELS)
+def test_every_other_generator_of_a_normalizer_steps_once_per_cycle(n):
+    for gens in own_and_conjugates(random.Random(n), n):
+        c, per_cycle, per_pair = _cycle_split(n, gens)
+        assert per_pair == [] and sorted(per_cycle + [c]) == sorted(gens), (n, gens)
+
+
+def test_scalars_take_no_step():
+    n = 25
+    own = list(CartanNormalizer(5, 2).generator_quads())
+    c, per_cycle, per_pair = _cycle_split(n, own + [(1, 0, 0, 1), (7, 0, 0, 7)])
+    assert sorted(per_cycle + per_pair + [c]) == sorted(own)
+    assert _cycle_split(n, [(1, 0, 0, 1), (24, 0, 0, 24)]) == ((1, 0, 0, 1), [], [])
+
+
+@pytest.mark.parametrize("n", [27, 125, 169])
+def test_a_walk_by_cycles_stops_at_the_cap(monkeypatch, n):
+    # the orbit of N*1 under a conjugate of N is walked by cycles; at a cap
+    # one below its size it refuses with the message the walk by pairs gives
+    # there, and at its size it finishes
+    c = CartanNormalizer(*_helpers.prime_power_exponent(n))
+    gens = conjugated(random.Random(n), n, c.generator_quads())
+    [s] = _helpers.reference_pair_orbits(n, c.eps, gens, [(0, 1)], n * n,
+                                         refuse_at_cap)
+    assert s > 1
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", s - 1)
+    with pytest.raises(OrbitTooLarge) as err:
+        c.orbit_sizes(gens, whole=False)
+    assert str(err.value) == (f"coset walk of cartan_nonsplit_normalizer mod "
+                              f"{n} reached {s - 1} cosets, cap {s - 1}")
+    monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", s)
+    assert c.orbit_sizes(gens, whole=False) == [s]
 
 
 def test_cnspre_hands_the_hook_its_reduced_generators():

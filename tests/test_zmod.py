@@ -86,6 +86,15 @@ def test_unit_group_generators_generate():
         assert got.elements == units(n), n
 
 
+@pytest.mark.parametrize("levels", [range(1, 65), range(121, 730)],
+                         ids=["1-64", "121-729"])
+def test_unit_group_generators_are_the_greedy_generators_of_the_units(levels):
+    # one closure of the units in ascending order adjoins exactly the units
+    # that the greedy scan of delta_full keeps
+    for n in levels:
+        assert unit_group_generators(n) == delta_full(n).generators, n
+
+
 def test_unit_subgroup_closure_is_a_group():
     rng = random.Random(104)
     for n in range(1, 65):
