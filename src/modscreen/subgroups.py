@@ -16,7 +16,7 @@ the one walk behind index and fiber computations without a closed form and
 behind the genus at a modulus that is not prime, and walked_orbit_sizes
 over it, whose orbits permutation_orbit_sizes splits) and identifies a
 coset by a canonical key (equal keys exactly when the cosets are equal).
-One transversal walk (_transversal) serves the chain's first two levels
+One transversal walk (_transversal) serves the chain's first three levels
 and the det-1 part's Schreier generators, which SL2Part sifts through the
 chain of those kept. An element set is built one way for every kind: the
 closure of the generators (SubgroupSpec.element_quads), refused up front
@@ -40,9 +40,8 @@ from .zmod import (Quad, UnitSubgroup, _check_modulus, _extend_subgroup,
                    _p1_normalize, _p1_points, _unit_inverses, divisors,
                    euler_phi, factorize, is_prime, lift_quad, quad_det,
                    quad_inv, quad_is_invertible, quad_mul, quad_reduce,
-                   quadratic_generator, quadratic_mobius, quadratic_mul,
-                   quadratic_pair_key, quadratic_pair_orbits, quadratic_pow,
-                   unit_group_generators, unit_subgroup, units)
+                   quadratic_generator, quadratic_mul, quadratic_pair_orbits,
+                   quadratic_pow, unit_group_generators, unit_subgroup, units)
 
 ENUMERATION_CAP = 10_000_000
 # cosets one coset_action walk, or one Cartan walk of point pairs (a pair is
@@ -87,49 +86,43 @@ def tau_quad(n: int) -> Quad:
 def closure_quads(n: int, gen_quads: Iterable[Quad]) -> frozenset[Quad]:
     """The subgroup generated by gen_quads, closed coset by coset (Dimino).
 
-    Each generator not yet inside grows the closed group H to <H, g> as a
-    union of right cosets of H, so every element is made once, as h*r, and
-    one product per (coset, generator) pair decides whether a coset is new:
-    about |G| products instead of |G| * #gens. TooLarge exactly when the
-    order exceeds ENUMERATION_CAP, read at call time.
+    Each generator g not yet inside grows the closed group H to <H, g> as a
+    union of right cosets of H: the walk goes over the cosets H*r from H*1
+    under the generators so far, and (H*r)*s = H*(r*s) is new exactly when
+    r*s is not yet seen. The old generators fix H*1, so only g moves it.
+    Every element is made once, as h*r, and one product per (coset,
+    generator) pair decides whether a coset is new: about |G| products
+    instead of |G| * #gens. TooLarge exactly when the order exceeds
+    ENUMERATION_CAP, read at call time.
     """
     group = [identity_quad(n)]
     seen = set(group)
     gens: list[Quad] = []
+    cap = ENUMERATION_CAP
     for g in gen_quads:
-        if g not in seen:
-            gens.append(g)
-            _adjoin_generator(n, group, seen, gens, ENUMERATION_CAP)
+        if g in seen:
+            continue
+        gens.append(g)
+        h = group[:]
+        reps = [group[0]]
+        for i, r in enumerate(reps):  # reps grows while it is walked
+            for s in gens if i else gens[-1:]:
+                y = quad_mul(n, r, s)
+                if y in seen:
+                    continue
+                if len(group) + len(h) > cap:
+                    raise TooLarge(f"closure mod {n} exceeds cap {cap}",
+                                   operation="closure", modulus=n,
+                                   reached=len(group) + len(h), cap=cap)
+                reps.append(y)
+                y0, y1, y2, y3 = y
+                coset = [((a * y0 + b * y2) % n, (a * y1 + b * y3) % n,
+                          (c * y0 + d * y2) % n, (c * y1 + d * y3) % n)
+                         for a, b, c, d in h]
+                group += coset
+                seen.update(coset)
     del seen  # the list holds the same elements: free the set before the copy
     return frozenset(group)
-
-
-def _adjoin_generator(n: int, group: list[Quad], seen: set[Quad],
-                      gens: list[Quad], cap: int) -> None:
-    """One Dimino step: grow the closed group H (group, seen) to <H, gens[-1]>.
-
-    Walks the right cosets H*r from H*1 under gens; (H*r)*s = H*(r*s), so
-    r*s is new exactly when it is not yet seen. The old generators fix H*1,
-    so only the new one moves it. Both containers grow in place.
-    """
-    h = group[:]
-    reps = [group[0]]
-    for i, r in enumerate(reps):  # reps grows while it is walked
-        for s in gens if i else gens[-1:]:
-            y = quad_mul(n, r, s)
-            if y in seen:
-                continue
-            if len(group) + len(h) > cap:
-                raise TooLarge(f"closure mod {n} exceeds cap {cap}",
-                               operation="closure", modulus=n,
-                               reached=len(group) + len(h), cap=cap)
-            reps.append(y)
-            e, f, g, k = y
-            coset = [((a * e + b * g) % n, (a * f + b * k) % n,
-                      (c * e + d * g) % n, (c * f + d * k) % n)
-                     for a, b, c, d in h]
-            group += coset
-            seen.update(coset)
 
 
 def _transversal(n: int, gens: Sequence[Quad], point: Callable[[Quad], Hashable]
@@ -159,58 +152,63 @@ def _transversal(n: int, gens: Sequence[Quad], point: Callable[[Quad], Hashable]
 
 
 class StabilizerChain:
-    """A generated group H < GL2(Z/nZ) as a line-scalar-column stabilizer chain.
+    """A generated group H < GL2(Z/nZ) as a stabilizer chain of four levels.
 
-    H acts on column vectors mod n. The chain has three levels:
+    H acts on column vectors mod n. The levels are:
       1. the orbit L of the line <e1> in P^1(Z/n) (at most psi(n) lines),
          keyed by _p1_normalize of a first column, with a transversal u_l in H;
       2. the line's stabilizer H_L = H meet upper-triangular maps onto the
          scalars A = {t[0]} on e1 (at most phi(n) units), with a transversal
          v_a in H_L;
-      3. the kernel H_e1 = {(1 b; 0 d)} of that map, kept whole as its set C
-         of elements (at most n * phi(n)).
-    Every element of H is u_l * v_a * c in exactly one way, so
-    |H| = |L| |A| |C|, membership is two products and three lookups, and the
+      3. the kernel C = {(1 b; 0 d)} of that map onto its diagonal entries D
+         (at most phi(n) units), with a transversal w_d = (1 b_d; 0 d) in C;
+      4. the kernel of that map, the translations (1 b; 0 1) in H: exactly
+         those with b in step*Z/n, for one divisor step of n.
+    Every element of H is u_l * v_a * w_d * (1 step*k; 0 1) in exactly one
+    way (k mod n/step), so |H| = |L| |A| |D| n/step, membership is one sift
+    and one divisibility, a key takes O(|L| + |A| + |D|) steps, and the
     elements of a given trace and determinant are counted over the |L| |A|
     products u_l * v_a alone (trace_det_counts).
 
     Built by Schreier-Sims with sifting (Seress, Permutation Group
-    Algorithms, 2003, ch. 4): every Schreier generator of level 1 is sifted
-    into levels 2 and 3, and every Schreier generator of level 2 into level 3.
-    C is also kept closed under conjugation by the level-2 strong generators,
-    so it is normal in H_L and is the whole kernel. The line, not the vector
-    e1, is the first base point because the orbit of e1 can reach n^2 vectors
-    (Murray-O'Brien, 1995, on choosing base points for matrix groups).
+    Algorithms, 2003, ch. 4): every Schreier generator of levels 1 and 2 is
+    sifted through levels 2 and 3 (_strip). Those of level 3, and whatever
+    sifts through it, are translations, whose b join step by one gcd. The
+    strong generators of level 3 are kept closed under conjugation by those
+    of level 2, so C is normal in H_L and is the whole kernel; conjugating a
+    translation by an upper-triangular map scales its b by a unit, so
+    step*Z/n needs no such care. The line, not the vector e1, is the first
+    base point because the orbit of e1 can reach n^2 vectors (Murray-O'Brien,
+    1995, on choosing base points for matrix groups).
     """
 
     def __init__(self, n: int, gens: Sequence[Quad]):
         self.n = n
-        one = identity_quad(n)
         # level 1: line code -> (u_l, u_l^-1), and its Schreier generators
         self._lines, todo = _transversal(
             n, gens, lambda y: _p1_normalize(n, y[0], y[2])[0])
-        # level 2: strong generators and a -> (v_a, v_a^-1)
-        self._strong: list[Quad] = []
-        self._scalars = {1 % n: (one, one)}
-        # level 3: the closed set C, as a list and a set, and its generators
-        self._columns = [one]
-        self._column_set = {one}
-        self._column_gens: list[Quad] = []
+        # levels 2 and 3: their strong generators, and a -> (v_a, v_a^-1)
+        # and d -> (w_d, w_d^-1)
+        one = identity_quad(n)
+        self._strong: tuple[list[Quad], list[Quad]] = ([], [])
+        self._levels = [{1 % n: (one, one)}, {1 % n: (one, one)}]
+        # level 4: the translations (1 b; 0 1) in H are those with step | b
+        self._step = n
         self._sift(todo)
 
     @property
     def order(self) -> int:
-        return len(self._lines) * len(self._scalars) * len(self._columns)
+        scalars, columns = self._levels
+        return len(self._lines) * len(scalars) * len(columns) * self.n // self._step
 
     def contains(self, q: Quad) -> bool:
         n = self.n
         u = self._lines.get(_p1_normalize(n, q[0], q[2])[0])
         if u is None:
             return False
-        # u^-1 * q fixes the line <e1>; v^-1 * u^-1 * q fixes e1
-        g = quad_mul(n, u[1], q)
-        v = self._scalars.get(g[0])
-        return v is not None and quad_mul(n, v[1], g) in self._column_set
+        # u^-1 * q fixes the line <e1>
+        level, t = self._strip(quad_mul(n, u[1], q))
+        return level == 2 and t[1] % self._step == 0
 
     def key(self, q: Quad) -> Quad:
         """The canonical element of the left coset q^-1 * H.
@@ -223,6 +221,7 @@ class StabilizerChain:
         """
         n = self.n
         x0, x1, x2, x3 = x = quad_inv(n, q)
+        scalars, columns = self._levels
         best = None
         for u, _ in self._lines.values():
             a, c = (x0 * u[0] + x1 * u[2]) % n, (x2 * u[0] + x3 * u[2]) % n
@@ -230,10 +229,21 @@ class StabilizerChain:
             if best is None or code < best[0]:
                 best = code, a, c, u
         _, a, c, u = best
-        t = min(self._scalars, key=lambda t: (t * a % n, t * c % n))
-        y0, y1, y2, y3 = quad_mul(n, quad_mul(n, x, u), self._scalars[t][0])
-        b, d = min(((y0 * b + y1 * d) % n, (y2 * b + y3 * d) % n)
-                   for _, b, _, d in self._columns)
+        t = min(scalars, key=lambda t: (t * a % n, t * c % n))
+        y0, y1, y2, y3 = quad_mul(n, quad_mul(n, x, u), scalars[t][0])
+        # y * w_d * (1 step*k; 0 1) has second column (p + y0*step*k,
+        # r + y2*step*k), (p, r) that of y * w_d. The top entry is least,
+        # p mod g for g = gcd(y0*step, n), at the k = -(p // g) / (y0*step/g)
+        # mod m = n/g, and over those k the bottom one is least mod
+        # gcd(y2*step*m, n).
+        step = self._step
+        g = gcd(y0 * step, n)
+        m = n // g
+        shift = y2 * step * pow(y0 * step // g, -1, m)
+        h = gcd(y2 * step * m, n)
+        second = ((y0 * b + y1 * d, y2 * b + y3 * d)
+                  for (_, b, _, d), _ in columns.values())
+        b, d = min((p % g, (r - shift * (p // g)) % h) for p, r in second)
         return (y0, b, y2, d)
 
     def trace_det_counts(self, classes: Sequence[tuple[int, int]]) -> list[int]:
@@ -242,55 +252,58 @@ class StabilizerChain:
 
         Every h is w * c with w = u_l * v_a and c = (1 b; 0 d) in C, and then
         det h = det(w) * d and tr h = w0 + w2 * b + w3 * d. So det pins d, and
-        the b with (1 b; 0 d) in C form a coset b_d + sZ of the translations
-        sZ in C. On it the trace is the congruence w2 * s * k = r mod n in
-        k mod n/s, r = t - w0 - w2 * b_d - w3 * d: g/s solutions when
-        g = gcd(w2 * s, n) divides r, else none.
+        the b with (1 b; 0 d) in C are b_d + step*k, read off w_d and level 4.
+        On them the trace is the congruence w2 * step * k = r mod n in
+        k mod n/step, r = t - w0 - w2 * b_d - w3 * d: g/step solutions when
+        g = gcd(w2 * step, n) divides r, else none.
         """
-        n = self.n
-        shift: dict[int, int] = {}  # d -> one b_d
-        step = n
-        for _, b, _, d in self._columns:
-            shift.setdefault(d, b)
-            if d == 1 % n:
-                step = gcd(step, b)
+        n, step = self.n, self._step
+        scalars, columns = self._levels
         inverse = _unit_inverses(n)
         counts = [0] * len(classes)
         for u, _ in self._lines.values():
-            for v, _ in self._scalars.values():
+            for v, _ in scalars.values():
                 w0, _, w2, w3 = w = quad_mul(n, u, v)
                 g = gcd(w2 * step, n)
                 over = inverse[quad_det(n, w)]
                 for j, (t, det) in enumerate(classes):
                     d = det * over % n
-                    b = shift.get(d)
-                    if b is not None and (t - w0 - w2 * b - w3 * d) % g == 0:
+                    c = columns.get(d)
+                    if c is not None and (t - w0 - w2 * c[0][1] - w3 * d) % g == 0:
                         counts[j] += g // step
         return counts
 
+    def _strip(self, g: Quad) -> tuple[int, Quad]:
+        """The one sift of an element g of H_L through levels 2 and 3: the
+        level (0 for 2, 1 for 3) whose transversal misses it, with what is
+        left of g there, or 2 with the translation left after both."""
+        for i, table in enumerate(self._levels):
+            t = table.get(g[3 * i])
+            if t is None:
+                return i, g
+            g = quad_mul(self.n, t[1], g)
+        return 2, g
+
     def _sift(self, todo: list[Quad]) -> None:
-        """Sift elements of H_L into levels 2 and 3 until every one of them,
+        """Sift elements of H_L into levels 2 to 4 until every one of them,
         and every Schreier generator and conjugate they bring, is inside."""
         n = self.n
+        scalar_gens, column_gens = self._strong
         while todo:
-            g = todo.pop()
-            v = self._scalars.get(g[0])
-            if v is None:
-                # a new scalar: g is a level-2 strong generator, and level 2
-                # is rebuilt; its Schreier generators lie in H_e1
-                self._strong.append(g)
-                self._scalars, schreier = _transversal(n, self._strong, itemgetter(0))
-                todo += schreier
-                todo += [_conjugate(n, g, c) for c in self._column_gens]
+            i, g = self._strip(todo.pop())
+            if i == 2:
+                self._step = gcd(self._step, g[1])
                 continue
-            c = quad_mul(n, v[1], g)
-            if c in self._column_set:
-                continue
-            self._column_gens.append(c)
-            # C has at most n * phi(n) elements, so the cap never binds
-            _adjoin_generator(n, self._columns, self._column_set,
-                              self._column_gens, n * n)
-            todo += [_conjugate(n, s, c) for s in self._strong]
+            # a new strong generator: its level is rebuilt, and its Schreier
+            # generators lie in the next one
+            self._strong[i].append(g)
+            self._levels[i], schreier = _transversal(n, self._strong[i],
+                                                     itemgetter(3 * i))
+            todo += schreier
+            if i:
+                todo += [_conjugate(n, s, g) for s in scalar_gens]
+            else:
+                todo += [_conjugate(n, g, c) for c in column_gens]
 
 
 def _conjugate(n: int, s: Quad, c: Quad) -> Quad:
@@ -640,9 +653,12 @@ class CartanNormalizer(SubgroupSpec):
         # and the Cartan is exactly its stabilizer on P^1(O/l^d); (1 0; 0 -1)
         # sends it to its conjugate. So C*q is pinned by the point z of
         # (1, sqrt(e))*q, one z = x + y*sqrt(e) with y a unit per coset of C,
-        # and N*q by the pair {z, conj z}, whose key is x*n + y^2 (the walk's
-        # (x, y^2), quadratic_pair_key).
-        return quadratic_pair_key(self.n, quadratic_mobius(self.n, self.eps, q, (0, 1)))
+        # and N*q by the pair {z, conj z}, keyed x*n + y^2: the pair walk's
+        # step from (0, 1) = sqrt(e) under q, with m = N(a + c*sqrt(e)).
+        n, e = self.n, self.eps
+        a, b, c, d = q
+        i = _unit_inverses(n)[(a * a - e * c * c) % n]
+        return (a * b - e * c * d) * i % n * n + (a * d - b * c) ** 2 * i * i % n
 
     def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:
         # (N*g)*r has the pair of z -> (r12 + z*r22) / (r11 + z*r21), so walk

@@ -120,6 +120,10 @@ def verify_formulae(args) -> int:
             pm = adjoin_minus_i(grp)
             check(f"borel_curve({n},{delta.order})",
                   pm.curve_counts(), coset_space(pm).counts)
+            # the chain keys of the generated +-B_Delta walk its cosets
+            check(f"chain_curve({n},borel{delta.order})",
+                  coset_space(GeneratedGroup(n, pm.generator_quads())).counts,
+                  pm.curve_counts())
             check_orbits(f"borel_orbits({n},{delta.order})", grp)
             check_chain(f"borel{delta.order}", grp)
             check_lift_scale(f"borel{delta.order}", grp)

@@ -348,16 +348,6 @@ def quadratic_mul(n: int, eps: int, x: tuple[int, int],
     return (a * c + eps * b * d) % n, (a * d + b * c) % n
 
 
-def quadratic_inv(n: int, eps: int, x: tuple[int, int]) -> tuple[int, int]:
-    """x^-1 = conj(x) / norm(x), with norm(a + b*sqrt(eps)) = a^2 - eps*b^2."""
-    a, b = x
-    try:
-        i = pow((a * a - eps * b * b) % n, -1, n)
-    except ValueError:
-        raise NonInvertible(f"{a} + {b}*sqrt({eps}) is not a unit mod {n}") from None
-    return a * i % n, -b * i % n
-
-
 def quadratic_pow(n: int, eps: int, x: tuple[int, int], k: int) -> tuple[int, int]:
     out = (1 % n, 0)
     while k:
@@ -377,25 +367,6 @@ def quadratic_generator(ell: int, eps: int) -> tuple[int, int]:
                for p, _ in factorize(order)):
             return z
     raise ValueError(f"{eps} is not a non-residue mod {ell}")
-
-
-def quadratic_mobius(n: int, eps: int, q: Quad,
-                     z: tuple[int, int]) -> tuple[int, int]:
-    """(q12 + z*q22) / (q11 + z*q21): the row (1, z) times q, rescaled to
-    first entry 1. The denominator is a unit for every q in GL2 and every z
-    whose sqrt(eps)-coefficient is a unit, since (1, z) is then a multiple
-    of (1, sqrt(eps)) * g for some g in GL2."""
-    x, y = z
-    return quadratic_mul(n, eps, ((q[1] + x * q[3]) % n, y * q[3] % n),
-                         quadratic_inv(n, eps, (q[0] + x * q[2], y * q[2])))
-
-
-def quadratic_pair_key(n: int, z: tuple[int, int]) -> int:
-    """One int for the pair {z, conj z} of O/nO, z = x + y*sqrt(eps) with y a
-    unit at an odd prime power n: x*n + y^2. The units mod n are cyclic, so
-    y^2 = y'^2 exactly when y' = +-y, and equal keys mean equal pairs."""
-    x, y = z
-    return x * n + y * y % n
 
 
 def _projective_form(n: int, q: Quad) -> Quad:
@@ -440,13 +411,16 @@ def quadratic_pair_orbits(n: int, eps: int, gens: Sequence[Quad],
                           starts: Iterable[tuple[int, int]], cap: int,
                           at_cap: Callable[[int], None]) -> list[int]:
     """Sizes of the orbits of <gens> on the pairs {z, conj z} of O/nO under
-    z -> quadratic_mobius(n, eps, r, z), one for each orbit that starts meets,
-    in that order, at an odd prime power n.
+    z -> (r1 + z*r3) / (r0 + z*r2), the row (1, z) times r = (r0 r1; r2 r3)
+    rescaled to first entry 1, one for each orbit that starts meets, in that
+    order, at an odd prime power n.
 
     A pair is walked as (x, Y), Y = y^2 for z = x + y*sqrt(eps) with y a unit,
-    and keyed as quadratic_pair_key; starts are such (x, Y). For
-    r = (r0 r1; r2 r3) let a = r0 + x*r2, so that the norm of the denominator
-    is m = N(r0 + z*r2) = a^2 - eps*r2^2*Y, a unit (quadratic_mobius). Then
+    and keyed as the int x*n + Y: the units mod n are cyclic, so y^2 = y'^2
+    exactly when y' = +-y, and equal keys mean equal pairs. starts are such
+    (x, Y). Let a = r0 + x*r2, so that the norm of the denominator is
+    m = N(r0 + z*r2) = a^2 - eps*r2^2*Y; it is a unit for r in GL2, since
+    (1, z) is a multiple of (1, sqrt(eps)) * g for some g in GL2. Then
     z' = (r1 + z*r3) * conj(r0 + z*r2) / m, whose parts are
       Re z' = ((r1 + x*r3)*a - eps*r2*r3*Y) / m,
       Im z' = y*(r3*(r0 + x*r2) - r2*(r1 + x*r3)) / m = y*det(r) / N(r0 + z*r2),

@@ -11,8 +11,9 @@ from modscreen.points import _aut_is_plus_minus, _require_minus_i
 from modscreen.subgroups import (ENUMERATION_CAP, BorelGroup, CartanNormalizer,
                                  FullGroup, coset_action, gl2_order,
                                  identity_quad, lift_subgroup)
-from modscreen.zmod import (_unit_inverses, quad_inv, quad_is_invertible,
-                            quad_mul, unit_subgroup, units)
+from modscreen.zmod import (_p1_normalize, _unit_inverses, quad_inv,
+                            quad_is_invertible, quad_mul, quadratic_mul,
+                            unit_subgroup, units)
 
 
 # Reference closure: the element-by-element BFS that the coset-by-coset
@@ -38,6 +39,31 @@ def reference_closure_quads(n, gen_quads, cap=ENUMERATION_CAP):
                     new.append(y)
         frontier = new
     return frozenset(seen)
+
+
+# Reference chain key: StabilizerChain.key with its last step, the least
+# second column over the column group C = {(1 b; 0 d)} of H, taken over every
+# element of C, as it was before C was kept as a transversal and one gcd.
+
+def reference_chain_key(chain, columns, q):
+    """The least element of q^-1 * H: the chain's line and scalar levels pin
+    the first column, and the second is the least over the elements of C
+    (columns, enumerated from reference_closure_quads)."""
+    n = chain.n
+    x0, x1, x2, x3 = x = quad_inv(n, q)
+    scalars = chain._levels[0]
+    best = None
+    for u, _ in chain._lines.values():
+        a, c = (x0 * u[0] + x1 * u[2]) % n, (x2 * u[0] + x3 * u[2]) % n
+        code = _p1_normalize(n, a, c)[0]
+        if best is None or code < best[0]:
+            best = code, a, c, u
+    _, a, c, u = best
+    t = min(scalars, key=lambda t: (t * a % n, t * c % n))
+    y0, y1, y2, y3 = quad_mul(n, quad_mul(n, x, u), scalars[t][0])
+    b, d = min(((y0 * b + y1 * d) % n, (y2 * b + y3 * d) % n)
+               for _, b, _, d in columns)
+    return (y0, b, y2, d)
 
 
 # Reference unit-group closure and greedy generators: the element-by-element
@@ -105,6 +131,32 @@ def reference_pair_orbits(n, eps, gens, starts, cap, at_cap):
                     orbit.append((u, v))
         sizes.append(len(orbit))
     return sizes
+
+
+# Reference Mobius map and pair key of O/nO, O = Z[sqrt(eps)]: the map that
+# the pair walk's closed step and CartanNormalizer.coset_key replaced, kept
+# for comparison.
+
+def quadratic_inv(n, eps, x):
+    """x^-1 = conj(x) / norm(x), with norm(a + b*sqrt(eps)) = a^2 - eps*b^2."""
+    a, b = x
+    i = pow((a * a - eps * b * b) % n, -1, n)
+    return a * i % n, -b * i % n
+
+
+def quadratic_mobius(n, eps, q, z):
+    """(q12 + z*q22) / (q11 + z*q21): the row (1, z) times q, rescaled to
+    first entry 1."""
+    x, y = z
+    return quadratic_mul(n, eps, ((q[1] + x * q[3]) % n, y * q[3] % n),
+                         quadratic_inv(n, eps, (q[0] + x * q[2], y * q[2])))
+
+
+def quadratic_pair_key(n, z):
+    """One int for the pair {z, conj z}, z = x + y*sqrt(eps) with y a unit
+    at an odd prime power n: x*n + y^2."""
+    x, y = z
+    return x * n + y * y % n
 
 
 # Reference orbit walks: every coset at the image's modulus n, with no descent

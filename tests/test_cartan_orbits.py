@@ -26,10 +26,10 @@ from modscreen.errors import OrbitTooLarge  # noqa: E402
 from modscreen.subgroups import (CartanNormalizer, FullGroup,  # noqa: E402
                                  LiftedGroup, borel, walked_orbit_sizes)
 from modscreen.zmod import (_cycle_split, quad_inv, quad_mul,  # noqa: E402
-                            quadratic_mobius, quadratic_pair_key,
                             quadratic_pair_orbits, units)
 
 import _helpers  # noqa: E402
+from _helpers import quadratic_mobius, quadratic_pair_key  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -114,6 +114,15 @@ def test_the_pair_coordinate_is_x_and_y_squared(n):
             cycles.append(length)
         assert quadratic_pair_orbits(n, e, [r], starts, len(starts),
                                      refuse_at_cap) == cycles, (n, r)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 13, 49, 121, 125])
+def test_the_cartan_key_is_the_pair_of_sqrt_e_moved_by_q(n):
+    # the key's closed step from (0, 1) against the Mobius map and pair key
+    c = CartanNormalizer(*_helpers.prime_power_exponent(n))
+    for q in _helpers.generator_list(random.Random(n), n, 1000):
+        want = quadratic_pair_key(n, quadratic_mobius(n, c.eps, q, (0, 1)))
+        assert c.coset_key(q) == want, (n, q)
 
 
 @st.composite

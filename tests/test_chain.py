@@ -2,12 +2,17 @@
 
 Generator lists of one to four invertible quads at moduli 1..16, composite
 moduli included, are checked against the element-by-element reference
-closure: the chain's order, its membership test and its coset keys.
+closure: the chain's order, its membership test and its coset keys. The
+keys' last step, one gcd step per diagonal entry of the column group C, is
+checked against the least second column over every element of C, on
+generated Borels of every Delta, conjugated, and on upper-triangular lists,
+at moduli where neither entry of the first column need be a unit.
 """
 
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,10 +21,11 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import modscreen.subgroups  # noqa: E402
 from modscreen.curves import curve_genus  # noqa: E402
-from modscreen.subgroups import (GeneratedGroup, borel,  # noqa: E402
-                                 contains_minus_i, level, reduce_subgroup)
+from modscreen.subgroups import (GeneratedGroup, _conjugate,  # noqa: E402
+                                 borel, borel_order, contains_minus_i, level,
+                                 reduce_subgroup)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,  # noqa: E402
-                            quad_is_invertible)
+                            quad_is_invertible, unit_subgroups_containing_minus_one)
 
 import _helpers  # noqa: E402
 
@@ -87,12 +93,60 @@ def test_chain_keys_are_exactly_the_right_cosets(case, every_element):
     assert _helpers.key_classes_are_cosets(group.coset_key, gl2(n), want, n)
 
 
-@pytest.mark.parametrize("n", [25, 27, 32])
+@pytest.mark.parametrize("n", [25, 27, 32, 121])
 def test_generated_borel_curves_match_the_closed_form(n):
-    # the chain keys walk the cosets of a Borel group given by generators only
+    # the chain keys walk the cosets of a Borel group given by generators
+    # only; at 121, B_+-1 has 7,260 cosets, each keyed over the 110 diagonal
+    # entries of C = {(1 b; 0 d)}
     for delta in (delta_trivial(n), delta_pm1(n), delta_full(n)):
         b = borel(n, delta)
         assert curve_genus(GeneratedGroup(n, b.generator_quads())) == curve_genus(b)
+
+
+def every_delta(n):
+    deltas = {delta_trivial(n), delta_pm1(n), delta_full(n)}
+    deltas.update(unit_subgroups_containing_minus_one(n))
+    return sorted(deltas, key=lambda d: (d.order, d.elements))
+
+
+def upper_triangular_list(rng, n, count):
+    out = []
+    while len(out) < count:
+        q = (rng.randrange(n), rng.randrange(n), 0, rng.randrange(n))
+        if quad_is_invertible(n, q):
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("n", [18, 24, 25, 27, 32, 36, 49])
+def test_chain_keys_take_the_least_second_column_over_c(n):
+    rng = random.Random(n)
+    c = _helpers.generator_list(rng, n, 1)[0]
+    lists = [[_conjugate(n, c, g) for g in borel(n, delta).generator_quads()]
+             for delta in every_delta(n)]
+    lists += [upper_triangular_list(rng, n, k) for k in (1, 2, 2, 3)]
+    for gens in lists:
+        chain = GeneratedGroup(n, gens)._chain
+        columns = [h for h in _helpers.reference_closure_quads(n, gens)
+                   if h[0] == 1 % n and h[2] == 0]
+        for q in _helpers.generator_list(rng, n, 40):
+            assert chain.key(q) == _helpers.reference_chain_key(chain, columns, q), \
+                (n, gens, q)
+
+
+def test_the_chain_of_a_large_column_group_stays_small():
+    # |C| = 625 * 500 for the full Borel mod 625; the chain keeps a
+    # transversal of its 500 diagonal entries and one gcd
+    b = borel(625, delta_full(625))
+    gens = b.generator_quads()
+    tracemalloc.start()
+    try:
+        order = GeneratedGroup(625, gens).order
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == borel_order(625, b.delta)
+    assert peak < 1_000_000, peak
 
 
 def test_yes_no_questions_and_orders_enumerate_nothing(monkeypatch):
