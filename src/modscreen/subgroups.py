@@ -558,7 +558,8 @@ class BorelGroup(SubgroupSpec):
         # carries phi(n)/|Lambda| coset orbits of |O| |Lambda| / |Delta| each.
         # The scalars come from the Schreier generators: a walk back onto a
         # known line, whose stored row has normalizing unit u_j, lands on it
-        # times u_j / u. The identity coset is the line of (0, 1).
+        # times u_j / u. The identity coset is the line of (0, 1); a whole
+        # walk draws start lines until all psi(n) lines are known.
         n = self.n
         rows = []
         for s in gens:
@@ -597,6 +598,8 @@ class BorelGroup(SubgroupSpec):
                         scalars = _extend_subgroup(n, scalars, u * inv % n)
             k = len(scalars)
             sizes += [len(line) * k // len(delta)] * (euler_phi(n) // k if whole else 1)
+            if len(inverse_units) == len(points):  # every line is known
+                break
         return sizes
 
 
@@ -663,8 +666,8 @@ class CartanNormalizer(SubgroupSpec):
     def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:
         # (N*g)*r has the pair of z -> (r12 + z*r22) / (r11 + z*r21), so walk
         # the pairs (x, y^2) instead of the cosets: from (0, 1) = sqrt(e), the
-        # coset N*1, then from every (x, Y) when whole, which reaches all
-        # [GL2 : N]
+        # coset N*1, then when whole from every (x, Y) until all [GL2 : N]
+        # are known
         n = self.n
         starts = [(0, 1)]
         if whole:

@@ -413,7 +413,8 @@ def quadratic_pair_orbits(n: int, eps: int, gens: Sequence[Quad],
     """Sizes of the orbits of <gens> on the pairs {z, conj z} of O/nO under
     z -> (r1 + z*r3) / (r0 + z*r2), the row (1, z) times r = (r0 r1; r2 r3)
     rescaled to first entry 1, one for each orbit that starts meets, in that
-    order, at an odd prime power n.
+    order, at an odd prime power n. There are n*phi(n)/2 pairs, and once the
+    walk knows them all it draws no further start.
 
     A pair is walked as (x, Y), Y = y^2 for z = x + y*sqrt(eps) with y a unit,
     and keyed as the int x*n + Y: the units mod n are cyclic, so y^2 = y'^2
@@ -433,42 +434,65 @@ def quadratic_pair_orbits(n: int, eps: int, gens: Sequence[Quad],
     g^-1*c*g = s'*c^m' too; hence c^k*g = s'^k*g*c^(m'k), and p*c^k*g is
     (p*g)*c^(m'k): g maps the c-cycle of p onto the c-cycle of p*g. Such a
     g steps once per cycle, from its first pair; every other generator steps
-    from each pair. Each new pair's c-cycle is walked at once, one step a pair,
-    until it returns to that pair, so every pair the walk knows lies in a
-    whole cycle it knows. at_cap(j) runs only when the walk knows j >= cap
-    pairs and needs another, so that the caller can stop it.
+    from each pair, so a cycle keeps its other pairs only while such a
+    generator exists. Each new pair's c-cycle is walked at once, one step a
+    pair, until it returns to that pair, so every pair the walk knows lies in
+    a whole cycle it knows. Until the first start that some generator moves,
+    each start is an orbit of one pair, found by one step per generator, and
+    no split is made.
+
+    at_cap(j) runs only when the walk knows j >= cap pairs and needs another,
+    so that the caller can stop it.
     """
     def constants(r: Quad) -> tuple[int, ...]:
         r0, r1, r2, r3 = r
         return (r0, r1, r2, r3, eps * r2 * r2 % n, eps * r2 * r3 % n,
                 (r0 * r3 - r1 * r2) ** 2 % n)
 
+    def step(r: tuple[int, ...], x: int, y2: int) -> tuple[int, int]:
+        # the pair of (x, y2) moved by r, given as its constants; the walk's
+        # two hot loops below inline it, as a call a step would cost more
+        r0, r1, r2, r3, er22, er23, det2 = r
+        a = r0 + x * r2
+        i = inv[(a * a - er22 * y2) % n]
+        return ((r1 + x * r3) * a - er23 * y2) * i % n, y2 * det2 * i * i % n
+
     inv = _unit_inverses(n)
-    c, per_cycle, per_pair = _cycle_split(n, gens)
-    c0, c1, c2, c3, ce22, ce23, cdet2 = constants(c)
-    per_pair = [constants(r) for r in per_pair]
-    at_first = [constants(r) for r in per_cycle] + per_pair
+    total = n * euler_phi(n) // 2
+    unsplit = [constants(r) for r in gens]
+    # until the split: c the identity, and no generator steps in the walk
+    c0, c1, c2, c3, ce22, ce23, cdet2 = constants((1, 0, 0, 1))
+    keep, at_first, per_pair = False, [], []
     seen: set[int] = set()
 
     def cycle(x: int, y2: int) -> list[tuple[int, int]]:
-        # the c-cycle of the new pair (x, y2), each pair counted in seen
+        # the c-cycle of the new pair (x, y2), each pair counted in seen; it
+        # returns the pairs that a generator steps from
         x0, y0 = x, y2
-        out = []
+        out = [(x, y2)]
         while True:
             if len(seen) >= cap:
                 at_cap(len(seen))
             seen.add(x * n + y2)
-            out.append((x, y2))
             a = c0 + x * c2
             i = inv[(a * a - ce22 * y2) % n]
             x, y2 = ((c1 + x * c3) * a - ce23 * y2) * i % n, y2 * cdet2 * i * i % n
             if x == x0 and y2 == y0:
                 return out
+            if keep:
+                out.append((x, y2))
 
     sizes = []
     for x0, y0 in starts:
         if x0 * n + y0 in seen:
             continue
+        if unsplit and any(step(r, x0, y0) != (x0, y0) for r in unsplit):
+            c, per_cycle, per_pair = _cycle_split(n, gens)
+            c0, c1, c2, c3, ce22, ce23, cdet2 = constants(c)
+            per_pair = [constants(r) for r in per_pair]
+            at_first = [constants(r) for r in per_cycle] + per_pair
+            keep, unsplit = bool(per_pair), []
+        known = len(seen)
         orbit = [cycle(x0, y0)]
         for pairs in orbit:  # grows while it is walked: the BFS queue of cycles
             steps = at_first
@@ -481,5 +505,7 @@ def quadratic_pair_orbits(n: int, eps: int, gens: Sequence[Quad],
                     if u * n + v not in seen:
                         orbit.append(cycle(u, v))
                 steps = per_pair
-        sizes.append(sum(map(len, orbit)))
+        sizes.append(len(seen) - known)
+        if len(seen) == total:
+            break
     return sizes

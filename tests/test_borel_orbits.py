@@ -6,8 +6,10 @@ components of coset_action's permutations: the sorted sizes, and the size of
 the orbit of H*1, which comes first. The cases cover every Delta at small
 moduli (the trivial one and those without -1 included), moduli up to 40 with
 composite ones, generator lists with det != 1, repeats and the identity, and
-lifted Borel groups. The descent to a lifted image's level is checked on
-random generated bases against the walk at the image's own modulus.
+lifted Borel groups. A whole walk draws start lines only up to the last
+one that opens a line orbit, against a plain BFS of the lines. The descent
+to a lifted image's level is checked on random generated bases against the
+walk at the image's own modulus.
 """
 
 import random
@@ -18,13 +20,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import modscreen.subgroups  # noqa: E402
 from modscreen.points import fiber_degrees, galois_context  # noqa: E402
 from modscreen.subgroups import (FullGroup, GeneratedGroup,  # noqa: E402
                                  LiftedGroup, borel, coset_action, divisors,
                                  index_via_orbit, preimage_descent,
                                  walked_orbit_sizes)
-from modscreen.zmod import (_extend_subgroup, quad_inv,  # noqa: E402
-                            quad_mul, unit_subgroup, units)
+from modscreen.zmod import (_extend_subgroup, _p1_normalize,  # noqa: E402
+                            _p1_points, quad_inv, quad_mul, unit_subgroup,
+                            units)
 
 import _helpers  # noqa: E402
 
@@ -116,6 +120,58 @@ def test_deep_borel_orbits_match_the_walk(n):
         b = borel(n, delta)
         for gens in (b.generator_quads(), _helpers.generator_list(rng, n, 2)):
             assert hook_sizes(b, gens) == walked_sizes(b, gens), (n, delta.order)
+
+
+class CountedPoints(tuple):
+    """_p1_points(n) that counts the points a walk draws from it."""
+
+    def __iter__(self):
+        self.drawn = 0
+        for point in tuple.__iter__(self):
+            self.drawn += 1
+            yield point
+
+
+def last_new_line(n, gens):
+    """How many points of _p1_points(n) a whole walk must draw: up to the
+    last one whose line lies in no orbit of <gens> met before it. Lines are
+    walked under the rows times each generator, by plain BFS."""
+    known, last = set(), 0
+    for k, start in enumerate(_p1_points(n)):
+        if _p1_normalize(n, *start)[0] in known:
+            continue
+        last = k + 1
+        known.add(_p1_normalize(n, *start)[0])
+        line = [start]
+        for c, d in line:
+            for s0, s1, s2, s3 in gens:
+                row = ((c * s0 + d * s2) % n, (c * s1 + d * s3) % n)
+                code = _p1_normalize(n, *row)[0]
+                if code not in known:
+                    known.add(code)
+                    line.append(row)
+    return last
+
+
+@pytest.mark.parametrize("n", range(1, 50))
+def test_a_whole_walk_stops_at_the_last_new_line(monkeypatch, n):
+    # every Delta and seeded lists: the walk draws start lines up to the
+    # last one that opens a line orbit and no further, and its orbit sizes
+    # are the coset walk's
+    points = CountedPoints(_p1_points(n))
+    monkeypatch.setattr(modscreen.subgroups, "_p1_points",
+                        lambda m: points if m == n else _p1_points(m))
+    rng = random.Random(n)
+    for delta in every_delta(n):
+        b = borel(n, delta)
+        for gens in (b.generator_quads(), FullGroup(n).generator_quads(),
+                     ((1, 1 % n, 0, 1 % n),), _helpers.generator_list(rng, n, 1),
+                     _helpers.generator_list(rng, n, 2), ()):
+            sizes = b.orbit_sizes(gens, whole=True)
+            assert points.drawn == last_new_line(n, gens), (n, delta.elements, gens)
+            walked = walked_orbit_sizes(b, tuple(gens))
+            assert (sorted(sizes), sizes[0]) == (sorted(walked), walked[0]), \
+                (n, delta.elements, gens)
 
 
 @st.composite

@@ -10,7 +10,10 @@ comes first. Generator lists are random (det != 1, repeats, the identity),
 Cartan generators conjugated by a random matrix (as the file: images of a
 catalog are), Borel generators, the ambient group's and none at all. The
 walk's coordinate for a pair, (x, y^2), is checked against the min-key of
-the pair and quadratic_mobius, one generator at a time.
+the pair and quadratic_mobius, one generator at a time. The walk by cycles
+is checked against the walk by pairs (_helpers.reference_pair_orbits): its
+sizes, where a whole walk stops drawing starts, and the count and message
+at caps inside the cycles of a whole walk.
 """
 
 import random
@@ -21,10 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import modscreen.subgroups  # noqa: E402
+import modscreen.zmod  # noqa: E402
 from modscreen.cli import main  # noqa: E402
 from modscreen.errors import OrbitTooLarge  # noqa: E402
 from modscreen.subgroups import (CartanNormalizer, FullGroup,  # noqa: E402
-                                 LiftedGroup, borel, walked_orbit_sizes)
+                                 LiftedGroup, borel, gl2_order,
+                                 walked_orbit_sizes)
 from modscreen.zmod import (_cycle_split, quad_inv, quad_mul,  # noqa: E402
                             quadratic_pair_orbits, units)
 
@@ -227,6 +232,87 @@ def test_a_walk_by_cycles_stops_at_the_cap(monkeypatch, n):
                               f"{n} reached {s - 1} cosets, cap {s - 1}")
     monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", s)
     assert c.orbit_sizes(gens, whole=False) == [s]
+
+
+@pytest.mark.parametrize("n", [5, 25, 125, 121, 343])
+def test_an_orbit_of_one_pair_takes_no_split(monkeypatch, n):
+    # N fixes the pair of N*1, so under N's own generators its orbit is one
+    # pair, found with one step per generator, and no cycle generator is
+    # chosen; a whole walk splits at the first start that a generator moves
+    c = CartanNormalizer(*_helpers.prime_power_exponent(n))
+    gens = c.generator_quads()
+    split = modscreen.zmod._cycle_split
+    calls = []
+
+    def counted_split(m, gens):
+        calls.append(m)
+        return split(m, gens)
+
+    monkeypatch.setattr(modscreen.zmod, "_cycle_split", counted_split)
+    assert c.orbit_sizes(gens, whole=False) == [1] and calls == []
+    sizes = c.orbit_sizes(gens, whole=True)
+    assert sizes[0] == 1 and calls == [n]
+
+
+def counted(starts, drawn):
+    """starts, each appended to drawn as the walk draws it."""
+    for start in starts:
+        drawn.append(start)
+        yield start
+
+
+@pytest.mark.parametrize("n", WALK_LEVELS)
+def test_a_whole_walk_draws_no_start_after_every_pair_is_known(n):
+    # the walk draws starts up to the one whose orbit completes the
+    # n*phi(n)/2 = [GL2 : N] pairs, the last start that opens an orbit of the
+    # walk by pairs, and no further, with the sizes of the walk by pairs: for
+    # N's own list and two conjugates, where every generator steps once per
+    # cycle, seeded lists with a generator that steps from every pair, no
+    # generator, and scalars alone, whose orbits are single pairs
+    c = CartanNormalizer(*_helpers.prime_power_exponent(n))
+    pairs = all_pairs(n)
+    assert len(pairs) == gl2_order(n) // c.order
+    rng = random.Random(n)
+    lists = own_and_conjugates(rng, n)
+    mixed = [lists[0] + _helpers.generator_list(rng, n, 1)[:1]]
+    mixed += [_helpers.generator_list(rng, n, k)[:k] for k in (2, 3)]
+    assert _cycle_split(n, mixed[-1])[2], n  # at 3 and 9 the others may have none
+    for gens in lists + mixed + [(), [(2, 0, 0, 2), (1, 0, 0, 1)]]:
+        drawn = []
+        sizes = quadratic_pair_orbits(n, c.eps, gens, counted(pairs, drawn), len(pairs),
+                                      refuse_at_cap)
+
+        def reference(starts):
+            return _helpers.reference_pair_orbits(n, c.eps, gens, starts, len(pairs),
+                                                  refuse_at_cap)
+
+        k = len(drawn)
+        assert sizes == reference(pairs[:k]) and sum(sizes) == len(pairs), (n, gens)
+        assert sum(reference(pairs[:k - 1])) < len(pairs), (n, gens)
+        if gens == lists[0] and n == 125:
+            assert k == 1271
+
+
+@pytest.mark.parametrize("n, later", [(27, 100), (125, 300), (343, 300)])
+def test_a_whole_walk_stops_at_a_cap_inside_a_cycle(monkeypatch, n, later):
+    # no cycle here is longer than 49 pairs: caps 1..60 fall inside the first
+    # cycles of a whole walk and 30 caps from later inside a later one; at
+    # each the walk refuses at the count and with the message of the walk by
+    # pairs
+    c = CartanNormalizer(*_helpers.prime_power_exponent(n))
+    pairs = all_pairs(n)
+    for gens in (c.generator_quads(), conjugated(random.Random(n), n, c.generator_quads())):
+        for cap in [*range(1, 61), *range(later, later + 30)]:
+            monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", cap)
+            messages = []
+            for walk in (quadratic_pair_orbits, _helpers.reference_pair_orbits):
+                with pytest.raises(OrbitTooLarge) as err:
+                    walk(n, c.eps, gens, pairs, cap,
+                         lambda j: modscreen.subgroups._check_orbit_cap(c, j))
+                messages.append(str(err.value))
+            assert messages[0] == messages[1] == (
+                f"coset walk of cartan_nonsplit_normalizer mod {n} reached {cap} "
+                f"cosets, cap {cap}"), (n, gens, cap)
 
 
 def test_cnspre_hands_the_hook_its_reduced_generators():
