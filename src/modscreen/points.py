@@ -10,12 +10,12 @@ P^1(O/l^d), never from the cosets themselves; other kinds walk the cosets
 (the default SubgroupSpec.orbit_sizes). When R is the full preimage of a
 group at a lower modulus m, the orbits are taken at m and scaled by
 [K : K meet H], K the kernel of reduction to m (subgroups.preimage_descent).
-Only the general degree formula for an arbitrary automorphism set builds
-element sets, the products R*A and A*H (subgroups.product_set_quads, under
-the enumeration cap). On top of that sit the closed-form degree identities
-for the nonsplit Cartan normalizer tower and the Riemann-Roch screen
-(rr_screen), which rules isolation out (never in); every screen verdict of
-the catalog screen and of table 2 is its comparison.
+Under a larger automorphism group A the degree is a quotient of two such
+indices, [RA : RA meet H] / [A : A meet H] (point_degree_general), so no
+degree builds an element set. On top of that sit the closed-form degree
+identities for the nonsplit Cartan normalizer tower and the Riemann-Roch
+screen (rr_screen), which rules isolation out (never in); every screen
+verdict of the catalog screen and of table 2 is its comparison.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import ModulusMismatch, NonIntegral
-from .subgroups import (GeneratedGroup, SubgroupSpec, adjoin_minus_i,
-                        contains_minus_i, factorize, identity_quad,
-                        index_via_orbit, level, lift_subgroup,
+from .subgroups import (GeneratedGroup, SubgroupSpec, _conjugate,
+                        adjoin_minus_i, contains_minus_i, factorize,
+                        identity_quad, index_via_orbit, level, lift_subgroup,
                         minus_identity_quad, nested_index, preimage_descent,
-                        product_set_quads, reduce_subgroup)
+                        reduce_subgroup)
 from .zmod import is_prime
 
 
@@ -46,8 +46,9 @@ class GaloisImageContext:
 
     R is taken as given, -I or not: under the +- convention (aut=None) every
     degree is over +-H, and -I is central, so R and +-R have the same orbits
-    on H's cosets. An explicit aut is carried verbatim for the general formula.
-    d_j must be at least 1 and aut must live at R's modulus.
+    on H's cosets. An explicit aut A is carried verbatim for the general
+    formula, which needs R to normalize A, as Galois acting on Aut(E) by
+    conjugation does. d_j must be at least 1 and aut must live at R's modulus.
     """
 
     __slots__ = ("image", "d_j", "aut")
@@ -86,11 +87,13 @@ def point_degree(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
 
 
 def point_degree_general(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
-    """d_j * |RA| / |RA meet AH| for an arbitrary finite automorphism set A.
+    """d_j * |RA| / |RA meet AH| for a finite automorphism group A that R
+    normalizes, as d_j * [RA : RA meet H] / [A : A meet H].
 
-    Both products are materialized (product_set_quads, under the enumeration
-    cap), so this path is for small moduli; the +-convention fast path is
-    point_degree.
+    R normalizes A, so RA is a group containing A, and by Dedekind's law
+    RA meet AH = A (RA meet H), of order |A| |RA meet H| / |A meet H|. Both
+    indices are orbit walks (index_via_orbit); ValueError, before either,
+    when a generator of R conjugates one of A out of A.
     """
     r = ctx.image
     if r.n != h.n:
@@ -99,12 +102,17 @@ def point_degree_general(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
     aut = ctx.aut
     if aut is None:
         aut = GeneratedGroup(n, [minus_identity_quad(n)])
-    ra = product_set_quads(r, aut)
-    ah = product_set_quads(aut, h)
-    meet = ra & ah
-    if len(ra) % len(meet):
-        raise NonIntegral(f"|RA| = {len(ra)} not divisible by {len(meet)}")
-    return ctx.d_j * (len(ra) // len(meet))
+    r_gens, a_gens = r.generator_quads(), aut.generator_quads()
+    if not all(aut.member_quad(_conjugate(n, g, a))
+               for g in r_gens for a in a_gens):
+        raise ValueError(f"the image mod {n} does not normalize the "
+                         "automorphism group")
+    ra = GeneratedGroup(n, r_gens + a_gens)
+    num, den = index_via_orbit(ra, h), index_via_orbit(aut, h)
+    if num % den:
+        raise NonIntegral(f"[A : A meet H] = {den} does not divide "
+                          f"[RA : RA meet H] = {num}")
+    return ctx.d_j * (num // den)
 
 
 def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:

@@ -1034,22 +1034,6 @@ def scanned_level(h: SubgroupSpec) -> int:
     return n
 
 
-def product_set_quads(h: SubgroupSpec, k: SubgroupSpec) -> frozenset[Quad]:
-    """H*K as a set. It is a union of right cosets H*k, so one representative
-    per distinct H-coset met by K pins it; only K must be enumerable."""
-    if h.n != k.n:
-        raise ModulusMismatch(f"groups live mod {h.n} and mod {k.n}")
-    reps: dict[Hashable, Quad] = {}
-    for q in sorted(k.element_quads):
-        reps.setdefault(h.coset_key(q), q)
-    size = h.order * len(reps)
-    if size > ENUMERATION_CAP:
-        raise TooLarge("product set exceeds cap", operation="product set",
-                       modulus=h.n, reached=size, cap=ENUMERATION_CAP)
-    n = h.n
-    return frozenset(quad_mul(n, a, b) for a in h.element_quads for b in reps.values())
-
-
 def subgroup_of(h: SubgroupSpec, g: SubgroupSpec) -> None:
     """Raise NotASubgroup unless every generator of h lies in g."""
     if h.n != g.n:

@@ -46,6 +46,9 @@ def _invertible_matrix(rng: random.Random, n: int) -> Quad:
 
 
 def verify_formulae(args) -> int:
+    top = args.max_modulus
+    if top < 1:
+        raise ValueError(f"--max-modulus must be >= 1, got {top}")
     failures = 0
     rows = []
 
@@ -100,7 +103,6 @@ def verify_formulae(args) -> int:
         for name, h in ((kind, grp), (f"lifted_{kind}", lift)):
             check(f"level({h.n},{name})", level(h), scanned_level(h))
 
-    top = args.max_modulus
     for n in range(1, top + 1):
         check(f"gl2_order({n})", _brute_gl2_count(n), gl2_order(n))
         check(f"sl2_order({n})", _brute_sl2_count(n), sl2_order(n))

@@ -159,6 +159,26 @@ def quadratic_pair_key(n, z):
     return x * n + y * y % n
 
 
+# Reference product set: subgroups.product_set_quads as it was before point
+# degrees under a larger automorphism group became a quotient of two orbit
+# indices, kept verbatim but for its annotations, for comparison.
+
+def reference_product_set(h, k):
+    """H*K as a set. It is a union of right cosets H*k, so one representative
+    per distinct H-coset met by K pins it; only K must be enumerable."""
+    if h.n != k.n:
+        raise ModulusMismatch(f"groups live mod {h.n} and mod {k.n}")
+    reps = {}
+    for q in sorted(k.element_quads):
+        reps.setdefault(h.coset_key(q), q)
+    size = h.order * len(reps)
+    if size > ENUMERATION_CAP:
+        raise TooLarge("product set exceeds cap", operation="product set",
+                       modulus=h.n, reached=size, cap=ENUMERATION_CAP)
+    n = h.n
+    return frozenset(quad_mul(n, a, b) for a in h.element_quads for b in reps.values())
+
+
 # Reference orbit walks: every coset at the image's modulus n, with no descent
 # to the level of a lifted image, kept verbatim for comparison.
 

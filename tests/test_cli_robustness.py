@@ -140,3 +140,15 @@ def test_catalogs_screen_cleanly(catalog, ell, nmax):
         if nmax is not None:
             argv.append(f"--nmax={nmax}")
         _assert_clean_screen_exit(*_run(argv), text)
+
+
+@pytest.mark.parametrize("bound", [0, -1, -30])
+def test_verify_formulae_refuses_a_bound_below_one(bound):
+    """--max-modulus below 1 would check nothing past the Cartan and lift
+    rows and exit 0: it is one error line and exit 2, as a bad --modulus is,
+    with nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify-formulae", f"--max-modulus={bound}"])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: --max-modulus must be >= 1, got {bound}\n"

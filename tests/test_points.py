@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import warnings
 
 import pytest
@@ -21,7 +22,8 @@ from modscreen.subgroups import (FullGroup, GeneratedGroup,
                                  nonsplit_cartan_normalizer, preimage_descent,
                                  reduce_subgroup)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
-                            quad_inv, quad_mul, unit_group_generators,
+                            quad_inv, quad_is_invertible, quad_mul,
+                            unit_group_generators,
                             unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
@@ -151,12 +153,37 @@ def test_point_degree_general_with_trivial_aut():
         index_via_orbit(r, h)
 
 
-def test_point_degree_general_against_set_arithmetic_mod_seven():
-    """Derive RA and AH by predicate scans over all of GL2(Z/7) and compare.
+def _normalizes(r, aut):
+    """Whether every element of R conjugates every element of A into A."""
+    n, inside = r.n, aut.element_quads
+    return all(quad_mul(n, quad_mul(n, x, a), quad_inv(n, x)) in inside
+               for x in r.element_quads for a in inside)
 
-    x lies in R*A iff x*a^-1 lands in R for some a, so the scan never builds
-    products in the same order as the implementation does.
+
+def _scanned_degrees(ambient, r, aut, hs):
+    """|RA| / |RA meet AH| for each H by predicate scans, None where
+    |RA meet AH| does not divide |RA|.
+
+    x lies in R*A iff x*a^-1 lands in R for some a, and in A*H iff a^-1*x
+    lands in H for some a, so the scan never builds products in the same
+    order as the implementation does.
     """
+    n = r.n
+    inside = r.element_quads
+    inv_auts = [quad_inv(n, a) for a in aut.element_quads]
+    ra = [x for x in ambient if any(quad_mul(n, x, ai) in inside for ai in inv_auts)]
+    out = []
+    for h in hs:
+        both = sum(1 for x in ra
+                   if any(h.member_quad(quad_mul(n, ai, x)) for ai in inv_auts))
+        out.append(None if len(ra) % both else len(ra) // both)
+    return out
+
+
+def test_point_degree_general_against_set_arithmetic_mod_seven():
+    """Derive RA and AH by predicate scans over all of GL2(Z/7) and compare;
+    a draw whose R does not normalize A is refused. At this seed every draw
+    is refused: the oracle test below draws normalizing pairs on purpose."""
     rng = random.Random(109)
     n = 7
     ambient = sorted(FullGroup(n).element_quads)
@@ -169,26 +196,26 @@ def test_point_degree_general_against_set_arithmetic_mod_seven():
         aut = GeneratedGroup(n, [a_gen])
         if aut.order > 48:
             continue
-        inv_auts = [quad_inv(n, a) for a in aut.element_quads]
-        ra = {x for x in ambient
-              if any(r.member_quad(quad_mul(n, x, ai)) for ai in inv_auts)}
-        ah = {x for x in ambient
-              if any(h.member_quad(quad_mul(n, ai, x)) for ai in inv_auts)}
-        both = ra & ah
         ctx = galois_context(r, aut=aut)
-        if len(ra) % len(both):
+        checked += 1
+        if not _normalizes(r, aut):
+            with pytest.raises(ValueError, match="does not normalize"):
+                point_degree_general(ctx, h)
+            continue
+        want, = _scanned_degrees(ambient, r, aut, [h])
+        if want is None:
             with pytest.raises(NonIntegral):
                 point_degree_general(ctx, h)
         else:
-            assert point_degree_general(ctx, h) == len(ra) // len(both)
-        checked += 1
+            assert point_degree_general(ctx, h) == want
     assert checked >= 12
 
 
 def test_point_degree_general_default_aut_is_the_plus_minus_path():
-    """aut=None stands for {I, -I}: the general formula's product sets give
-    the index the walk gives, over the structural pools and over a Borel
-    group without -I, which A*H doubles as the walk's adjoining does."""
+    """aut=None stands for {I, -I}: the general formula's quotient gives the
+    index the walk gives, over the structural pools and over a Borel group
+    without -I, whose [A : A meet H] = 2 halves [RA : RA meet H] as the
+    walk's adjoining does."""
     rng = random.Random(112)
     for n in (5, 7, 8, 9):
         pool = _helpers.structural_pool(n, max_order=5000)
@@ -202,14 +229,102 @@ def test_point_degree_general_default_aut_is_the_plus_minus_path():
             assert point_degree_general(ctx, h) == want, (n, r.kind, h.kind)
 
 
-@pytest.mark.parametrize("gen", [(4, 0, 0, 1), (2, 0, 0, 2)],
-                         ids=["order-2-without-minus-i", "order-4-with-minus-i"])
-def test_only_plus_minus_itself_takes_the_plus_minus_path(gen):
+def _rho_image(rng, n, rho):
+    """R generated by two seeded units x + y*rho, which commute with rho, and
+    the swap (0 1; 1 0), which inverts both rho below: R normalizes <rho>."""
+    gens = [(0, 1, 1, 0)]
+    while len(gens) < 3:
+        x, y = rng.randrange(n), rng.randrange(n)
+        q = (x, -y % n, y % n, (x + y * rho[3]) % n)
+        if quad_is_invertible(n, q):
+            gens.append(q)
+    return gens
+
+
+def _rhos(n):
+    """(0 -1; 1 1) of order 6, the j = 0 automorphisms, and (0 -1; 1 0) of
+    order 4, the j = 1728 ones."""
+    return (0, n - 1, 1, 1), (0, n - 1, 1, 0)
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 13])
+def test_point_degree_general_against_the_scan(n):
+    """d_j * |RA| / |RA meet AH| by predicate scans over GL2(Z/n), for
+    A = <rho> under R of _rho_image and that pair conjugated by a seeded
+    matrix, and for A = <rho>, {I}, {I, -I} and the scalars under R and
+    under the swap alone, which holds no element of A but I, so that RA is
+    larger than R."""
+    rng = random.Random(113 + n)
+    ambient = sorted(FullGroup(n).element_quads)
+    hs = _helpers.structural_pool(n, max_order=30000)
+    hs.append(borel(n, delta_trivial(n)))
+    c = _helpers.generator_list(rng, n, 1)[0]
+    scalars = [(u, 0, 0, u) for u in unit_group_generators(n)]
+    cases = []
+    for rho in _rhos(n):
+        gens = _rho_image(rng, n, rho)
+        cases.append(([subgroups._conjugate(n, c, g) for g in gens],
+                      [subgroups._conjugate(n, c, rho)]))
+        for r_gens in (gens, [(0, 1, 1, 0)]):
+            cases += [(r_gens, a) for a in
+                      ([rho], [], [minus_identity_quad(n)], scalars)]
+    for gens, a_gens in cases:
+        r, aut = GeneratedGroup(n, gens), GeneratedGroup(n, a_gens)
+        ctx = galois_context(r, d_j=2, aut=aut)
+        for h, want in zip(hs, _scanned_degrees(ambient, r, aut, hs)):
+            assert point_degree_general(ctx, h) == 2 * want, (gens, a_gens, h.kind)
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 13])
+def test_point_degree_general_refuses_a_pair_that_does_not_normalize(
+        monkeypatch, n):
+    """Adding the translation (1 1; 0 1) to R of _rho_image, or taking R the
+    full group, breaks the normalization of <rho>: ValueError, before any
+    walk."""
+    rng = random.Random(127 + n)
+
+    def no_walk(*args):
+        raise AssertionError("walked before the normalization check")
+
+    monkeypatch.setattr(points, "index_via_orbit", no_walk)
+    h = borel(n, delta_pm1(n))
+    for rho in _rhos(n):
+        aut = GeneratedGroup(n, [rho])
+        for r in (GeneratedGroup(n, _rho_image(rng, n, rho) + [(1, 1, 0, 1)]),
+                  FullGroup(n)):
+            assert not _normalizes(r, aut)
+            with pytest.raises(ValueError, match="does not normalize"):
+                point_degree_general(galois_context(r, aut=aut), h)
+
+
+@pytest.mark.parametrize("n, want", [(343, (14406, 28812)),
+                                     (625, (62500, 31250))])
+def test_point_degree_general_is_fast_past_the_paper(n, want):
+    """B_{+-1} at 343 and 625 under both rho: two walks of lines each, under
+    a second where the product sets R*A and A*H took seconds. The degrees
+    are the ones the product sets gave."""
+    rng = random.Random(n)
+    h = borel(n, delta_pm1(n))
+    got = []
+    for rho in _rhos(n):
+        ctx = galois_context(GeneratedGroup(n, _rho_image(rng, n, rho)),
+                             aut=GeneratedGroup(n, [rho]))
+        start = time.perf_counter()
+        got.append(point_degree_general(ctx, h))
+        assert time.perf_counter() - start < 1.0, (n, rho)
+    assert tuple(got) == want
+
+
+@pytest.mark.parametrize("image, gen", [
+    (GeneratedGroup(5, [(2, 0, 0, 1), (1, 0, 0, 2)]), (4, 0, 0, 1)),
+    (nonsplit_cartan_normalizer(5), (2, 0, 0, 2))],
+    ids=["order-2-without-minus-i", "order-4-with-minus-i"])
+def test_only_plus_minus_itself_takes_the_plus_minus_path(image, gen):
     # {I, -I} is read off the order and -I: an aut of the same order without
-    # -I, or one with -I and more, takes the general formula
-    r = nonsplit_cartan_normalizer(5)
+    # -I, or one with -I and more, takes the general formula; the diagonal
+    # units centralize diag(-1, 1), and the scalars are central
     h = borel(5, delta_pm1(5))
-    ctx = galois_context(r, aut=GeneratedGroup(5, [gen]))
+    ctx = galois_context(image, aut=GeneratedGroup(5, [gen]))
     assert point_degree(ctx, h) == point_degree_general(ctx, h)
     with pytest.raises(ValueError):
         fiber_degrees(ctx, h)

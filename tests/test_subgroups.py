@@ -12,7 +12,6 @@ from modscreen.curves import coset_space, label_prefix
 from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
                               ModulusMismatch, NonDivisor, NonInvertible,
                               NotASubgroup, TooLarge)
-from modscreen.points import galois_context, point_degree_general
 from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                                  GeneratedGroup, LiftedGroup, SL2Part,
                                  StabilizerChain, SubgroupSpec,
@@ -24,7 +23,7 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                                  level, lift_subgroup, minus_identity_quad,
                                  nonsplit_cartan_normalizer,
                                  nonsplit_cartan_normalizer_preimage,
-                                 product_set_quads, reduce_subgroup,
+                                 reduce_subgroup,
                                  scanned_level, sigma_quad, sl2_order, tau_quad)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
                             euler_phi, factorize, quad_det, quad_inv,
@@ -180,7 +179,6 @@ def test_closure_cap_is_exact(monkeypatch, group):
 
 def test_enumeration_cap_is_read_at_call_time(monkeypatch):
     b = borel(5, delta_full(5))
-    ctx = galois_context(nonsplit_cartan_normalizer(5))
     monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
     with pytest.raises(TooLarge, match="^closure mod 5 exceeds cap 10$"):
         closure_quads(5, b.generator_quads())
@@ -190,8 +188,6 @@ def test_enumeration_cap_is_read_at_call_time(monkeypatch):
     with pytest.raises(TooLarge, match="^enumeration of borel mod 5 needs "
                        "80 elements, cap 10$"):
         label_prefix(b)
-    with pytest.raises(TooLarge, match="^product set exceeds cap$"):
-        point_degree_general(ctx, b)
 
 
 def _cap_cases():
@@ -205,12 +201,6 @@ def _cap_cases():
         "label-hash": (lambda: label_prefix(b), "ENUMERATION_CAP", 10,
                        "enumeration of borel mod 5 needs 80 elements, cap 10",
                        "enumeration", 5, 80),
-        # |R*{+-I}| = |R| = 48, since -I lies in the Cartan normalizer
-        "product-sets": (lambda: point_degree_general(galois_context(cns), b),
-                         "ENUMERATION_CAP", 10, "product set exceeds cap",
-                         "product set", 5, 48),
-        "product-set": (lambda: product_set_quads(b, cns), "ENUMERATION_CAP", 100,
-                        "product set exceeds cap", "product set", 5, 480),
         "gl2": (lambda: FullGroup(3).element_quads, "ENUMERATION_CAP", 10,
                 "enumeration of full mod 3 needs 48 elements, cap 10",
                 "enumeration", 3, 48),
@@ -886,26 +876,8 @@ def test_product_with_kernel_is_the_lift():
     assert _lift_order(h, 5) == 50000 == lifted.order
     # H*K is the lift itself, element for element
     h, m = borel(9, delta_full(9)), 3
-    assert product_set_quads(h, _kernel(9, m)) == \
+    assert _helpers.reference_product_set(h, _kernel(9, m)) == \
         lift_subgroup(reduce_subgroup(h, m), 9).element_quads
-
-
-def test_product_set_trivial_cases():
-    h = borel(7, delta_pm1(7))
-    assert product_set_quads(h, GeneratedGroup(7, [])) == h.element_quads
-    full = FullGroup(3)
-    assert product_set_quads(full, nonsplit_cartan_normalizer(3)) == \
-        full.element_quads
-
-
-def test_product_set_can_fail_to_be_a_group():
-    # two order-2 unipotent groups mod 2 multiply to a 4-element non-group
-    # inside the 6-element ambient
-    upper = GeneratedGroup(2, [(1, 1, 0, 1)])
-    lower = GeneratedGroup(2, [(1, 0, 1, 1)])
-    both = product_set_quads(upper, lower)
-    assert len(both) == 4
-    assert closure_quads(2, both) != both
 
 
 def test_preimage_factors_as_group_times_kernel():

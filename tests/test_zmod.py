@@ -255,11 +255,12 @@ def test_public_api_resolves():
                 if hasattr(SubgroupSpec, a)]
     assert not [a for a in dir(UnitSubgroup) if a.endswith("_minus_one")]
     # names that no computation reached are gone; GeneratedGroup, SL2Part,
-    # .order and kernel_generator_quads stand in for them
+    # .order and kernel_generator_quads stand in for them, and two orbit
+    # indices for the product sets of point_degree_general
     gone = {"EnumeratedGroup", "ProductSetCheck", "product_set_check",
             "surjective_image_index_check", "kernel_subgroup", "order",
             "point_report", "PointDegreeReport", "degree_bound_check",
-            "sl2_part"}
+            "sl2_part", "product_set_quads"}
     assert not gone & set(names)
     assert not [name for name in gone if hasattr(modscreen, name)]
     for module in (subgroups, points, curves):
