@@ -5,16 +5,22 @@ modes print to standard output only. Exit codes: 0 success, 2 for usage or
 parse problems, 3 when a computation hits an enumeration or orbit cap.
 screen writes one error line per failed entry, names the entry and goes on;
 it exits 3 if an entry hit a cap, else 2 if an entry failed.
+
+The grammar is declared once, in COMMANDS and OPTIONS. main reads a
+well-formed argv, every option named in full and followed by its value,
+with _read_argv; any other argv (help, a usage error, an abbreviation or
+--option=value) goes to the argparse parser built from the same table, which
+prints the help and usage errors. So a well-formed call never imports argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import warnings
 from collections import Counter
 from functools import cache
+from types import SimpleNamespace
 from typing import Sequence
 
 from .catalog import (CatalogEntry, ScreenReport, emit_table1, emit_table2,
@@ -99,7 +105,7 @@ def _positive_int(text: str, what: str) -> int:
     return value
 
 
-def _emit(args: argparse.Namespace, records: list[dict],
+def _emit(args, records: list[dict],
           tsv_header: Sequence[str] | None = None) -> None:
     if args.json:
         for record in records:
@@ -216,80 +222,140 @@ def _cmd_table(args, table) -> int:
     return 0
 
 
+def _cmd_table1(args) -> int:
+    return _cmd_table(args, emit_table1())
+
+
+def _cmd_table2(args) -> int:
+    return _cmd_table(args, emit_table2())
+
+
 def _cmd_verify_formulae(args) -> int:
     # imported here, so that the brute-force checks stay off the import path
     from .verify import verify_formulae
     return verify_formulae(args)
 
 
+# the command line's grammar, read by _read_argv and by build_parser
+
+_GROUP_HELP = "full | borel:N:gens | cns:l:d | cnspre:l:d | file:LABEL"
+
+# each option's keywords to argparse's add_argument
+OPTIONS = {
+    "--json": {"action": "store_true", "default": False,
+               "help": "emit line-delimited JSON instead of TSV"},
+    "--modulus": {"type": int, "default": None,
+                  "help": "lift or reduce the group(s) to this modulus"},
+    "--catalog": {"default": None,
+                  "help": "catalog file backing file:LABEL group specs"},
+    "--group": {"required": True, "help": _GROUP_HELP},
+    "--image": {"required": True,
+                "help": "Galois image subgroup: " + _GROUP_HELP},
+    "--dj": {"type": int, "default": 1,
+             "help": "degree of the j-coordinate field"},
+    "--target": {"required": True, "help": "codomain subgroup: " + _GROUP_HELP},
+    "--m": {"type": int, "required": True,
+            "help": "target exponent of the prime-power modulus"},
+    "--label": {"default": None, "help": "screen a single entry"},
+    "--nmax": {"type": int, "default": None,
+               "help": "top exponent of the tower (default: per-prime table)"},
+    "--ell": {"type": int, "default": None,
+              "help": "prime for level-1 entries"},
+    "--max-modulus": {"type": int, "default": 12},
+}
+
+_GROUPS = ("--json", "--modulus", "--catalog", "--group")
+
+# command -> (handler, help, the options it reads in help order)
+COMMANDS = {
+    "order": (_cmd_order, "order of a subgroup", _GROUPS),
+    "index": (_cmd_index, "index of a subgroup in the full matrix group",
+              _GROUPS),
+    "level": (_cmd_level, "least modulus the subgroup is pulled back from",
+              _GROUPS),
+    "genus": (_cmd_genus, "curve invariants of a subgroup", _GROUPS),
+    "label": (_cmd_label, "level.index.genus label with a content hash",
+              _GROUPS),
+    "map-degree": (_cmd_map_degree, "degree of the covering between two curves",
+                   (*_GROUPS, "--target")),
+    "point-degree": (_cmd_point_degree,
+                     "degree of the distinguished point over the image's j-class",
+                     (*_GROUPS, "--image", "--dj")),
+    "fiber-degrees": (_cmd_fiber_degrees,
+                      "degrees of all points over the image's j-class",
+                      (*_GROUPS, "--image", "--dj")),
+    "reduce-level": (_cmd_reduce_level,
+                     "degree identity along a reduction of level",
+                     (*_GROUPS, "--image", "--m")),
+    "screen": (_cmd_screen, "run the isolation screen over a catalog",
+               ("--json", "--catalog", "--label", "--nmax", "--ell")),
+    "table1": (_cmd_table1, "genus/threshold table at 25, 27, 32", ("--json",)),
+    "table2": (_cmd_table2, "genus/degree-floor table at the prime squared",
+               ("--json",)),
+    "verify-formulae": (_cmd_verify_formulae,
+                        "cross-check closed-form orders against enumeration",
+                        ("--json", "--max-modulus")),
+}
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it as is."""
+def build_parser():
+    """The argparse parser of COMMANDS, built once per process: parsing
+    leaves it as is. main builds it only for an argv that _read_argv does
+    not read, to print help and usage errors or to read abbreviations and
+    --option=value."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="modscreen",
         description="Subgroup arithmetic, curve invariants, and isolation "
                     "screens for matrix groups over Z/NZ.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def option(*args, **kwargs) -> argparse.ArgumentParser:
-        # one option as a parent parser: each command lists the ones it reads
-        p = argparse.ArgumentParser(add_help=False)
-        p.add_argument(*args, **kwargs)
-        return p
-
-    group_help = "full | borel:N:gens | cns:l:d | cnspre:l:d | file:LABEL"
-    json_opt = option("--json", action="store_true",
-                      help="emit line-delimited JSON instead of TSV")
-    catalog = option("--catalog", default=None,
-                     help="catalog file backing file:LABEL group specs")
-    groups = (option("--modulus", type=int, default=None,
-                     help="lift or reduce the group(s) to this modulus"),
-              catalog, option("--group", required=True, help=group_help))
-    image = option("--image", required=True,
-                   help="Galois image subgroup: " + group_help)
-    dj = option("--dj", type=int, default=1,
-                help="degree of the j-coordinate field")
-
-    def add(name, func, help_text, *parents):
-        p = sub.add_parser(name, parents=[json_opt, *parents], help=help_text)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    add("order", _cmd_order, "order of a subgroup", *groups)
-    add("index", _cmd_index, "index of a subgroup in the full matrix group",
-        *groups)
-    add("level", _cmd_level, "least modulus the subgroup is pulled back from",
-        *groups)
-    add("genus", _cmd_genus, "curve invariants of a subgroup", *groups)
-    add("label", _cmd_label, "level.index.genus label with a content hash",
-        *groups)
-    p = add("map-degree", _cmd_map_degree,
-            "degree of the covering between two curves", *groups)
-    p.add_argument("--target", required=True, help="codomain subgroup: " + group_help)
-    add("point-degree", _cmd_point_degree,
-        "degree of the distinguished point over the image's j-class",
-        *groups, image, dj)
-    add("fiber-degrees", _cmd_fiber_degrees,
-        "degrees of all points over the image's j-class", *groups, image, dj)
-    p = add("reduce-level", _cmd_reduce_level,
-            "degree identity along a reduction of level", *groups, image)
-    p.add_argument("--m", type=int, required=True,
-                   help="target exponent of the prime-power modulus")
-    p = add("screen", _cmd_screen, "run the isolation screen over a catalog",
-            catalog)
-    p.add_argument("--label", default=None, help="screen a single entry")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="top exponent of the tower (default: per-prime table)")
-    p.add_argument("--ell", type=int, default=None,
-                   help="prime for level-1 entries")
-    add("table1", lambda a: _cmd_table(a, emit_table1()),
-        "genus/threshold table at 25, 27, 32")
-    add("table2", lambda a: _cmd_table(a, emit_table2()),
-        "genus/degree-floor table at the prime squared")
-    p = add("verify-formulae", _cmd_verify_formulae,
-            "cross-check closed-form orders against enumeration")
-    p.add_argument("--max-modulus", type=int, default=12)
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
     return parser
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) gives, for an argv of
+    the form <command> (--flag | --option value)*; None for any other argv.
+
+    Each option is named in full and is one the command reads, each value is
+    present, does not start with '-' and converts with the option's type,
+    and each required option is given. An option given twice keeps its last
+    value, as argparse does.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, flags = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    for flag in flags:
+        values[flag[2:].replace("-", "_")] = OPTIONS[flag].get("default")
+    given = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags:
+            return None
+        spec = OPTIONS[flag]
+        if spec.get("action") == "store_true":
+            value = True
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    return None
+        values[flag[2:].replace("-", "_")] = value
+        given.add(flag)
+    if any(OPTIONS[flag].get("required") and flag not in given
+           for flag in flags):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _fail(exc: Exception, where: str = "") -> int:
@@ -299,8 +365,11 @@ def _fail(exc: Exception, where: str = "") -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     # a notice is one line, "warning: <message>", with no path or source line
     # of the file that raised it; library callers keep their own format
     saved_format = warnings.formatwarning

@@ -11,9 +11,10 @@ import warnings
 import pytest
 
 import modscreen
+import modscreen.cli
 import modscreen.curves
 import modscreen.subgroups
-from modscreen.cli import build_parser, main
+from modscreen.cli import COMMANDS, OPTIONS, build_parser, main
 
 
 CATALOG = "\n".join((
@@ -34,6 +35,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_parser():
+    raise AssertionError("a well-formed command line built the argparse parser")
 
 
 # ------------------------------------------------------------- group math
@@ -449,6 +454,19 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     assert proc.stdout == b"[]\n"
 
 
+def test_a_well_formed_call_leaves_argparse_out():
+    # argparse, with the gettext and locale it imports, is built only to
+    # print help and usage errors; -S keeps site hooks from importing them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
+    code = ("import sys, modscreen.cli; "
+            "modscreen.cli.main(['order', '--group', 'borel:5:all']); "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"80\n[]\n"
+
+
 # ---------------------------------------------------------------- notices
 
 @pytest.mark.parametrize("argv, notices", [
@@ -525,10 +543,12 @@ def _readme_examples():
 @pytest.mark.parametrize("argv, shown, elided", _readme_examples())
 def test_readme_example(capsys, monkeypatch, tmp_path, argv, shown, elided):
     # the screen example reads images.jsonl from the working directory: the
-    # demo catalog's 5.B entry; whitespace is compared up to its runs
+    # demo catalog's 5.B entry; whitespace is compared up to its runs. Every
+    # example is read without the argparse parser
     (tmp_path / "images.jsonl").write_text(CATALOG.splitlines()[1] + "\n",
                                            encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(modscreen.cli, "build_parser", _no_parser)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     printed = [line.split() for line in out.splitlines()]
@@ -702,6 +722,53 @@ def test_parser_is_built_once_and_reused(capsys):
     assert "--group" in capsys.readouterr().err
     assert run(capsys, "order", "--group", "borel:5:all", "--json") == \
         (0, '{"order": 80}\n', "")
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("workload", ["genus_deep", "fiber_deep", "screen"])
+def test_benchmark_ops_build_no_parser(capsys, monkeypatch, recwarn, tmp_path,
+                                       workload, seed):
+    # the benchmark's tiny passes write every argv shape its full passes do
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    import workloads
+    ops = workloads.build(workload, seed, str(tmp_path), tiny=True)
+    monkeypatch.setattr(modscreen.cli, "build_parser", _no_parser)
+    for op in ops:
+        code, out, _ = run(capsys, *op["argv"])
+        assert code == 0 and out, op["name"]
+
+
+def test_main_reads_sys_argv_without_the_parser(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["modscreen", "order", "--group", "borel:5:all"])
+    monkeypatch.setattr(modscreen.cli, "build_parser", _no_parser)
+    assert main() == 0
+    assert capsys.readouterr().out == "80\n"
+
+
+def _required_options(command):
+    return [token for flag in COMMANDS[command][2] if OPTIONS[flag].get("required")
+            for token in (flag, "1" if OPTIONS[flag].get("type") is int else "full")]
+
+
+@pytest.mark.parametrize("command", [
+    "order", "index", "level", "genus", "label", "map-degree", "point-degree",
+    "fiber-degrees", "reduce-level", "screen", "table1", "table2",
+    "verify-formulae"])
+def test_help_and_usage_errors_per_command(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: modscreen {command} ")
+    # every required option is given, so the unknown one is the only fault;
+    # argparse names it under the root parser's usage or, in newer releases,
+    # the command's
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_required_options(command), "--no-such-option", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modscreen ")
+    assert "error: unrecognized arguments: --no-such-option 1\n" in err
 
 
 def test_point_degree_over_a_file_image_builds_no_chain(capsys, monkeypatch,

@@ -3,6 +3,8 @@
 Group-spec strings and catalog lines are built by hypothesis: bad JSON,
 wrong types, singular rows, levels that are no prime power. The caps are
 lowered so that a well-formed but large request stops at exit 3 at once.
+Command lines drawn from the grammar, some tokens malformed, read the same
+through cli._read_argv as through the argparse parser.
 """
 
 import contextlib
@@ -20,7 +22,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import modscreen.subgroups  # noqa: E402
 from modscreen.catalog import parse_catalog  # noqa: E402
-from modscreen.cli import main  # noqa: E402
+from modscreen.cli import (COMMANDS, OPTIONS, _read_argv,  # noqa: E402
+                           build_parser, main)
 from modscreen.errors import CatalogError  # noqa: E402
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None,
@@ -70,6 +73,69 @@ catalogs = st.one_of(
     st.lists(lines, max_size=4),
     st.lists(sound_records, max_size=3, unique_by=lambda r: r["label"]).map(
         lambda rs: [json.dumps(r) for r in rs]))
+
+
+# well-formed values, then values argparse reads otherwise or refuses
+int_values = (st.integers(0, 200).map(str),
+              st.sampled_from(["", "x", "1.5", " 7", "0x1f", "-5", "--json",
+                               "-", "--"]))
+text_values = (st.sampled_from(["borel:5:all", "full", "cns:5", "a b", "x=y",
+                                ""]),
+               st.one_of(st.sampled_from(["-5", "--json", "-x", "-", "--", "-h"]),
+                         st.text(max_size=6)))
+MALFORMED = ["abbreviated", "equals", "no value", "stray", "special"]
+
+
+@st.composite
+def command_lines(draw):
+    """<command> (--flag | --option value)*, with some tokens malformed: an
+    abbreviated option, --option=value, a value that starts with '-', a bad
+    int, a stray token, another command's option, -h or --, an option given
+    twice or missing, or an option before the command."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    flags = COMMANDS[command][2]
+    chosen = [flag for flag in flags
+              if OPTIONS[flag].get("required") and draw(st.integers(0, 5))]
+    chosen += draw(st.lists(st.sampled_from(flags), max_size=4))
+    if not draw(st.integers(0, 5)):
+        chosen.append(draw(st.sampled_from(list(OPTIONS))))
+    argv = [command]
+    for flag in draw(st.permutations(chosen)):
+        spec = OPTIONS[flag]
+        good, bad = int_values if "type" in spec else text_values
+        value = [] if spec.get("action") == "store_true" else \
+            [draw(good if draw(st.integers(0, 5)) else bad)]
+        form = "exact" if draw(st.integers(0, 7)) else draw(st.sampled_from(MALFORMED))
+        if form == "exact":
+            argv += [flag, *value]
+        elif form == "abbreviated":
+            argv += [flag[:draw(st.integers(3, len(flag)))], *value]
+        elif form == "equals":
+            argv.append("=".join([flag, *value]))
+        elif form == "no value":
+            argv.append(flag)
+        elif form == "stray":
+            argv.append(draw(st.one_of(*text_values)))
+        else:
+            argv.append(draw(st.sampled_from(["-h", "--help", "--", "--no-such-option"])))
+    if not draw(st.integers(0, 9)):
+        argv.insert(0, draw(st.sampled_from(["--json", "--group", "-h"])))
+    return argv
+
+
+@settings(PROPERTY, max_examples=500)
+@given(argv=command_lines())
+def test_the_reader_reads_what_argparse_reads(argv):
+    args = _read_argv(argv)
+    if args is None:
+        return
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            expected = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}, which the reader reads")
+    assert vars(args) == vars(expected)
 
 
 def _run(argv):
