@@ -37,9 +37,9 @@ from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
                      NonIntegral, NonInvertible, NotASubgroup, OrbitTooLarge,
                      TooLarge)
 from .zmod import (Quad, UnitSubgroup, _check_modulus, _extend_subgroup,
-                   _p1_normalize, _p1_points, _unit_inverses, divisors,
-                   euler_phi, factorize, is_prime, lift_quad, quad_det,
-                   quad_inv, quad_is_invertible, quad_mul, quad_reduce,
+                   _p1_normalize, _p1_points, _unit_classes, _unit_inverses,
+                   divisors, euler_phi, factorize, is_prime, lift_quad,
+                   quad_det, quad_inv, quad_is_invertible, quad_mul, quad_reduce,
                    quadratic_generator, quadratic_mul, quadratic_pair_orbits,
                    quadratic_pow, unit_group_generators, unit_subgroup, units)
 
@@ -166,9 +166,9 @@ class StabilizerChain:
          those with b in step*Z/n, for one divisor step of n.
     Every element of H is u_l * v_a * w_d * (1 step*k; 0 1) in exactly one
     way (k mod n/step), so |H| = |L| |A| |D| n/step, membership is one sift
-    and one divisibility, a key takes O(|L| + |A| + |D|) steps, and the
-    elements of a given trace and determinant are counted over the |L| |A|
-    products u_l * v_a alone (trace_det_counts).
+    and one divisibility, a key is O(|L|) plus a unit-class lookup in A and D
+    (zmod._unit_classes), and the elements of a given trace and determinant are
+    counted over the |L| |A| products u_l * v_a alone (trace_det_counts).
 
     Built by Schreier-Sims with sifting (Seress, Permutation Group
     Algorithms, 2003, ch. 4): every Schreier generator of levels 1 and 2 is
@@ -211,40 +211,42 @@ class StabilizerChain:
         return level == 2 and t[1] % self._step == 0
 
     def key(self, q: Quad) -> Quad:
-        """The canonical element of the left coset q^-1 * H.
+        """A canonical element of the left coset q^-1 * H, not the least one.
 
         H*q1 = H*q2 exactly when q1^-1 * H = q2^-1 * H. With x = q^-1 every
         element of x*H is x * u_l * v_a * c, and its first column is
-        a * (x * u_l * e1): take the line of least P^1 code, then the least
-        scalar multiple of that column, then the least second column over C.
-        Each step pins one factor, so the result depends only on the coset.
+        a * (x * u_l * e1): take the line of least P^1 code, whose column is
+        1/s times its normal form, then v_a by the class of 1/s in A, w_d by
+        the class of det(x * u_l * v_a) in D and the translation by one gcd
+        step: each pins one factor, so the result depends only on the coset.
         """
         n = self.n
         x0, x1, x2, x3 = x = quad_inv(n, q)
-        scalars, columns = self._levels
         best = None
         for u, _ in self._lines.values():
             a, c = (x0 * u[0] + x1 * u[2]) % n, (x2 * u[0] + x3 * u[2]) % n
-            code = _p1_normalize(n, a, c)[0]
+            code, s = _p1_normalize(n, a, c)
             if best is None or code < best[0]:
-                best = code, a, c, u
-        _, a, c, u = best
-        t = min(scalars, key=lambda t: (t * a % n, t * c % n))
-        y0, y1, y2, y3 = quad_mul(n, quad_mul(n, x, u), scalars[t][0])
+                best = code, s, u
+        _, s, u = best
+        (scalars, columns), (a_class, d_class) = self._levels, self._classes
+        inverse = _unit_inverses(n)
+        y = quad_mul(n, quad_mul(n, x, u), scalars[a_class[inverse[s]] * s % n][0])
+        det = quad_det(n, y)
+        y0, p, y2, r = quad_mul(n, y, columns[d_class[det] * inverse[det] % n][0])
         # y * w_d * (1 step*k; 0 1) has second column (p + y0*step*k,
-        # r + y2*step*k), (p, r) that of y * w_d. The top entry is least,
-        # p mod g for g = gcd(y0*step, n), at the k = -(p // g) / (y0*step/g)
-        # mod m = n/g, and over those k the bottom one is least mod
-        # gcd(y2*step*m, n).
+        # r + y2*step*k). The top entry is least, p mod g for
+        # g = gcd(y0*step, n), at the k = -(p // g) / (y0*step/g) mod m = n/g,
+        # and over those k the bottom one is least mod gcd(y2*step*m, n).
         step = self._step
         g = gcd(y0 * step, n)
         m = n // g
         shift = y2 * step * pow(y0 * step // g, -1, m)
-        h = gcd(y2 * step * m, n)
-        second = ((y0 * b + y1 * d, y2 * b + y3 * d)
-                  for (_, b, _, d), _ in columns.values())
-        b, d = min((p % g, (r - shift * (p // g)) % h) for p, r in second)
-        return (y0, b, y2, d)
+        return (y0, p % g, y2, (r - shift * (p // g)) % gcd(y2 * step * m, n))
+
+    @cached_property
+    def _classes(self) -> tuple[list[int], ...]:
+        return tuple(_unit_classes(self.n, level) for level in self._levels)
 
     def trace_det_counts(self, classes: Sequence[tuple[int, int]]) -> list[int]:
         """#{h in H : tr h = t, det h = det} for each (t, det) in classes, in
@@ -497,15 +499,7 @@ class BorelGroup(SubgroupSpec):
     @cached_property
     def _delta_class(self) -> list[int]:
         """Unit t -> least element of the coset t*Delta (0 at non-units)."""
-        n = self.n
-        out = [0] * n
-        dels = self.delta.elements
-        # ascending walk: the first unit to reach a coset is its least element
-        for t in units(n):
-            if not out[t]:
-                for dl in dels:
-                    out[t * dl % n] = t
-        return out
+        return _unit_classes(self.n, self.delta.elements)
 
     def coset_key(self, q: Quad) -> Hashable:
         # A right coset B*g is pinned by the bottom row up to unit scaling

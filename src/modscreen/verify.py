@@ -130,6 +130,15 @@ def verify_formulae(args) -> int:
             check_chain(f"borel{delta.order}", grp)
             check_lift_scale(f"borel{delta.order}", grp)
             check_level(f"borel{delta.order}", grp)
+    # the chain keys of the generated split Cartan C_s(n), the diagonal units,
+    # walk its cosets at |A| = |D| = phi(n): C_s(n) meet SL2 is conjugate to
+    # Gamma0(n^2) by diag(n, 1)
+    for n in range(2, top + 1):
+        split = [q for u in unit_group_generators(n)
+                 for q in ((u, 0, 0, 1), (1, 0, 0, u))]
+        check(f"chain_curve({n},split)",
+              coset_space(GeneratedGroup(n, split)).counts,
+              borel(n * n, delta_full(n * n)).curve_counts())
     for ell in (3, 5, 7):
         for d in (1, 2):
             grp = CartanNormalizer(ell, d)

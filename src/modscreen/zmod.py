@@ -267,6 +267,17 @@ def _unit_lattice_walk(n: int) -> tuple[UnitSubgroup, ...]:
     return tuple(UnitSubgroup(n, s) for s in ordered)
 
 
+def _unit_classes(n: int, sub: Iterable[int]) -> list[int]:
+    """Unit t -> least element of t*sub, sub a unit subgroup (0 at non-units)."""
+    out = [0] * n
+    # ascending walk: the first unit to reach a coset is its least element
+    for t in units(n):
+        if not out[t]:
+            for x in sub:
+                out[t * x % n] = t
+    return out
+
+
 # points of P^1(Z/nZ): normal forms of unimodular rows, one per line
 
 @cache

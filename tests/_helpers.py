@@ -41,9 +41,11 @@ def reference_closure_quads(n, gen_quads, cap=ENUMERATION_CAP):
     return frozenset(seen)
 
 
-# Reference chain key: StabilizerChain.key with its last step, the least
-# second column over the column group C = {(1 b; 0 d)} of H, taken over every
-# element of C, as it was before C was kept as a transversal and one gcd.
+# Reference chain key: the least element of the coset q^-1 * H, as
+# StabilizerChain.key returned it while it took the least scalar over A and
+# the least second column over the column group C = {(1 b; 0 d)} of H, here
+# over every element of C. The key now returns a canonical element instead,
+# equal for two cosets exactly when these are.
 
 def reference_chain_key(chain, columns, q):
     """The least element of q^-1 * H: the chain's line and scalar levels pin
@@ -64,6 +66,21 @@ def reference_chain_key(chain, columns, q):
     b, d = min(((y0 * b + y1 * d) % n, (y2 * b + y3 * d) % n)
                for _, b, _, d in columns)
     return (y0, b, y2, d)
+
+
+# Reference Delta-class table: BorelGroup._delta_class as it was before the
+# chain's class tables and it came to share zmod._unit_classes, kept verbatim.
+
+def reference_delta_class(n, delta):
+    """Unit t -> least element of the coset t*Delta (0 at non-units)."""
+    out = [0] * n
+    dels = delta.elements
+    # ascending walk: the first unit to reach a coset is its least element
+    for t in units(n):
+        if not out[t]:
+            for dl in dels:
+                out[t * dl % n] = t
+    return out
 
 
 # Reference unit-group closure and greedy generators: the element-by-element

@@ -3,10 +3,11 @@
 Generator lists of one to four invertible quads at moduli 1..16, composite
 moduli included, are checked against the element-by-element reference
 closure: the chain's order, its membership test and its coset keys. The
-keys' last step, one gcd step per diagonal entry of the column group C, is
-checked against the least second column over every element of C, on
-generated Borels of every Delta, conjugated, and on upper-triangular lists,
-at moduli where neither entry of the first column need be a unit.
+keys, a canonical element of each coset picked by class lookups and one gcd
+step, are checked against the least element of the coset taken over every
+element of the column group C, on generated Borels of every Delta,
+conjugated, and on upper-triangular lists, at moduli where neither entry of
+the first column need be a unit.
 """
 
 import functools
@@ -25,7 +26,8 @@ from modscreen.subgroups import (GeneratedGroup, _conjugate,  # noqa: E402
                                  borel, borel_order, contains_minus_i, level,
                                  reduce_subgroup)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,  # noqa: E402
-                            quad_is_invertible, unit_subgroups_containing_minus_one)
+                            quad_is_invertible, quad_mul,
+                            unit_subgroups_containing_minus_one)
 
 import _helpers  # noqa: E402
 
@@ -120,6 +122,10 @@ def upper_triangular_list(rng, n, count):
 
 @pytest.mark.parametrize("n", [18, 24, 25, 27, 32, 36, 49])
 def test_chain_keys_take_the_least_second_column_over_c(n):
+    """The key of q lies in q^-1 * H, and two keys are equal exactly when the
+    least elements of the two cosets are, with the least second column taken
+    over every element of C. The key itself is a canonical element of the
+    coset, not the least one, so only the partition is compared."""
     rng = random.Random(n)
     c = _helpers.generator_list(rng, n, 1)[0]
     lists = [[_conjugate(n, c, g) for g in borel(n, delta).generator_quads()]
@@ -127,11 +133,15 @@ def test_chain_keys_take_the_least_second_column_over_c(n):
     lists += [upper_triangular_list(rng, n, k) for k in (1, 2, 2, 3)]
     for gens in lists:
         chain = GeneratedGroup(n, gens)._chain
-        columns = [h for h in _helpers.reference_closure_quads(n, gens)
-                   if h[0] == 1 % n and h[2] == 0]
+        group = _helpers.reference_closure_quads(n, gens)
+        columns = [h for h in group if h[0] == 1 % n and h[2] == 0]
+        pairs = set()
         for q in _helpers.generator_list(rng, n, 40):
-            assert chain.key(q) == _helpers.reference_chain_key(chain, columns, q), \
-                (n, gens, q)
+            key = chain.key(q)
+            assert quad_mul(n, q, key) in group, (n, gens, q)
+            pairs.add((key, _helpers.reference_chain_key(chain, columns, q)))
+        keys, least = zip(*pairs)
+        assert len(pairs) == len(set(keys)) == len(set(least)), (n, gens)
 
 
 def test_the_chain_of_a_large_column_group_stays_small():

@@ -25,8 +25,8 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                                  nonsplit_cartan_normalizer_preimage,
                                  reduce_subgroup,
                                  scanned_level, sigma_quad, sl2_order, tau_quad)
-from modscreen.zmod import (delta_full, delta_pm1, delta_trivial, divisors,
-                            euler_phi, factorize, quad_det, quad_inv,
+from modscreen.zmod import (_p1_normalize, delta_full, delta_pm1, delta_trivial,
+                            divisors, euler_phi, factorize, quad_det, quad_inv,
                             quad_is_invertible, quad_mul, quad_reduce, unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
@@ -288,6 +288,21 @@ def test_borel_coset_keys_separate_exactly():
             assert exact(b.sl2_coset_key, sl2, det_one, n), (n, els)
             pairs += 1
     assert pairs == 61
+
+
+@pytest.mark.parametrize("n", [25, 27, 32])
+def test_borel_coset_key_values_are_pinned(n):
+    """The Delta-class table, now zmod._unit_classes, and the Borel key read
+    off it keep their values: against the table as it was built before."""
+    rng = random.Random(n)
+    quads = _helpers.generator_list(rng, n, 200)
+    for delta in unit_subgroups_containing_minus_one(n) + (delta_trivial(n),):
+        b = BorelGroup(n, delta)
+        table = _helpers.reference_delta_class(n, delta)
+        assert b._delta_class == table
+        for q in quads:
+            code, u = _p1_normalize(n, q[2], q[3])
+            assert b.coset_key(q) == code * n + table[u * quad_det(n, q) % n]
 
 
 def _key_pool(m):

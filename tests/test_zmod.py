@@ -287,6 +287,22 @@ def test_subgroups_containing_minus_one_rejects_tiny_modulus():
         unit_subgroups_containing_minus_one(2)
 
 
+def test_unit_classes_are_the_least_elements_of_the_cosets():
+    """By brute force at every n <= 64: the trivial group, the whole unit
+    group and, from n = 3, every subgroup holding -1 that the lattice walk
+    finds."""
+    for n in range(1, 65):
+        subs = [delta_trivial(n), delta_full(n)]
+        if n >= 3:
+            subs += zmod._unit_lattice_walk(n)
+        for sub in subs:
+            table = zmod._unit_classes(n, sub.elements)
+            assert len(table) == n
+            for t in range(n):
+                want = min(t * x % n for x in sub.elements) if gcd(t, n) == 1 else 0
+                assert table[t] == want, (n, sub, t)
+
+
 def _prime_powers(lo, hi):
     return [n for n in range(lo, hi + 1) if len(factorize(n)) == 1]
 
