@@ -298,24 +298,30 @@ COMMANDS = {
 }
 
 
-@cache
 def build_parser():
     """The argparse parser of COMMANDS, built once per process: parsing
     leaves it as is. main builds it only for an argv that _read_argv does
     not read, to print help and usage errors or to read abbreviations and
     --option=value."""
+    return _parsers()[0]
+
+
+@cache
+def _parsers():
+    """(the root parser, command -> that command's parser), built once."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="modscreen",
         description="Subgroup arithmetic, curve invariants, and isolation "
                     "screens for matrix groups over Z/NZ.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, (func, help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         for flag in flags:
             p.add_argument(flag, **OPTIONS[flag])
-    return parser
+    return parser, commands
 
 
 def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -369,7 +375,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # an unknown option after the command is reported with the
+            # command's usage; one before it, with the root's
+            if argv[0] == args.command:
+                parser = _parsers()[1][args.command]
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     # a notice is one line, "warning: <message>", with no path or source line
     # of the file that raised it; library callers keep their own format
     saved_format = warnings.formatwarning

@@ -24,13 +24,13 @@ import warnings
 from enum import Enum
 from typing import NamedTuple
 
+from .chain import _conjugate
 from .errors import ModulusMismatch, NonIntegral
-from .subgroups import (GeneratedGroup, SubgroupSpec, _conjugate,
-                        adjoin_minus_i, contains_minus_i, factorize,
-                        identity_quad, index_via_orbit, level, lift_subgroup,
-                        minus_identity_quad, nested_index, preimage_descent,
-                        reduce_subgroup)
-from .zmod import is_prime
+from .subgroups import (GeneratedGroup, SubgroupSpec, adjoin_minus_i,
+                        contains_minus_i, factorize, index_via_orbit, level,
+                        lift_subgroup, minus_identity_quad, nested_index,
+                        preimage_descent, reduce_subgroup)
+from .zmod import identity_quad, is_prime
 
 
 class Verdict(str, Enum):

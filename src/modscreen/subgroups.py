@@ -3,44 +3,43 @@
 Every group is carried two ways at once: a membership predicate and a small
 generating set. The base class, SubgroupSpec, is the group its generators
 generate: a kind supplies them (_gens), and membership, order and keys
-default to a stabilizer chain (StabilizerChain) built from them instead of
-the element set, and reduction to the group of the reduced generators; a
-kind overrides a hook only where it knows a closed form. Index and fiber
-computations never enumerate the ambient group. A Borel-type H reads the
-orbits on its right cosets off the orbits on the lines of P^1(Z/NZ)
-(BorelGroup.orbit_sizes), and the nonsplit Cartan normalizer off the orbits
-on pairs of conjugate points of P^1(O/l^d), O = Z[sqrt(e)]
-(CartanNormalizer.orbit_sizes); every other kind walks right cosets H*g
-under the other group's generators (the default orbit_sizes: coset_action,
-the one walk behind index and fiber computations without a closed form and
-behind the genus at a modulus that is not prime, and walked_orbit_sizes
-over it, whose orbits permutation_orbit_sizes splits) and identifies a
-coset by a canonical key (equal keys exactly when the cosets are equal).
-One transversal walk (_transversal) serves the chain's first three levels
-and the det-1 part's Schreier generators, which SL2Part sifts through the
-chain of those kept. An element set is built one way for every kind: the
-closure of the generators (SubgroupSpec.element_quads), refused up front
-when the order passes ENUMERATION_CAP. A walk whose length the orders give
-(all of H's cosets, or those of its det-1 part in SL2) is refused up front
-the same way when that length passes ORBIT_CAP (_check_walk_length).
-Instances are immutable after construction and safe to share.
+default to a stabilizer chain (chain.StabilizerChain) built from them
+instead of the element set, and reduction to the group of the reduced
+generators; a kind overrides a hook only where it knows a closed form.
+Index and fiber computations never enumerate the ambient group. A
+Borel-type H reads the orbits on its right cosets off the orbits on the
+lines of P^1(Z/NZ) (BorelGroup.orbit_sizes), and the nonsplit Cartan
+normalizer off the orbits on pairs of conjugate points of P^1(O/l^d),
+O = Z[sqrt(e)] (CartanNormalizer.orbit_sizes, by quadratic_pair_orbits);
+every other kind walks right cosets H*g under the other group's generators
+(the default orbit_sizes: coset_action, the one walk behind index and fiber
+computations without a closed form and behind the genus at a modulus that
+is not prime, and walked_orbit_sizes over it, whose orbits
+permutation_orbit_sizes splits) and identifies a coset by a canonical key
+(equal keys exactly when the cosets are equal). An element set is built one
+way for every kind: the closure of the generators
+(SubgroupSpec.element_quads), refused up front when the order passes
+ENUMERATION_CAP. A walk whose length the orders give (all of H's cosets, or
+those of its det-1 part in SL2) is refused up front the same way when that
+length passes ORBIT_CAP (_check_walk_length). Instances are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
+from .chain import StabilizerChain, _transversal
 from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
                      NonIntegral, NonInvertible, NotASubgroup, OrbitTooLarge,
                      TooLarge)
 from .zmod import (Quad, UnitSubgroup, _check_modulus, _extend_subgroup,
                    _p1_normalize, _p1_points, _unit_classes, _unit_inverses,
-                   divisors, euler_phi, factorize, is_prime, lift_quad,
-                   quad_det, quad_inv, quad_is_invertible, quad_mul, quad_reduce,
-                   quadratic_generator, quadratic_mul, quadratic_pair_orbits,
+                   divisors, euler_phi, factorize, identity_quad, is_prime,
+                   lift_quad, quad_det, quad_inv, quad_is_invertible, quad_mul,
+                   quad_reduce, quadratic_generator, quadratic_mul,
                    quadratic_pow, unit_group_generators, unit_subgroup, units)
 
 ENUMERATION_CAP = 10_000_000
@@ -63,10 +62,6 @@ def sl2_order(n: int) -> int:
     for p, e in factorize(n):
         out *= p ** (3 * e - 2) * (p * p - 1)
     return out
-
-
-def identity_quad(n: int) -> Quad:
-    return (1 % n, 0, 0, 1 % n)
 
 
 def minus_identity_quad(n: int) -> Quad:
@@ -123,194 +118,6 @@ def closure_quads(n: int, gen_quads: Iterable[Quad]) -> frozenset[Quad]:
                 seen.update(coset)
     del seen  # the list holds the same elements: free the set before the copy
     return frozenset(group)
-
-
-def _transversal(n: int, gens: Sequence[Quad], point: Callable[[Quad], Hashable]
-                ) -> tuple[dict[Hashable, tuple[Quad, Quad]], list[Quad]]:
-    """A Schreier transversal of the orbit of point(I) under x -> s*x.
-
-    One BFS over the generators from I: returns {point(t): (t, t^-1)}, one t
-    in H per point of the orbit, and the Schreier generators t_{point(y)}^-1
-    * y of every product y = s*t that lands on a point already reached. By
-    Schreier's lemma these generate the stabilizer of point(I) in H.
-    """
-    one = identity_quad(n)
-    table = {point(one): (one, one)}
-    reps = [one]
-    schreier = []
-    for t in reps:  # grows while it is walked: the BFS queue
-        for s in gens:
-            y = quad_mul(n, s, t)
-            p = point(y)
-            w = table.get(p)
-            if w is None:
-                table[p] = y, quad_inv(n, y)
-                reps.append(y)
-            else:
-                schreier.append(quad_mul(n, w[1], y))
-    return table, schreier
-
-
-class StabilizerChain:
-    """A generated group H < GL2(Z/nZ) as a stabilizer chain of four levels.
-
-    H acts on column vectors mod n. The levels are:
-      1. the orbit L of the line <e1> in P^1(Z/n) (at most psi(n) lines),
-         keyed by _p1_normalize of a first column, with a transversal u_l in H;
-      2. the line's stabilizer H_L = H meet upper-triangular maps onto the
-         scalars A = {t[0]} on e1 (at most phi(n) units), with a transversal
-         v_a in H_L;
-      3. the kernel C = {(1 b; 0 d)} of that map onto its diagonal entries D
-         (at most phi(n) units), with a transversal w_d = (1 b_d; 0 d) in C;
-      4. the kernel of that map, the translations (1 b; 0 1) in H: exactly
-         those with b in step*Z/n, for one divisor step of n.
-    Every element of H is u_l * v_a * w_d * (1 step*k; 0 1) in exactly one
-    way (k mod n/step), so |H| = |L| |A| |D| n/step, membership is one sift
-    and one divisibility, a key is O(|L|) plus a unit-class lookup in A and D
-    (zmod._unit_classes), and the elements of a given trace and determinant are
-    counted over the |L| |A| products u_l * v_a alone (trace_det_counts).
-
-    Built by Schreier-Sims with sifting (Seress, Permutation Group
-    Algorithms, 2003, ch. 4): every Schreier generator of levels 1 and 2 is
-    sifted through levels 2 and 3 (_strip). Those of level 3, and whatever
-    sifts through it, are translations, whose b join step by one gcd. The
-    strong generators of level 3 are kept closed under conjugation by those
-    of level 2, so C is normal in H_L and is the whole kernel; conjugating a
-    translation by an upper-triangular map scales its b by a unit, so
-    step*Z/n needs no such care. The line, not the vector e1, is the first
-    base point because the orbit of e1 can reach n^2 vectors (Murray-O'Brien,
-    1995, on choosing base points for matrix groups).
-    """
-
-    def __init__(self, n: int, gens: Sequence[Quad]):
-        self.n = n
-        # level 1: line code -> (u_l, u_l^-1), and its Schreier generators
-        self._lines, todo = _transversal(
-            n, gens, lambda y: _p1_normalize(n, y[0], y[2])[0])
-        # levels 2 and 3: their strong generators, and a -> (v_a, v_a^-1)
-        # and d -> (w_d, w_d^-1)
-        one = identity_quad(n)
-        self._strong: tuple[list[Quad], list[Quad]] = ([], [])
-        self._levels = [{1 % n: (one, one)}, {1 % n: (one, one)}]
-        # level 4: the translations (1 b; 0 1) in H are those with step | b
-        self._step = n
-        self._sift(todo)
-
-    @property
-    def order(self) -> int:
-        scalars, columns = self._levels
-        return len(self._lines) * len(scalars) * len(columns) * self.n // self._step
-
-    def contains(self, q: Quad) -> bool:
-        n = self.n
-        u = self._lines.get(_p1_normalize(n, q[0], q[2])[0])
-        if u is None:
-            return False
-        # u^-1 * q fixes the line <e1>
-        level, t = self._strip(quad_mul(n, u[1], q))
-        return level == 2 and t[1] % self._step == 0
-
-    def key(self, q: Quad) -> Quad:
-        """A canonical element of the left coset q^-1 * H, not the least one.
-
-        H*q1 = H*q2 exactly when q1^-1 * H = q2^-1 * H. With x = q^-1 every
-        element of x*H is x * u_l * v_a * c, and its first column is
-        a * (x * u_l * e1): take the line of least P^1 code, whose column is
-        1/s times its normal form, then v_a by the class of 1/s in A, w_d by
-        the class of det(x * u_l * v_a) in D and the translation by one gcd
-        step: each pins one factor, so the result depends only on the coset.
-        """
-        n = self.n
-        x0, x1, x2, x3 = x = quad_inv(n, q)
-        best = None
-        for u, _ in self._lines.values():
-            a, c = (x0 * u[0] + x1 * u[2]) % n, (x2 * u[0] + x3 * u[2]) % n
-            code, s = _p1_normalize(n, a, c)
-            if best is None or code < best[0]:
-                best = code, s, u
-        _, s, u = best
-        (scalars, columns), (a_class, d_class) = self._levels, self._classes
-        inverse = _unit_inverses(n)
-        y = quad_mul(n, quad_mul(n, x, u), scalars[a_class[inverse[s]] * s % n][0])
-        det = quad_det(n, y)
-        y0, p, y2, r = quad_mul(n, y, columns[d_class[det] * inverse[det] % n][0])
-        # y * w_d * (1 step*k; 0 1) has second column (p + y0*step*k,
-        # r + y2*step*k). The top entry is least, p mod g for
-        # g = gcd(y0*step, n), at the k = -(p // g) / (y0*step/g) mod m = n/g,
-        # and over those k the bottom one is least mod gcd(y2*step*m, n).
-        step = self._step
-        g = gcd(y0 * step, n)
-        m = n // g
-        shift = y2 * step * pow(y0 * step // g, -1, m)
-        return (y0, p % g, y2, (r - shift * (p // g)) % gcd(y2 * step * m, n))
-
-    @cached_property
-    def _classes(self) -> tuple[list[int], ...]:
-        return tuple(_unit_classes(self.n, level) for level in self._levels)
-
-    def trace_det_counts(self, classes: Sequence[tuple[int, int]]) -> list[int]:
-        """#{h in H : tr h = t, det h = det} for each (t, det) in classes, in
-        one pass over the |L| |A| products, without enumerating H.
-
-        Every h is w * c with w = u_l * v_a and c = (1 b; 0 d) in C, and then
-        det h = det(w) * d and tr h = w0 + w2 * b + w3 * d. So det pins d, and
-        the b with (1 b; 0 d) in C are b_d + step*k, read off w_d and level 4.
-        On them the trace is the congruence w2 * step * k = r mod n in
-        k mod n/step, r = t - w0 - w2 * b_d - w3 * d: g/step solutions when
-        g = gcd(w2 * step, n) divides r, else none.
-        """
-        n, step = self.n, self._step
-        scalars, columns = self._levels
-        inverse = _unit_inverses(n)
-        counts = [0] * len(classes)
-        for u, _ in self._lines.values():
-            for v, _ in scalars.values():
-                w0, _, w2, w3 = w = quad_mul(n, u, v)
-                g = gcd(w2 * step, n)
-                over = inverse[quad_det(n, w)]
-                for j, (t, det) in enumerate(classes):
-                    d = det * over % n
-                    c = columns.get(d)
-                    if c is not None and (t - w0 - w2 * c[0][1] - w3 * d) % g == 0:
-                        counts[j] += g // step
-        return counts
-
-    def _strip(self, g: Quad) -> tuple[int, Quad]:
-        """The one sift of an element g of H_L through levels 2 and 3: the
-        level (0 for 2, 1 for 3) whose transversal misses it, with what is
-        left of g there, or 2 with the translation left after both."""
-        for i, table in enumerate(self._levels):
-            t = table.get(g[3 * i])
-            if t is None:
-                return i, g
-            g = quad_mul(self.n, t[1], g)
-        return 2, g
-
-    def _sift(self, todo: list[Quad]) -> None:
-        """Sift elements of H_L into levels 2 to 4 until every one of them,
-        and every Schreier generator and conjugate they bring, is inside."""
-        n = self.n
-        scalar_gens, column_gens = self._strong
-        while todo:
-            i, g = self._strip(todo.pop())
-            if i == 2:
-                self._step = gcd(self._step, g[1])
-                continue
-            # a new strong generator: its level is rebuilt, and its Schreier
-            # generators lie in the next one
-            self._strong[i].append(g)
-            self._levels[i], schreier = _transversal(n, self._strong[i],
-                                                     itemgetter(3 * i))
-            todo += schreier
-            if i:
-                todo += [_conjugate(n, s, g) for s in scalar_gens]
-            else:
-                todo += [_conjugate(n, g, c) for c in column_gens]
-
-
-def _conjugate(n: int, s: Quad, c: Quad) -> Quad:
-    """s^-1 * c * s."""
-    return quad_mul(n, quad_mul(n, quad_inv(n, s), c), s)
 
 
 class SubgroupSpec:
@@ -668,8 +475,7 @@ class CartanNormalizer(SubgroupSpec):
             _check_walk_length(self, gl2_order(n) // self.order)
             squares = sorted({y * y % n for y in units(n)})
             starts = ((x, y2) for x in range(n) for y2 in squares)
-        return quadratic_pair_orbits(n, self.eps, gens, starts, ORBIT_CAP,
-                                     lambda j: _check_orbit_cap(self, j))
+        return quadratic_pair_orbits(self, gens, starts)
 
     @property
     def level(self) -> int:
@@ -682,6 +488,149 @@ class CartanNormalizer(SubgroupSpec):
         if m == 1:
             return FullGroup(1)
         return CartanNormalizer(self.ell, _p_adic_valuation(m, self.ell))
+
+
+def _projective_form(n: int, q: Quad) -> Quad:
+    """q scaled by the inverse of its first unit entry, which an invertible
+    matrix at a prime power has: equal forms mean equal matrices modulo
+    scalars."""
+    inv = _unit_inverses(n)
+    s = inv[q[0]] or inv[q[1]] or inv[q[2]] or inv[q[3]]
+    return (q[0] * s % n, q[1] * s % n, q[2] * s % n, q[3] * s % n)
+
+
+def _cycle_split(n: int, gens: Sequence[Quad]) -> tuple[Quad, list[Quad], list[Quad]]:
+    """(c, per_cycle, per_pair): how quadratic_pair_orbits steps gens at an odd
+    prime power n.
+
+    Scalars act trivially on the pairs and take no step, nor does a repeat of
+    a generator. The cycle generator c
+    is the generator that the most others normalize modulo scalars,
+    g*c*g^-1 in <c>*scalars, ties going to the longest order modulo scalars
+    and then to the first; those others step once per c-cycle, the rest once
+    per pair. Each candidate lists the forms of its powers until one repeats.
+    With no generator left, c is the identity.
+    """
+    powers = {}
+    for g in gens:
+        g = quad_reduce(g, n)
+        forms, p = set(), (1, 0, 0, 1)
+        while (f := _projective_form(n, p)) not in forms:
+            forms.add(f)
+            p = quad_mul(n, p, g)
+        powers[g] = forms
+    gens = [g for g, forms in powers.items() if len(forms) > 1]
+    if not gens:
+        return (1, 0, 0, 1), [], []
+    partners = {c: [g for g in gens if g != c and _projective_form(
+        n, quad_mul(n, quad_mul(n, g, c), quad_inv(n, g))) in powers[c]] for c in gens}
+    c = max(gens, key=lambda c: (len(partners[c]), len(powers[c])))
+    return c, partners[c], [g for g in gens if g != c and g not in partners[c]]
+
+
+def quadratic_pair_orbits(h: CartanNormalizer, gens: Sequence[Quad],
+                          starts: Iterable[tuple[int, int]]) -> list[int]:
+    """Sizes of the orbits of <gens> on the pairs {z, conj z} of O/nO, n = h.n
+    and O = Z[sqrt(eps)], eps = h.eps, under z -> (r1 + z*r3) / (r0 + z*r2),
+    the row (1, z) times r = (r0 r1; r2 r3) rescaled to first entry 1, one for
+    each orbit that starts meets, in that order. There are n*phi(n)/2 pairs,
+    and once the walk knows them all it draws no further start.
+
+    A pair is walked as (x, Y), Y = y^2 for z = x + y*sqrt(eps) with y a unit,
+    and keyed as the int x*n + Y: the units mod n are cyclic, so y^2 = y'^2
+    exactly when y' = +-y, and equal keys mean equal pairs. starts are such
+    (x, Y). Let a = r0 + x*r2, so that the norm of the denominator is
+    m = N(r0 + z*r2) = a^2 - eps*r2^2*Y; it is a unit for r in GL2, since
+    (1, z) is a multiple of (1, sqrt(eps)) * g for some g in GL2. Then
+    z' = (r1 + z*r3) * conj(r0 + z*r2) / m, whose parts are
+      Re z' = ((r1 + x*r3)*a - eps*r2*r3*Y) / m,
+      Im z' = y*(r3*(r0 + x*r2) - r2*(r1 + x*r3)) / m = y*det(r) / N(r0 + z*r2),
+    so the pair of z' is (Re z', Y*det(r)^2 / m^2), and neither part needs y.
+    eps*r2^2, eps*r2*r3 and det(r)^2 are taken once per generator.
+
+    An orbit is walked as a union of cycles of one generator c (_cycle_split).
+    Scalars act trivially, so if g*c*g^-1 = s*c^m for a scalar s, then
+    conjugation by g maps the finite group <c>*scalars onto itself, and
+    g^-1*c*g = s'*c^m' too; hence c^k*g = s'^k*g*c^(m'k), and p*c^k*g is
+    (p*g)*c^(m'k): g maps the c-cycle of p onto the c-cycle of p*g. Such a
+    g steps once per cycle, from its first pair; every other generator steps
+    from each pair, so a cycle keeps its other pairs only while such a
+    generator exists. Each new pair's c-cycle is walked at once, one step a
+    pair, until it returns to that pair, so every pair the walk knows lies in
+    a whole cycle it knows. Until the first start that some generator moves,
+    each start is an orbit of one pair, found by one step per generator, and
+    no split is made.
+
+    OrbitTooLarge (_check_orbit_cap) once the walk knows ORBIT_CAP pairs,
+    read at call time, and needs another.
+    """
+    n, eps, cap = h.n, h.eps, ORBIT_CAP
+
+    def constants(r: Quad) -> tuple[int, ...]:
+        r0, r1, r2, r3 = r
+        return (r0, r1, r2, r3, eps * r2 * r2 % n, eps * r2 * r3 % n,
+                (r0 * r3 - r1 * r2) ** 2 % n)
+
+    def step(r: tuple[int, ...], x: int, y2: int) -> tuple[int, int]:
+        # the pair of (x, y2) moved by r, given as its constants; the walk's
+        # two hot loops below inline it, as a call a step would cost more
+        r0, r1, r2, r3, er22, er23, det2 = r
+        a = r0 + x * r2
+        i = inv[(a * a - er22 * y2) % n]
+        return ((r1 + x * r3) * a - er23 * y2) * i % n, y2 * det2 * i * i % n
+
+    inv = _unit_inverses(n)
+    total = n * euler_phi(n) // 2
+    unsplit = [constants(r) for r in gens]
+    # until the split: c the identity, and no generator steps in the walk
+    c0, c1, c2, c3, ce22, ce23, cdet2 = constants((1, 0, 0, 1))
+    keep, at_first, per_pair = False, [], []
+    seen: set[int] = set()
+
+    def cycle(x: int, y2: int) -> list[tuple[int, int]]:
+        # the c-cycle of the new pair (x, y2), each pair counted in seen; it
+        # returns the pairs that a generator steps from
+        x0, y0 = x, y2
+        out = [(x, y2)]
+        while True:
+            if len(seen) >= cap:
+                _check_orbit_cap(h, len(seen))
+            seen.add(x * n + y2)
+            a = c0 + x * c2
+            i = inv[(a * a - ce22 * y2) % n]
+            x, y2 = ((c1 + x * c3) * a - ce23 * y2) * i % n, y2 * cdet2 * i * i % n
+            if x == x0 and y2 == y0:
+                return out
+            if keep:
+                out.append((x, y2))
+
+    sizes = []
+    for x0, y0 in starts:
+        if x0 * n + y0 in seen:
+            continue
+        if unsplit and any(step(r, x0, y0) != (x0, y0) for r in unsplit):
+            c, per_cycle, per_pair = _cycle_split(n, gens)
+            c0, c1, c2, c3, ce22, ce23, cdet2 = constants(c)
+            per_pair = [constants(r) for r in per_pair]
+            at_first = [constants(r) for r in per_cycle] + per_pair
+            keep, unsplit = bool(per_pair), []
+        known = len(seen)
+        orbit = [cycle(x0, y0)]
+        for pairs in orbit:  # grows while it is walked: the BFS queue of cycles
+            steps = at_first
+            for x, y2 in pairs:
+                for r0, r1, r2, r3, er22, er23, det2 in steps:
+                    a = r0 + x * r2
+                    i = inv[(a * a - er22 * y2) % n]
+                    u = ((r1 + x * r3) * a - er23 * y2) * i % n
+                    v = y2 * det2 * i * i % n
+                    if u * n + v not in seen:
+                        orbit.append(cycle(u, v))
+                steps = per_pair
+        sizes.append(len(seen) - known)
+        if len(seen) == total:
+            break
+    return sizes
 
 
 class GeneratedGroup(SubgroupSpec):

@@ -10,13 +10,14 @@ from collections import Counter
 from itertools import product
 from math import gcd
 
+from .chain import _conjugate
 from .cli import _emit
 from .curves import _class_counts, coset_space
 from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
-                        LiftedGroup, SL2Part, SubgroupSpec, _conjugate,
-                        adjoin_minus_i, borel, borel_index, borel_order,
-                        closure_quads, contains_minus_i, gl2_order,
-                        kernel_generator_quads, level, minus_identity_quad,
+                        LiftedGroup, SL2Part, SubgroupSpec, adjoin_minus_i,
+                        borel, borel_index, borel_order, closure_quads,
+                        contains_minus_i, gl2_order, kernel_generator_quads,
+                        level, minus_identity_quad,
                         nonsplit_cartan_normalizer_preimage, preimage_descent,
                         scanned_level, sl2_order, walked_orbit_sizes)
 from .zmod import (Quad, _unit_lattice_walk, delta_full, delta_pm1,
@@ -139,18 +140,21 @@ def verify_formulae(args) -> int:
         check(f"chain_curve({n},split)",
               coset_space(GeneratedGroup(n, split)).counts,
               borel(n * n, delta_full(n * n)).curve_counts())
-    for ell in (3, 5, 7):
-        for d in (1, 2):
-            grp = CartanNormalizer(ell, d)
-            check(f"cartan_order({ell},{d})", len(grp.element_quads), grp.order)
-            check_chain("cartan", grp)
-            # also under N's own generators and a seeded conjugate of them,
-            # where the pair walk steps all but one generator once per cycle
-            own = grp.generator_quads()
-            c = _invertible_matrix(random.Random(grp.n), grp.n)
-            check_orbits(f"cartan_orbits({grp.n})", grp, own,
-                         tuple(_conjugate(grp.n, c, g) for g in own))
-            check_lift_scale("cnspre", nonsplit_cartan_normalizer_preimage(grp.n))
+    # the Cartan normalizer at every odd prime power up to top
+    for n in range(3, top + 1, 2):
+        fac = factorize(n)
+        if len(fac) > 1:
+            continue
+        grp = CartanNormalizer(*fac[0])
+        check(f"cartan_order({grp.ell},{grp.d})", len(grp.element_quads), grp.order)
+        check_chain("cartan", grp)
+        # also under N's own generators and a seeded conjugate of them,
+        # where the pair walk steps all but one generator once per cycle
+        own = grp.generator_quads()
+        c = _invertible_matrix(random.Random(n), n)
+        check_orbits(f"cartan_orbits({n})", grp, own,
+                     tuple(_conjugate(n, c, g) for g in own))
+        check_lift_scale("cnspre", nonsplit_cartan_normalizer_preimage(n))
     # the curve counts at a prime from the permutation character, which read
     # the stabilizer chain of the generators, against the coset walk: the
     # Borel of every Delta, the Cartan normalizer, and a seeded conjugate of

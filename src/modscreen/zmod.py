@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .errors import NonDivisor, NonInvertible
 
@@ -39,6 +39,10 @@ def quad_inv(n: int, q: Quad) -> Quad:
         raise NonInvertible(f"matrix {q} is singular mod {n}") from None
     a, b, c, d = q
     return (d * i % n, -b * i % n, -c * i % n, a * i % n)
+
+
+def identity_quad(n: int) -> Quad:
+    return (1 % n, 0, 0, 1 % n)
 
 
 def quad_reduce(q: Quad, m: int) -> Quad:
@@ -378,145 +382,3 @@ def quadratic_generator(ell: int, eps: int) -> tuple[int, int]:
                for p, _ in factorize(order)):
             return z
     raise ValueError(f"{eps} is not a non-residue mod {ell}")
-
-
-def _projective_form(n: int, q: Quad) -> Quad:
-    """q scaled by the inverse of its first unit entry, which an invertible
-    matrix at a prime power has: equal forms mean equal matrices modulo
-    scalars."""
-    inv = _unit_inverses(n)
-    s = inv[q[0]] or inv[q[1]] or inv[q[2]] or inv[q[3]]
-    return (q[0] * s % n, q[1] * s % n, q[2] * s % n, q[3] * s % n)
-
-
-def _cycle_split(n: int, gens: Sequence[Quad]) -> tuple[Quad, list[Quad], list[Quad]]:
-    """(c, per_cycle, per_pair): how quadratic_pair_orbits steps gens at an odd
-    prime power n.
-
-    Scalars act trivially on the pairs and take no step, nor does a repeat of
-    a generator. The cycle generator c
-    is the generator that the most others normalize modulo scalars,
-    g*c*g^-1 in <c>*scalars, ties going to the longest order modulo scalars
-    and then to the first; those others step once per c-cycle, the rest once
-    per pair. Each candidate lists the forms of its powers until one repeats.
-    With no generator left, c is the identity.
-    """
-    powers = {}
-    for g in gens:
-        g = quad_reduce(g, n)
-        forms, p = set(), (1, 0, 0, 1)
-        while (f := _projective_form(n, p)) not in forms:
-            forms.add(f)
-            p = quad_mul(n, p, g)
-        powers[g] = forms
-    gens = [g for g, forms in powers.items() if len(forms) > 1]
-    if not gens:
-        return (1, 0, 0, 1), [], []
-    partners = {c: [g for g in gens if g != c and _projective_form(
-        n, quad_mul(n, quad_mul(n, g, c), quad_inv(n, g))) in powers[c]] for c in gens}
-    c = max(gens, key=lambda c: (len(partners[c]), len(powers[c])))
-    return c, partners[c], [g for g in gens if g != c and g not in partners[c]]
-
-
-def quadratic_pair_orbits(n: int, eps: int, gens: Sequence[Quad],
-                          starts: Iterable[tuple[int, int]], cap: int,
-                          at_cap: Callable[[int], None]) -> list[int]:
-    """Sizes of the orbits of <gens> on the pairs {z, conj z} of O/nO under
-    z -> (r1 + z*r3) / (r0 + z*r2), the row (1, z) times r = (r0 r1; r2 r3)
-    rescaled to first entry 1, one for each orbit that starts meets, in that
-    order, at an odd prime power n. There are n*phi(n)/2 pairs, and once the
-    walk knows them all it draws no further start.
-
-    A pair is walked as (x, Y), Y = y^2 for z = x + y*sqrt(eps) with y a unit,
-    and keyed as the int x*n + Y: the units mod n are cyclic, so y^2 = y'^2
-    exactly when y' = +-y, and equal keys mean equal pairs. starts are such
-    (x, Y). Let a = r0 + x*r2, so that the norm of the denominator is
-    m = N(r0 + z*r2) = a^2 - eps*r2^2*Y; it is a unit for r in GL2, since
-    (1, z) is a multiple of (1, sqrt(eps)) * g for some g in GL2. Then
-    z' = (r1 + z*r3) * conj(r0 + z*r2) / m, whose parts are
-      Re z' = ((r1 + x*r3)*a - eps*r2*r3*Y) / m,
-      Im z' = y*(r3*(r0 + x*r2) - r2*(r1 + x*r3)) / m = y*det(r) / N(r0 + z*r2),
-    so the pair of z' is (Re z', Y*det(r)^2 / m^2), and neither part needs y.
-    eps*r2^2, eps*r2*r3 and det(r)^2 are taken once per generator.
-
-    An orbit is walked as a union of cycles of one generator c (_cycle_split).
-    Scalars act trivially, so if g*c*g^-1 = s*c^m for a scalar s, then
-    conjugation by g maps the finite group <c>*scalars onto itself, and
-    g^-1*c*g = s'*c^m' too; hence c^k*g = s'^k*g*c^(m'k), and p*c^k*g is
-    (p*g)*c^(m'k): g maps the c-cycle of p onto the c-cycle of p*g. Such a
-    g steps once per cycle, from its first pair; every other generator steps
-    from each pair, so a cycle keeps its other pairs only while such a
-    generator exists. Each new pair's c-cycle is walked at once, one step a
-    pair, until it returns to that pair, so every pair the walk knows lies in
-    a whole cycle it knows. Until the first start that some generator moves,
-    each start is an orbit of one pair, found by one step per generator, and
-    no split is made.
-
-    at_cap(j) runs only when the walk knows j >= cap pairs and needs another,
-    so that the caller can stop it.
-    """
-    def constants(r: Quad) -> tuple[int, ...]:
-        r0, r1, r2, r3 = r
-        return (r0, r1, r2, r3, eps * r2 * r2 % n, eps * r2 * r3 % n,
-                (r0 * r3 - r1 * r2) ** 2 % n)
-
-    def step(r: tuple[int, ...], x: int, y2: int) -> tuple[int, int]:
-        # the pair of (x, y2) moved by r, given as its constants; the walk's
-        # two hot loops below inline it, as a call a step would cost more
-        r0, r1, r2, r3, er22, er23, det2 = r
-        a = r0 + x * r2
-        i = inv[(a * a - er22 * y2) % n]
-        return ((r1 + x * r3) * a - er23 * y2) * i % n, y2 * det2 * i * i % n
-
-    inv = _unit_inverses(n)
-    total = n * euler_phi(n) // 2
-    unsplit = [constants(r) for r in gens]
-    # until the split: c the identity, and no generator steps in the walk
-    c0, c1, c2, c3, ce22, ce23, cdet2 = constants((1, 0, 0, 1))
-    keep, at_first, per_pair = False, [], []
-    seen: set[int] = set()
-
-    def cycle(x: int, y2: int) -> list[tuple[int, int]]:
-        # the c-cycle of the new pair (x, y2), each pair counted in seen; it
-        # returns the pairs that a generator steps from
-        x0, y0 = x, y2
-        out = [(x, y2)]
-        while True:
-            if len(seen) >= cap:
-                at_cap(len(seen))
-            seen.add(x * n + y2)
-            a = c0 + x * c2
-            i = inv[(a * a - ce22 * y2) % n]
-            x, y2 = ((c1 + x * c3) * a - ce23 * y2) * i % n, y2 * cdet2 * i * i % n
-            if x == x0 and y2 == y0:
-                return out
-            if keep:
-                out.append((x, y2))
-
-    sizes = []
-    for x0, y0 in starts:
-        if x0 * n + y0 in seen:
-            continue
-        if unsplit and any(step(r, x0, y0) != (x0, y0) for r in unsplit):
-            c, per_cycle, per_pair = _cycle_split(n, gens)
-            c0, c1, c2, c3, ce22, ce23, cdet2 = constants(c)
-            per_pair = [constants(r) for r in per_pair]
-            at_first = [constants(r) for r in per_cycle] + per_pair
-            keep, unsplit = bool(per_pair), []
-        known = len(seen)
-        orbit = [cycle(x0, y0)]
-        for pairs in orbit:  # grows while it is walked: the BFS queue of cycles
-            steps = at_first
-            for x, y2 in pairs:
-                for r0, r1, r2, r3, er22, er23, det2 in steps:
-                    a = r0 + x * r2
-                    i = inv[(a * a - er22 * y2) % n]
-                    u = ((r1 + x * r3) * a - er23 * y2) * i % n
-                    v = y2 * det2 * i * i % n
-                    if u * n + v not in seen:
-                        orbit.append(cycle(u, v))
-                steps = per_pair
-        sizes.append(len(seen) - known)
-        if len(seen) == total:
-            break
-    return sizes

@@ -24,14 +24,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import modscreen.subgroups  # noqa: E402
-import modscreen.zmod  # noqa: E402
 from modscreen.cli import main  # noqa: E402
 from modscreen.errors import OrbitTooLarge  # noqa: E402
 from modscreen.subgroups import (CartanNormalizer, FullGroup,  # noqa: E402
-                                 LiftedGroup, borel, gl2_order,
-                                 walked_orbit_sizes)
-from modscreen.zmod import (_cycle_split, quad_inv, quad_mul,  # noqa: E402
-                            quadratic_pair_orbits, units)
+                                 LiftedGroup, _cycle_split, borel, gl2_order,
+                                 quadratic_pair_orbits, walked_orbit_sizes)
+from modscreen.zmod import quad_inv, quad_mul, units  # noqa: E402
 
 import _helpers  # noqa: E402
 from _helpers import quadratic_mobius, quadratic_pair_key  # noqa: E402
@@ -101,8 +99,8 @@ def test_the_pair_coordinate_is_x_and_y_squared(n):
                for x, y in pair)
     # one generator's cycles, started from every pair in the walk's order,
     # against quadratic_mobius iterated under the old min-key
-    ell, d = _helpers.prime_power_exponent(n)
-    e = CartanNormalizer(ell, d).eps
+    c = CartanNormalizer(*_helpers.prime_power_exponent(n))
+    e = c.eps
     starts = [(x, y) for x in range(n) for y in sorted(squares)]
     for r in _helpers.generator_list(random.Random(n), n, 20)[:20]:
         seen, cycles = set(), []
@@ -117,8 +115,7 @@ def test_the_pair_coordinate_is_x_and_y_squared(n):
                 if old_pair_key(n, z) == start:
                     break
             cycles.append(length)
-        assert quadratic_pair_orbits(n, e, [r], starts, len(starts),
-                                     refuse_at_cap) == cycles, (n, r)
+        assert quadratic_pair_orbits(c, [r], starts) == cycles, (n, r)
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 13, 49, 121, 125])
@@ -191,13 +188,13 @@ def test_the_walk_by_cycles_matches_the_walk_by_pairs(n):
     lists.append(lists[0] + _helpers.generator_list(rng, n, 1)[:1])
     lists += [_helpers.generator_list(rng, n, k)[:k] for k in (1, 2, 3)]
     lists.append(())
-    e = CartanNormalizer(*_helpers.prime_power_exponent(n)).eps
+    c = CartanNormalizer(*_helpers.prime_power_exponent(n))
     pairs = all_pairs(n)
     for starts in ([(0, 1)], pairs):
         for gens in lists:
-            args = (n, e, gens, starts, len(pairs), refuse_at_cap)
-            assert quadratic_pair_orbits(*args) == \
-                _helpers.reference_pair_orbits(*args), (n, gens)
+            assert quadratic_pair_orbits(c, gens, starts) == \
+                _helpers.reference_pair_orbits(n, c.eps, gens, starts, len(pairs),
+                                               refuse_at_cap), (n, gens)
 
 
 @pytest.mark.parametrize("n", WALK_LEVELS)
@@ -241,14 +238,14 @@ def test_an_orbit_of_one_pair_takes_no_split(monkeypatch, n):
     # chosen; a whole walk splits at the first start that a generator moves
     c = CartanNormalizer(*_helpers.prime_power_exponent(n))
     gens = c.generator_quads()
-    split = modscreen.zmod._cycle_split
+    split = modscreen.subgroups._cycle_split
     calls = []
 
     def counted_split(m, gens):
         calls.append(m)
         return split(m, gens)
 
-    monkeypatch.setattr(modscreen.zmod, "_cycle_split", counted_split)
+    monkeypatch.setattr(modscreen.subgroups, "_cycle_split", counted_split)
     assert c.orbit_sizes(gens, whole=False) == [1] and calls == []
     sizes = c.orbit_sizes(gens, whole=True)
     assert sizes[0] == 1 and calls == [n]
@@ -279,8 +276,7 @@ def test_a_whole_walk_draws_no_start_after_every_pair_is_known(n):
     assert _cycle_split(n, mixed[-1])[2], n  # at 3 and 9 the others may have none
     for gens in lists + mixed + [(), [(2, 0, 0, 2), (1, 0, 0, 1)]]:
         drawn = []
-        sizes = quadratic_pair_orbits(n, c.eps, gens, counted(pairs, drawn), len(pairs),
-                                      refuse_at_cap)
+        sizes = quadratic_pair_orbits(c, gens, counted(pairs, drawn))
 
         def reference(starts):
             return _helpers.reference_pair_orbits(n, c.eps, gens, starts, len(pairs),
@@ -305,11 +301,14 @@ def test_a_whole_walk_stops_at_a_cap_inside_a_cycle(monkeypatch, n, later):
         for cap in [*range(1, 61), *range(later, later + 30)]:
             monkeypatch.setattr(modscreen.subgroups, "ORBIT_CAP", cap)
             messages = []
-            for walk in (quadratic_pair_orbits, _helpers.reference_pair_orbits):
-                with pytest.raises(OrbitTooLarge) as err:
-                    walk(n, c.eps, gens, pairs, cap,
-                         lambda j: modscreen.subgroups._check_orbit_cap(c, j))
-                messages.append(str(err.value))
+            with pytest.raises(OrbitTooLarge) as err:
+                quadratic_pair_orbits(c, gens, pairs)
+            messages.append(str(err.value))
+            with pytest.raises(OrbitTooLarge) as err:
+                _helpers.reference_pair_orbits(
+                    n, c.eps, gens, pairs, cap,
+                    lambda j: modscreen.subgroups._check_orbit_cap(c, j))
+            messages.append(str(err.value))
             assert messages[0] == messages[1] == (
                 f"coset walk of cartan_nonsplit_normalizer mod {n} reached {cap} "
                 f"cosets, cap {cap}"), (n, gens, cap)

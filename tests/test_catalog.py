@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 import _helpers
-from modscreen import catalog, curves, subgroups
+from modscreen import catalog, chain, curves, subgroups
 from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
                                intermediate_deltas, load_catalog,
                                parse_catalog, screen_entry, serialize_catalog)
@@ -253,7 +253,7 @@ def test_screen_verdict_invariant():
 
 
 def _conjugated(n, gens, c):
-    return tuple(subgroups._conjugate(n, c, g) for g in gens)
+    return tuple(chain._conjugate(n, c, g) for g in gens)
 
 
 def _screen_facts(rep):

@@ -21,9 +21,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import modscreen.subgroups  # noqa: E402
+from modscreen.chain import _conjugate  # noqa: E402
 from modscreen.curves import curve_genus  # noqa: E402
-from modscreen.subgroups import (GeneratedGroup, _conjugate,  # noqa: E402
-                                 borel, borel_order, contains_minus_i, level,
+from modscreen.subgroups import (GeneratedGroup, borel,  # noqa: E402
+                                 borel_order, contains_minus_i, level,
                                  reduce_subgroup)
 from modscreen.zmod import (delta_full, delta_pm1, delta_trivial,  # noqa: E402
                             quad_is_invertible, quad_mul,

@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import modscreen
+import modscreen.chain
 import modscreen.cli
 import modscreen.curves
 import modscreen.subgroups
@@ -392,22 +393,22 @@ def test_verify_formulae_passes(capsys):
     assert lines[0].split("\t") == ["check", "computed", "expected", "status"]
     assert all(line.endswith("\tok") for line in lines[1:])
     assert any(line.startswith("gl2_order(8)") for line in lines)
-    assert any(line.startswith("cartan_order(7,2)") for line in lines)
+    assert any(line.startswith("cartan_order(7,1)") for line in lines)
     # the stabilizer chain of each structural group rebuilt from generators
     assert any(line.startswith("chain_order(8,borel4)") for line in lines)
-    assert any(line.startswith("chain_order(49,cartan)") for line in lines)
+    assert any(line.startswith("chain_order(7,cartan)") for line in lines)
     # the Schreier generators of each det-1 part against |H| / |det H|
     assert any(line.startswith("sl2_gens(8,borel4)") for line in lines)
-    assert any(line.startswith("sl2_gens(49,cartan)") for line in lines)
+    assert any(line.startswith("sl2_gens(7,cartan)") for line in lines)
     # the Borel orbit sizes from P^1 against the coset walk, one row per Delta
     assert sum(line.startswith("borel_orbits(8,") for line in lines) == 3
     # the Cartan orbit sizes from pairs in P^1(O/l^d) against the coset walk
     assert any(line.startswith("cartan_orbits(3)") for line in lines)
-    assert any(line.startswith("cartan_orbits(49)") for line in lines)
+    assert any(line.startswith("cartan_orbits(7)") for line in lines)
     # the lift scale, a quotient of orders, against the kernel walk: one row
     # per Delta and divisor m of the modulus, and for the Cartan preimages
     assert sum(line.startswith("lift_scale(8,") for line in lines) == 3 * 4
-    assert any(line.startswith("lift_scale(49,7,cnspre)") for line in lines)
+    assert any(line.startswith("lift_scale(7,7,cnspre)") for line in lines)
     # each kind's closed-form level against the kernel-generator scan, and
     # that of its full preimage at twice the modulus: full at every n,
     # Cartan at 3, 5 and 7, Borel at every Delta from 3 on
@@ -431,6 +432,23 @@ def test_verify_formulae_passes(capsys):
     # one row per prime power
     assert [line.split("\t")[0] for line in lines if line.startswith("unit_")] == [
         f"unit_subgroups({n})" for n in (3, 4, 5, 7, 8)]
+
+
+def test_verify_formulae_checks_the_cartan_rows_up_to_its_bound(capsys):
+    # the Cartan normalizer's rows run at every odd prime power up to
+    # --max-modulus, and at no modulus past it
+    code, out, _ = run(capsys, "verify-formulae", "--max-modulus", "8")
+    assert code == 0
+    names = [line.split("\t")[0] for line in out.splitlines()[1:]]
+    assert [name for name in names if name.startswith("cartan_order(")] == [
+        "cartan_order(3,1)", "cartan_order(5,1)", "cartan_order(7,1)"]
+    for row in ("chain_order({},cartan)", "sl2_gens({},cartan)",
+                "cartan_orbits({})"):
+        prefix, suffix = row.split("{}")
+        assert [name for name in names if name.startswith(prefix)
+                and name.endswith(suffix)] == [row.format(n) for n in (3, 5, 7)]
+    assert [name for name in names if name.endswith(",cnspre)")] == [
+        f"lift_scale({n},{m},cnspre)" for n in (3, 5, 7) for m in (1, n)]
 
 
 def test_cli_import_leaves_the_verification_module_out():
@@ -760,15 +778,15 @@ def test_help_and_usage_errors_per_command(capsys, command):
         main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: modscreen {command} ")
-    # every required option is given, so the unknown one is the only fault;
-    # argparse names it under the root parser's usage or, in newer releases,
-    # the command's
+    # every required option is given, so the unknown one is the only fault,
+    # and it is named under the command's usage on every Python version
     with pytest.raises(SystemExit) as exc:
         main([command, *_required_options(command), "--no-such-option", "1"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: modscreen ")
-    assert "error: unrecognized arguments: --no-such-option 1\n" in err
+    assert err.startswith(f"usage: modscreen {command} ")
+    assert err.endswith(f"modscreen {command}: error: unrecognized arguments: "
+                        "--no-such-option 1\n")
 
 
 def test_point_degree_over_a_file_image_builds_no_chain(capsys, monkeypatch,
@@ -778,7 +796,8 @@ def test_point_degree_over_a_file_image_builds_no_chain(capsys, monkeypatch,
     n = 121
     subgroups = modscreen.subgroups
     cns = subgroups.nonsplit_cartan_normalizer(n)
-    gens = [subgroups._conjugate(n, (1, 0, 1, 1), g) for g in cns.generator_quads()]
+    gens = [modscreen.chain._conjugate(n, (1, 0, 1, 1), g)
+            for g in cns.generator_quads()]
     path = tmp_path / "cns.jsonl"
     path.write_text(json.dumps({"label": "121.c", "level": n, "gens": gens}),
                     encoding="utf-8")

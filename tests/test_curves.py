@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from modscreen import curves, subgroups
+from modscreen import chain, curves, subgroups
 from modscreen.curves import (CosetSpace, CurveData, coset_space, curve_data,
                               curve_genus, genus_from_counts, label_prefix,
                               map_degree)
@@ -243,7 +243,7 @@ def _prime_level_groups(ell):
         structural.append(nonsplit_cartan_normalizer(ell))
     for h in structural:
         c = _helpers.generator_list(rng, ell, 1)[0]
-        gen_lists.append([subgroups._conjugate(ell, c, g)
+        gen_lists.append([chain._conjugate(ell, c, g)
                           for g in h.generator_quads()])
     for gens in gen_lists:
         yield GeneratedGroup(ell, gens)

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from modscreen import points, subgroups
+from modscreen import chain, points, subgroups
 from modscreen.curves import map_degree
 from modscreen.errors import ModulusMismatch, NonIntegral
 from modscreen.points import (Verdict, cartan_degree_formula, fiber_degrees,
@@ -263,8 +263,8 @@ def test_point_degree_general_against_the_scan(n):
     cases = []
     for rho in _rhos(n):
         gens = _rho_image(rng, n, rho)
-        cases.append(([subgroups._conjugate(n, c, g) for g in gens],
-                      [subgroups._conjugate(n, c, rho)]))
+        cases.append(([chain._conjugate(n, c, g) for g in gens],
+                      [chain._conjugate(n, c, rho)]))
         for r_gens in (gens, [(0, 1, 1, 0)]):
             cases += [(r_gens, a) for a in
                       ([rho], [], [minus_identity_quad(n)], scalars)]

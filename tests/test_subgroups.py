@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+import modscreen.chain
 import modscreen.subgroups
+from modscreen.chain import StabilizerChain
 from modscreen.cli import main as cli_main
 from modscreen.curves import coset_space, label_prefix
 from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
@@ -14,8 +16,7 @@ from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
                               NotASubgroup, TooLarge)
 from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                                  GeneratedGroup, LiftedGroup, SL2Part,
-                                 StabilizerChain, SubgroupSpec,
-                                 adjoin_minus_i, borel,
+                                 SubgroupSpec, adjoin_minus_i, borel,
                                  borel_index, borel_order, closure_quads,
                                  contains_minus_i,
                                  coset_action, gl2_order, identity_quad,
@@ -822,7 +823,7 @@ def test_chain_membership_computes_no_inverse(monkeypatch, n):
     def refuse(n, q):
         raise AssertionError("contains computed an inverse")
 
-    monkeypatch.setattr(modscreen.subgroups, "quad_inv", refuse)
+    monkeypatch.setattr(modscreen.chain, "quad_inv", refuse)
     assert [[c.contains(q) for q in quads] for c in chains] == want
 
 
