@@ -20,8 +20,9 @@ from .curves import curve_genus
 from .errors import NonInvertibleGenerator, ParseError
 from .points import (Verdict, fiber_degrees, galois_context, rr_screen,
                      semidirect_lower_bound)
-from .subgroups import (FullGroup, GeneratedGroup, SubgroupSpec, borel,
-                        factorize, lift_subgroup, reduce_subgroup)
+from .subgroups import (BorelGroup, FullGroup, GeneratedGroup, SubgroupSpec,
+                        borel, factorize, lift_subgroup, nested_index,
+                        reduce_subgroup)
 from .zmod import (Quad, UnitSubgroup, delta_pm1, euler_phi, is_prime,
                    quad_is_invertible, unit_subgroups_containing_minus_one)
 
@@ -148,6 +149,21 @@ def _borel_genus(n: int, delta: UnitSubgroup) -> int:
     return curve_genus(borel(n, delta))
 
 
+@cache
+def _structure_group(n: int) -> BorelGroup:
+    """B_{+-1}(n), whose cosets carry the fiber the screen decomposes."""
+    return borel(n, delta_pm1(n))
+
+
+@cache
+def _tower_scale(b: int, n: int) -> int:
+    """[K : K meet H], K the kernel of reduction from n to b and H the
+    structure group at n: over a full preimage at n the fiber is the fiber
+    at b with every degree this many times larger (preimage_descent)."""
+    return nested_index(lift_subgroup(_structure_group(b), n),
+                        _structure_group(n))
+
+
 class ScreenRow(NamedTuple):
     """The columns of one row under `screen --json`: one intermediate curve
     of the tower against the fiber's least degree."""
@@ -193,8 +209,16 @@ def screen_entry(entry: CatalogEntry, n_max: int | None = None,
     once l and k are checked. ell names the prime of a level-1 entry; any
     other entry is screened at its own level's prime, which ell must match.
 
-    The genus-zero part runs first: its coset space refuses an image whose
-    determinant mod l is not all of (Z/lZ)^x (NotFullDeterminant) before any
+    The fiber is walked once, at the first level b of the tower with
+    intermediate curves: the image at every later l^n is the full preimage
+    of the image at b, so its least degree is the one at b times
+    [K : K meet H] (_tower_scale). A level-1 entry is all of GL2 at every
+    level and takes the same path.
+
+    The genus-zero part runs first: at l <= 5 the curve has genus 0 whenever
+    the determinant mod l is all of (Z/lZ)^x (curve_genus), at any other l
+    its counts come from the class counts, and either way an image whose
+    determinant mod l is not full is refused (NotFullDeterminant) before any
     fiber is built. At the entry's own level the determinant need not be full.
     """
     group = entry.subgroup()
@@ -217,16 +241,16 @@ def screen_entry(entry: CatalogEntry, n_max: int | None = None,
     genus_zero = (entry.level == 1
                   or curve_genus(reduce_subgroup(group, ell)) == 0)
 
+    tower = [m for m in (ell**n for n in range(max(k, 1), n_max + 1))
+             if intermediate_deltas(m)]
     rows: list[ScreenRow] = []
-    for n in range(max(k, 1), n_max + 1):
-        modulus = ell**n
-        deltas = intermediate_deltas(modulus)
-        if not deltas:
-            continue
-        ctx = galois_context(lift_subgroup(group, modulus))
-        fibers = fiber_degrees(ctx, borel(modulus, delta_pm1(modulus)))
-        min_fiber = min(fibers)
-        for delta in deltas:
+    if tower:
+        b = tower[0]
+        ctx = galois_context(lift_subgroup(group, b))
+        least = min(fiber_degrees(ctx, _structure_group(b)))
+    for modulus in tower:
+        min_fiber = least * _tower_scale(b, modulus)
+        for delta in intermediate_deltas(modulus):
             genus = _borel_genus(modulus, delta)
             r = delta.order // 2
             rows.append(ScreenRow(modulus, delta.order, genus, min_fiber,

@@ -13,8 +13,10 @@ right cosets of H in GL2(Z/NZ) and commutes with right multiplication. At a
 prime N the counts are fixed points of that action, read off the permutation
 character of H by counting the elements of H of each trace and determinant
 (_class_counts); at any other N the cosets are walked on H's own keys
-(coset_space), the oracle of the closed forms and of the class counts.
-Everything is exact integer arithmetic.
+(coset_space), the oracle of the closed forms and of the class counts. The
+genus alone needs no counts at N <= 5: X(N) has genus 0 there and covers the
+curve of every H of full determinant (curve_genus). Everything is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -235,6 +237,12 @@ def label_prefix(h: SubgroupSpec) -> str:
 
 def curve_genus(h: SubgroupSpec) -> int:
     """Genus alone, skipping the level and index bookkeeping of curve_data."""
+    if h.n <= 5:
+        # X(n) has genus 0 for n <= 5 (Diamond-Shurman, A First Course in
+        # Modular Forms, 3.9) and covers the curve of every H of full
+        # determinant, so nothing is counted
+        _require_full_determinant(h)
+        return 0
     return genus_from_counts(h.n, *_counts(adjoin_minus_i(h)))
 
 

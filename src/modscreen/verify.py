@@ -12,7 +12,8 @@ from math import gcd
 
 from .chain import _conjugate
 from .cli import _emit
-from .curves import _class_counts, coset_space
+from .curves import (_class_counts, coset_space, curve_genus,
+                     genus_from_counts)
 from .subgroups import (CartanNormalizer, FullGroup, GeneratedGroup,
                         LiftedGroup, SL2Part, SubgroupSpec, adjoin_minus_i,
                         borel, borel_index, borel_order, closure_quads,
@@ -155,28 +156,39 @@ def verify_formulae(args) -> int:
         check_orbits(f"cartan_orbits({n})", grp, own,
                      tuple(_conjugate(n, c, g) for g in own))
         check_lift_scale("cnspre", nonsplit_cartan_normalizer_preimage(n))
-    # the curve counts at a prime from the permutation character, which read
-    # the stabilizer chain of the generators, against the coset walk: the
-    # Borel of every Delta, the Cartan normalizer, and a seeded conjugate of
-    # the split Cartan normalizer and of the Borel of a seeded Delta
-    for ell in filter(is_prime, range(2, top + 1)):
-        rng = random.Random(ell)
-        deltas = sorted({unit_subgroup(ell, [x]) for x in units(ell)},
+
+    def curve_groups(n: int) -> list[tuple[str, SubgroupSpec]]:
+        # the Borel of every Delta, the Cartan normalizer at an odd prime,
+        # and a seeded conjugate of the split Cartan normalizer and of the
+        # Borel of a seeded Delta
+        rng = random.Random(n)
+        deltas = sorted({unit_subgroup(n, [x]) for x in units(n)},
                         key=lambda d: (d.order, d.elements))
-        groups = [(f"borel{d.order}", borel(ell, d)) for d in deltas]
-        if ell > 2:
-            groups.append(("cns", CartanNormalizer(ell)))
-        c = _invertible_matrix(rng, ell)
+        groups = [(f"borel{d.order}", borel(n, d)) for d in deltas]
+        if n > 2 and is_prime(n):
+            groups.append(("cns", CartanNormalizer(n)))
+        c = _invertible_matrix(rng, n)
         split = [(0, 1, 1, 0)]
-        for u in unit_group_generators(ell):
+        for u in unit_group_generators(n):
             split += [(u, 0, 0, 1), (1, 0, 0, u)]
-        for base in (split,
-                     borel(ell, rng.choice(deltas)).generator_quads()):
+        for base in (split, borel(n, rng.choice(deltas)).generator_quads()):
             groups.append(("generated", GeneratedGroup(
-                ell, [_conjugate(ell, c, g) for g in base])))
-        for kind, grp in groups:
+                n, [_conjugate(n, c, g) for g in base])))
+        return groups
+
+    # the curve counts at a prime from the permutation character, which read
+    # the stabilizer chain of the generators, against the coset walk
+    for ell in filter(is_prime, range(2, top + 1)):
+        for kind, grp in curve_groups(ell):
             check(f"class_counts({ell},{kind})", _class_counts(grp),
                   coset_space(grp).counts)
+    # the genus 0 that curve_genus reads off X(n) at n <= 5, 4 included,
+    # against the genus of the walked counts
+    for n in range(2, min(5, top) + 1):
+        for kind, grp in curve_groups(n):
+            walked = coset_space(adjoin_minus_i(grp)).counts
+            check(f"small_genus({n},{kind})", curve_genus(grp),
+                  genus_from_counts(n, *walked))
     # the subgroups read off the unit group's structure against the walk
     for n in range(3, top + 1):
         if len(factorize(n)) == 1:

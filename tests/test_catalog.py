@@ -14,7 +14,7 @@ from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
 from modscreen.cli import main
 from modscreen.errors import (NonInvertibleGenerator, NotFullDeterminant,
                              ParseError)
-from modscreen.points import Verdict
+from modscreen.points import Verdict, fiber_degrees, galois_context
 from modscreen.subgroups import (GeneratedGroup, borel, contains_minus_i,
                                  lift_subgroup, minus_identity_quad,
                                  nonsplit_cartan_normalizer)
@@ -314,20 +314,79 @@ def test_screen_raises_no_warning_for_an_image_without_minus_i():
 
 
 def test_screen_builds_stabilizer_chains_only_at_the_prime(monkeypatch):
-    # the images are walked by their generators; the one chain the screen
-    # needs is the genus-zero part's, at l
+    # the images are walked by their generators, so a chain is built only
+    # for the class counts of the genus-zero part at l; at l <= 5 the genus
+    # is read off X(l) and no chain is built at all
     moduli = []
-    init = subgroups.StabilizerChain.__init__
+    init = chain.StabilizerChain.__init__
 
     def counting(self, n, gens):
         moduli.append(n)
         init(self, n, gens)
 
-    monkeypatch.setattr(subgroups.StabilizerChain, "__init__", counting)
+    monkeypatch.setattr(chain.StabilizerChain, "__init__", counting)
     for entry in _entries_without_minus_i():
         moduli.clear()
-        rep = screen_entry(entry, n_max=4)
-        assert moduli and set(moduli) == {rep.ell}, entry.label
+        screen_entry(entry, n_max=4)
+        assert moduli == [], entry.label
+    conj = _conjugated(49, borel(49, delta_pm1(49)).generator_quads(),
+                       (3, 1, 5, 2))
+    moduli.clear()
+    rep = screen_entry(CatalogEntry(label="49.B", level=49, gens=conj))
+    assert rep.rows and moduli and set(moduli) == {7}
+
+
+ORACLE_TOWERS = {2: 5, 3: 4, 5: 3, 7: 3}
+
+
+def _tower_entries(ell, rng):
+    """A Borel at l^2, a seeded conjugate of it, the lift of B_{+-1}(l) to
+    l^2, the nonsplit Cartan normalizer and its preimage at l^2 (odd l), and
+    the level-1 entry."""
+    n = ell * ell
+    b = borel(n, _helpers.random_delta(rng, n))
+    c = _helpers.generator_list(rng, n, 1)[0]
+    groups = {"B": b.generator_quads(),
+              "Bc": _conjugated(n, b.generator_quads(), c),
+              "L": lift_subgroup(borel(ell, delta_pm1(ell)), n).generator_quads()}
+    if ell > 2:
+        groups["cns"] = nonsplit_cartan_normalizer(n).generator_quads()
+        groups["cnspre"] = lift_subgroup(nonsplit_cartan_normalizer(ell),
+                                         n).generator_quads()
+    entries = [CatalogEntry(f"{n}.{name}", n, gens)
+               for name, gens in groups.items()]
+    return entries + [CatalogEntry("1.full", 1, ())]
+
+
+@pytest.mark.parametrize("ell", sorted(ORACLE_TOWERS))
+def test_screen_walks_one_fiber_per_entry_and_scales_it_up_the_tower(
+        monkeypatch, ell):
+    # every row's least degree against the fiber computed at its own level,
+    # and against the line walk of the lifted image there, which takes no
+    # preimage descent; the screen itself walks the lines at most once
+    n_max = ORACLE_TOWERS[ell]
+    entries = _tower_entries(ell, random.Random(3600 + ell))
+    walks = []
+    orbit_sizes = subgroups.BorelGroup.orbit_sizes
+
+    def counting(self, gens, whole):
+        walks.append(self.n)
+        return orbit_sizes(self, gens, whole)
+
+    monkeypatch.setattr(subgroups.BorelGroup, "orbit_sizes", counting)
+    for entry in entries:
+        walks.clear()
+        rep = screen_entry(entry, n_max, ell=ell)
+        assert len(walks) <= 1, entry.label
+        group = entry.subgroup()
+        assert rep.rows, entry.label
+        for row in rep.rows:
+            lifted = lift_subgroup(group, row.modulus)
+            h = borel(row.modulus, delta_pm1(row.modulus))
+            assert row.min_fiber_degree == min(fiber_degrees(
+                galois_context(lifted), h)), (entry.label, row.modulus)
+            assert row.min_fiber_degree == min(orbit_sizes(
+                h, lifted.generator_quads(), True)), (entry.label, row.modulus)
 
 
 def test_screen_refuses_a_determinant_not_full_mod_ell_before_any_fiber(

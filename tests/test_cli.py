@@ -451,6 +451,20 @@ def test_verify_formulae_checks_the_cartan_rows_up_to_its_bound(capsys):
         f"lift_scale({n},{m},cnspre)" for n in (3, 5, 7) for m in (1, n)]
 
 
+def test_verify_formulae_checks_the_small_genus_rows_up_to_its_bound(capsys):
+    # the genus 0 read off X(n) against the walk at n <= min(5, bound), on
+    # the families of the class_counts rows, and at 4
+    code, out, _ = run(capsys, "verify-formulae", "--max-modulus", "4")
+    assert code == 0
+    names = [line.split("\t")[0] for line in out.splitlines()[1:]]
+    assert [name for name in names if name.startswith("small_genus(")] == [
+        "small_genus(2,borel1)", *["small_genus(2,generated)"] * 2,
+        "small_genus(3,borel1)", "small_genus(3,borel2)", "small_genus(3,cns)",
+        *["small_genus(3,generated)"] * 2,
+        "small_genus(4,borel1)", "small_genus(4,borel2)",
+        *["small_genus(4,generated)"] * 2]
+
+
 def test_cli_import_leaves_the_verification_module_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
     code = "import sys, modscreen.cli; print('modscreen.verify' in sys.modules)"

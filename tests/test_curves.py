@@ -392,6 +392,41 @@ def test_intermediate_genus_values_from_the_tables():
     assert curve_genus(borel(32, d8_32)) == 1
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_genus_below_six_is_zero_at_full_determinant(monkeypatch, n):
+    # X(n) has genus 0 for n <= 5 and covers every curve of full
+    # determinant: curve_genus counts nothing there and builds no chain,
+    # and it refuses the other groups as the walk does
+    rng = random.Random(3700 + n)
+    diag = [(1, 0, 0, u) for u in unit_group_generators(n)]
+    gen_lists = [_helpers.generator_list(rng, n, count) + diag[:rng.randint(0, 1)]
+                 for count in (1, 1, 2, 2, 3) for _ in range(6)]
+    expected = []
+    for gens in gen_lists:
+        h = GeneratedGroup(n, gens)
+        if h.has_full_determinant():
+            expected.append(genus_from_counts(
+                n, *coset_space(adjoin_minus_i(h)).counts))
+        else:
+            with pytest.raises(NotFullDeterminant):
+                coset_space(adjoin_minus_i(h))
+            expected.append(NotFullDeterminant)
+
+    def refuse(self, n, gens):
+        raise AssertionError("built a stabilizer chain")
+
+    monkeypatch.setattr(chain.StabilizerChain, "__init__", refuse)
+    for gens, want in zip(gen_lists, expected):
+        h = GeneratedGroup(n, gens)
+        if want is NotFullDeterminant:
+            with pytest.raises(NotFullDeterminant):
+                curve_genus(h)
+        else:
+            assert curve_genus(h) == want == 0, gens
+    assert 0 in expected
+    assert n == 2 or NotFullDeterminant in expected
+
+
 def test_genus_of_cartan_normalizer_curves():
     assert curve_genus(nonsplit_cartan_normalizer(5)) == 0
     assert curve_genus(nonsplit_cartan_normalizer(7)) == 0
