@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import io
 import json
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cache
-from typing import IO, Iterable, NamedTuple
 
 from .curves import curve_genus
 from .errors import NonInvertibleGenerator, ParseError
 from .points import (Verdict, fiber_degrees, galois_context, rr_screen,
                      semidirect_lower_bound)
 from .subgroups import (BorelGroup, FullGroup, GeneratedGroup, SubgroupSpec,
-                        borel, factorize, lift_subgroup, nested_index,
-                        reduce_subgroup)
+                        _check_unit_count, borel, factorize, lift_subgroup,
+                        nested_index, reduce_subgroup)
 from .zmod import (Quad, UnitSubgroup, delta_pm1, euler_phi, is_prime,
                    quad_is_invertible, unit_subgroups_containing_minus_one)
 
@@ -60,7 +61,7 @@ class CatalogEntry:
         return GeneratedGroup(self.level, self.gens)
 
 
-def parse_catalog(stream: str | IO[str] | Iterable[str]) -> list[CatalogEntry]:
+def parse_catalog(stream: str | Iterable[str]) -> list[CatalogEntry]:
     """Parse line-delimited records; blank lines and '#' comments are skipped.
 
     A string is split into lines as a file is read (at \\n, \\r and \\r\\n), so
@@ -164,29 +165,15 @@ def _tower_scale(b: int, n: int) -> int:
                         _structure_group(n))
 
 
-class ScreenRow(NamedTuple):
-    """The columns of one row under `screen --json`: one intermediate curve
-    of the tower against the fiber's least degree."""
+ScreenRow = namedtuple(
+    "ScreenRow", "modulus delta_order genus min_fiber_degree threshold verdict")
+ScreenRow.__doc__ = """The columns of one row under `screen --json`: one
+intermediate curve of the tower against the fiber's least degree."""
 
-    modulus: int
-    delta_order: int
-    genus: int
-    min_fiber_degree: int
-    threshold: int
-    verdict: Verdict
-
-
-class ScreenReport(NamedTuple):
-    """The columns of `screen`, one line per entry; rows, the tower's
-    ScreenRows, are printed only under --json."""
-
-    label: str
-    ell: int
-    n_max: int
-    fiber_screen_passed: bool
-    genus_zero_at_ell: bool
-    verdict: Verdict
-    rows: tuple[ScreenRow, ...]
+ScreenReport = namedtuple("ScreenReport", "label ell n_max fiber_screen_passed "
+                          "genus_zero_at_ell verdict rows")
+ScreenReport.__doc__ = """The columns of `screen`, one line per entry; rows,
+the tower's ScreenRows, are printed only under --json."""
 
 
 # tower tops mirroring the prime-power towers of the source data set; other
@@ -220,6 +207,10 @@ def screen_entry(entry: CatalogEntry, n_max: int | None = None,
     its counts come from the class counts, and either way an image whose
     determinant mod l is not full is refused (NotFullDeterminant) before any
     fiber is built. At the entry's own level the determinant need not be full.
+
+    Before any of that, TooLarge when the units mod the tower's top l^n_max
+    pass ENUMERATION_CAP: the intermediate curves are read off the unit
+    subgroups at every level of the tower.
     """
     group = entry.subgroup()
     if entry.level == 1:
@@ -238,6 +229,7 @@ def screen_entry(entry: CatalogEntry, n_max: int | None = None,
         n_max = max(k, DEFAULT_SCREEN_EXPONENT.get(ell, 2))
     if n_max < max(k, 1):
         raise ValueError(f"n_max {n_max} below the entry's exponent {k}")
+    _check_unit_count(ell**n_max)
     genus_zero = (entry.level == 1
                   or curve_genus(reduce_subgroup(group, ell)) == 0)
 

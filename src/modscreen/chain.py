@@ -5,10 +5,10 @@ its first three levels and the Schreier generators of subgroups.SL2Part.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Sequence
 from functools import cached_property
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Hashable, Sequence
 
 from .zmod import (Quad, _p1_normalize, _unit_classes, _unit_inverses,
                    identity_quad, quad_det, quad_inv, quad_mul)

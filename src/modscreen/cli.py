@@ -19,9 +19,9 @@ import json
 import sys
 import warnings
 from collections import Counter
+from collections.abc import Sequence
 from functools import cache
 from types import SimpleNamespace
-from typing import Sequence
 
 from .catalog import (CatalogEntry, ScreenReport, emit_table1, emit_table2,
                       load_catalog, screen_entry)
@@ -105,6 +105,18 @@ def _positive_int(text: str, what: str) -> int:
     return value
 
 
+# Linear TSV: a text field's backslash, tab, line feed and carriage return
+# are written as \\, \t, \n and \r, so a row stays one line of its columns;
+# a number or a bool prints none of them
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n",
+                              "\r": "\\r"})
+
+
+def _tsv_field(value: object) -> str:
+    text = str(value)
+    return text.translate(_TSV_ESCAPES) if isinstance(value, str) else text
+
+
 def _emit(args, records: list[dict],
           tsv_header: Sequence[str] | None = None) -> None:
     if args.json:
@@ -114,7 +126,7 @@ def _emit(args, records: list[dict],
     if tsv_header:
         print("\t".join(tsv_header))
     for record in records:
-        print("\t".join(str(v) for v in record.values()))
+        print("\t".join(_tsv_field(v) for v in record.values()))
 
 
 # subcommand bodies
@@ -196,8 +208,7 @@ def _cmd_screen(args) -> int:
         entries = [e for e in entries if e.label == args.label]
         if not entries:
             raise ValueError(f"no catalog entry labeled {args.label!r}")
-    if not args.json:
-        print("\t".join(ScreenReport._fields[:-1]))
+    _emit(args, [], ScreenReport._fields[:-1])
     status = 0
     for entry in entries:
         # --ell names the prime of the level-1 entries; every other entry
@@ -207,7 +218,7 @@ def _cmd_screen(args) -> int:
             report = screen_entry(entry, args.nmax,
                                   ell=args.ell if entry.level == 1 else None)
         except (ModscreenError, ValueError) as exc:
-            status = max(status, _fail(exc, f"{entry.label}: "))
+            status = max(status, _fail(exc, f"{_tsv_field(entry.label)}: "))
             continue
         record = report._asdict()
         rows = record.pop("rows")

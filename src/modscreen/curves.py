@@ -22,8 +22,8 @@ integer arithmetic.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import InvariantFailed, NonIntegral, NotFullDeterminant
 from .subgroups import (FullGroup, SubgroupSpec, _check_walk_length,
@@ -176,16 +176,9 @@ def _counts(hpm: SubgroupSpec) -> tuple[int, int, int, int]:
     return counts
 
 
-class CurveData(NamedTuple):
-    """The columns of `genus`: the curve's four counts, its genus and the
-    level.index.genus label."""
-
-    mu: int
-    nu2: int
-    nu3: int
-    nu_inf: int
-    genus: int
-    label_prefix: str
+CurveData = namedtuple("CurveData", "mu nu2 nu3 nu_inf genus label_prefix")
+CurveData.__doc__ = """The columns of `genus`: the curve's four counts, its
+genus and the level.index.genus label."""
 
 
 def curve_data(h: SubgroupSpec) -> CurveData:

@@ -21,8 +21,8 @@ verdict of the catalog screen and of table 2 is its comparison.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .chain import _conjugate
 from .errors import ModulusMismatch, NonIntegral
@@ -146,21 +146,17 @@ def _require_minus_i(h: SubgroupSpec) -> SubgroupSpec:
     return hpm
 
 
-class LevelReductionResult(NamedTuple):
-    """The columns of `reduce-level`: both sides of the degree identity
-    along a reduction of level.
+LevelReductionResult = namedtuple("LevelReductionResult",
+                                  "lhs rhs equal hypothesis_holds")
+LevelReductionResult.__doc__ = """The columns of `reduce-level`: both sides
+of the degree identity along a reduction of level.
 
-    hypothesis_holds records whether the +-image's level divides the target
-    modulus; when it fails the identity is not guaranteed, and the sides are
-    reported anyway. When the sides agree, isolation is known to transfer
-    from the source curve down along the reduction map; this report states
-    the degree identity only and makes no isolation claim of its own.
-    """
-
-    lhs: int
-    rhs: int
-    equal: bool
-    hypothesis_holds: bool
+hypothesis_holds records whether the +-image's level divides the target
+modulus; when it fails the identity is not guaranteed, and the sides are
+reported anyway. When the sides agree, isolation is known to transfer from
+the source curve down along the reduction map; this report states the degree
+identity only and makes no isolation claim of its own.
+"""
 
 
 def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,

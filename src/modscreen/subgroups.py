@@ -27,9 +27,9 @@ construction and safe to share.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Sequence
 from functools import cached_property
 from math import gcd
-from typing import Hashable, Iterable, Sequence
 
 from .chain import StabilizerChain, _transversal
 from .errors import (EvenPrimeUnsupported, ModulusMismatch, NonDivisor,
@@ -838,6 +838,16 @@ def _check_orbit_cap(h: SubgroupSpec, j: int) -> None:
         raise OrbitTooLarge(f"coset walk of {h.kind} mod {h.n} reached {j} "
                             f"cosets, cap {ORBIT_CAP}", operation="coset walk",
                             modulus=h.n, reached=j, cap=ORBIT_CAP)
+
+
+def _check_unit_count(n: int) -> None:
+    """TooLarge before the unit subgroups mod n are built, when the phi(n)
+    units pass ENUMERATION_CAP, read at call time."""
+    size, cap = euler_phi(n), ENUMERATION_CAP
+    if size > cap:
+        raise TooLarge(f"unit subgroups mod {n} need {size} units, cap {cap}",
+                       operation="unit subgroups", modulus=n, reached=size,
+                       cap=cap)
 
 
 def _check_walk_length(h: SubgroupSpec, cosets: int) -> None:

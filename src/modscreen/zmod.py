@@ -6,9 +6,9 @@ entries reduced mod the modulus that every routine takes alongside it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cache, cached_property
 from math import gcd
-from typing import Iterable
 
 from .errors import NonDivisor, NonInvertible
 

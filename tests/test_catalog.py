@@ -13,7 +13,7 @@ from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
                                parse_catalog, screen_entry, serialize_catalog)
 from modscreen.cli import main
 from modscreen.errors import (NonInvertibleGenerator, NotFullDeterminant,
-                             ParseError)
+                             ParseError, TooLarge)
 from modscreen.points import Verdict, fiber_degrees, galois_context
 from modscreen.subgroups import (GeneratedGroup, borel, contains_minus_i,
                                  lift_subgroup, minus_identity_quad,
@@ -411,6 +411,28 @@ def test_screen_needs_a_full_determinant_mod_ell_only():
     rep = screen_entry(entry, n_max=3)
     assert (rep.genus_zero_at_ell, rep.fiber_screen_passed) == (True, True)
     assert rep.verdict is Verdict.FORCED_P1
+
+
+def test_screen_refuses_a_tower_past_the_unit_cap_before_its_unit_subgroups(
+        monkeypatch):
+    # 25 has phi(25) = 20 units; the cap is read at call time, and the check
+    # comes before any unit subgroup at a tower modulus
+    b = borel(25, delta_full(25))
+    entry = CatalogEntry(label="25.b", level=25, gens=b.generator_quads())
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 20)
+    assert screen_entry(entry).rows
+
+    def refuse(n):
+        raise AssertionError(f"built the unit subgroups mod {n}")
+
+    monkeypatch.setattr(catalog, "intermediate_deltas", refuse)
+    monkeypatch.setattr(subgroups, "ENUMERATION_CAP", 19)
+    with pytest.raises(TooLarge,
+                       match="^unit subgroups mod 25 need 20 units, cap 19$") as err:
+        screen_entry(entry)
+    exc = err.value
+    assert (exc.operation, exc.modulus, exc.reached, exc.cap) == \
+        ("unit subgroups", 25, 20, 19)
 
 
 def test_screen_requires_a_prime_for_level_one():

@@ -3,6 +3,7 @@ run-to-run check starts fresh interpreters."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -311,6 +312,70 @@ def test_screen_exits_three_when_an_entry_hits_a_cap(capsys, monkeypatch,
         + err))
 
 
+# labels holding a line feed, a tab, a backslash and a carriage return, all
+# of 5.B's group, and a bad entry 9.c whose label holds them too
+ODD_LABELS = ["5.B\nfake\trow", "back\\slash\t", "cr\r\n"]
+ODD_CATALOG = "".join(json.dumps(record) + "\n" for record in (
+    *({"label": label, "level": 5, "gens": [[1, 1, 0, 1], [2, 0, 0, 1], [1, 0, 0, 2]]}
+      for label in ODD_LABELS),
+    {"label": "9.c\n\\\t\r", "level": 9, "gens": [[2, 0, 0, 5]]}))
+
+
+def test_screen_tsv_escapes_what_would_break_a_row(capsys, tmp_path):
+    # Linear TSV: one header line and one line of 6 fields per entry, and
+    # one error line for the bad entry, whatever its label holds
+    path = tmp_path / "odd.jsonl"
+    path.write_text(ODD_CATALOG, encoding="utf-8")
+    code, out, err = run(capsys, "screen", "--catalog", str(path))
+    assert code == 2
+    assert "\r" not in out and out.endswith("\n")
+    rows = [line.split("\t") for line in out[:-1].split("\n")]
+    assert [len(row) for row in rows] == [6] * 4
+    assert rows[0] == SCREEN_HEADER[:-1].split("\t")
+    assert [row[0] for row in rows[1:]] == \
+        ["5.B\\nfake\\trow", "back\\\\slash\\t", "cr\\r\\n"]
+    assert {"\t".join(row[1:]) for row in rows[1:]} == \
+        {"5\t2\tTrue\tTrue\tForcedP1Parametrized"}
+    error = ("error: 9.c\\n\\\\\\t\\r: determinant image has order 1, "
+             "expected the full unit group mod 3\n")
+    assert err == error
+    # JSON keeps each label as it is, and the error line is the same
+    code, out, err = run(capsys, "screen", "--catalog", str(path), "--json")
+    assert (code, err) == (2, error)
+    assert [json.loads(line)["label"] for line in out.splitlines()] == ODD_LABELS
+
+
+# the top of 2^30's tower has 2^29 units: its unit subgroups would be closed
+# up to that order
+HUGE = "\n".join((
+    '{"label": "huge", "level": 1073741824, "gens": [[1,1,0,1], [1,0,0,3]]}',
+    '{"label": "5.B", "level": 5, "gens": [[1,1,0,1], [2,0,0,1], [1,0,0,2]]}',
+)) + "\n"
+
+
+def _limit_address_space():
+    # 1 GiB: a screen that builds the huge tower's unit subgroups fails with
+    # MemoryError here instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_screen_refuses_a_huge_tower_at_once_and_goes_on(tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_text(HUGE, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
+    code = ("import time, modscreen.cli; start = time.perf_counter(); "
+            f"code = modscreen.cli.main(['screen', '--catalog', {str(path)!r}]); "
+            "print(code, time.perf_counter() - start < 1)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=_limit_address_space, timeout=120)
+    assert proc.stderr == ("error: huge: unit subgroups mod 1073741824 need "
+                           "536870912 units, cap 10000000\n")
+    assert proc.stdout == (SCREEN_HEADER
+                           + "5.B\t5\t2\tTrue\tTrue\tForcedP1Parametrized\n"
+                           + "3 True\n")
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 @pytest.mark.parametrize("argv", [["screen", "--ell", "5"],
                                   ["order", "--group", "file:5.B"]])
@@ -476,10 +541,12 @@ def test_cli_import_leaves_the_verification_module_out():
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # every CLI call pays its imports; dataclasses would bring inspect, ast,
-    # dis and tokenize with it. -S keeps site hooks from importing them first
+    # dis and tokenize with it, and typing would bring contextlib. -S keeps
+    # site hooks from importing them first
     src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
     code = ("import sys, modscreen.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} "
+            "& set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert proc.returncode == 0, proc.stderr
