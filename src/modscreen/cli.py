@@ -28,8 +28,9 @@ from .catalog import (CatalogEntry, ScreenReport, emit_table1, emit_table2,
 from .curves import curve_data, label_prefix, map_degree
 from .errors import ComputationCap, ModscreenError
 from .points import fiber_degrees, galois_context, level_reduction, point_degree
-from .subgroups import (FullGroup, SubgroupSpec, borel, level, lift_subgroup,
-                        nested_index, nonsplit_cartan_normalizer,
+from .subgroups import (FullGroup, SubgroupSpec, _check_unit_count, borel,
+                        level, lift_subgroup, nested_index,
+                        nonsplit_cartan_normalizer,
                         nonsplit_cartan_normalizer_preimage, reduce_subgroup)
 from .zmod import delta_full, delta_trivial, is_prime, unit_subgroup
 
@@ -78,6 +79,8 @@ def _resolve_group(spec: str, modulus: int | None,
 
 def _parse_delta(n: int, text: str):
     if text == "all":
+        # TooLarge before phi(n) units are listed
+        _check_unit_count(n)
         return delta_full(n)
     if not text:
         return delta_trivial(n)

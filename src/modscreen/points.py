@@ -9,7 +9,9 @@ Cartan normalizer off R's orbits on pairs of conjugate points of
 P^1(O/l^d), never from the cosets themselves; other kinds walk the cosets
 (the default SubgroupSpec.orbit_sizes). When R is the full preimage of a
 group at a lower modulus m, the orbits are taken at m and scaled by
-[K : K meet H], K the kernel of reduction to m (subgroups.preimage_descent).
+[K : K meet H], K the kernel of reduction to m (subgroups.preimage_descent);
+all of GL2 is the preimage of GL2(Z/1), so a full image walks nothing above
+modulus 1.
 Under a larger automorphism group A the degree is a quotient of two such
 indices, [RA : RA meet H] / [A : A meet H] (point_degree_general), so no
 degree builds an element set. On top of that sit the closed-form degree
@@ -123,9 +125,11 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     point_degree(ctx, h). The orbit sizes come from the orbit_sizes hook of
     H's kind (line orbits in P^1 for a Borel-type H, orbits of conjugate
     pairs in P^1(O/l^d) for the Cartan normalizer), by default from the
-    coset walk (subgroups.walked_orbit_sizes). Over a lifted image they are
-    taken at the image's level and every orbit is scaled by [K : K meet H]
-    (subgroups.preimage_descent).
+    coset walk (subgroups.walked_orbit_sizes). Over an image that is a full
+    preimage they are taken at its base's modulus and every orbit is scaled
+    by [K : K meet H] (subgroups.preimage_descent): a lift's base, and
+    GL2(Z/1) for all of GL2, whose fiber is one point of degree
+    d_j [GL2 : +-H] with nothing walked above modulus 1.
     """
     if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
         raise ValueError("fiber decomposition needs the +- automorphism convention")

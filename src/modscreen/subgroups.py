@@ -184,7 +184,8 @@ class SubgroupSpec:
     @property
     def preimage_base(self) -> "SubgroupSpec":
         """A group at a divisor modulus whose full preimage this group is,
-        known from how it was built: the group itself unless it is a lift."""
+        known from how it was built: a lift's base, GL2(Z/1) for all of
+        GL2, and the group itself for any other kind."""
         return self
 
     def lifted(self, n: int) -> "SubgroupSpec":
@@ -252,6 +253,11 @@ class FullGroup(SubgroupSpec):
         if n % self.n:
             raise NonDivisor(f"base modulus {self.n} must divide {n}")
         return FullGroup(n)
+
+    @property
+    def preimage_base(self) -> SubgroupSpec:
+        # every matrix reduces into GL2(Z/1), the one-element group
+        return FullGroup(1)
 
     def coset_key(self, q: Quad) -> Hashable:
         return 0
@@ -898,6 +904,7 @@ def preimage_descent(r: SubgroupSpec,
     K of reduction to m is normal and inside R, so H*g*R is the preimage of
     pi(H)*pi(g)*R_m: the orbits match one to one and each grows by
     s = [K : K meet H] = [K*H : H], K*H the full preimage of H_m = pi(H).
+    All of GL2 is the preimage of GL2(Z/1): m = 1, one orbit, s = [GL2 : H].
     Otherwise m = n, (R, H, 1), and the orbits are taken at n.
     """
     base = r.preimage_base

@@ -91,11 +91,13 @@ def verify_formulae(args) -> int:
     def check_lift_scale(kind: str, grp: SubgroupSpec) -> None:
         # the scale [K : K meet H] over the full preimage of a group mod m,
         # a quotient of orders, against the orbit of H*1 under the kernel K
-        # of reduction to m, at every divisor m
+        # of reduction to m, at every divisor m; GL2 mod m is given by its
+        # generators, as FullGroup(m) descends to modulus 1 instead
         n = grp.n
         for m in divisors(n):
+            full_m = GeneratedGroup(m, FullGroup(m).generator_quads())
             check(f"lift_scale({n},{m},{kind})",
-                  preimage_descent(LiftedGroup(FullGroup(m), n), grp)[2],
+                  preimage_descent(LiftedGroup(full_m, n), grp)[2],
                   grp.orbit_sizes(kernel_generator_quads(n, m), whole=False)[0])
 
     def check_level(kind: str, grp: SubgroupSpec) -> None:

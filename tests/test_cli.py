@@ -354,26 +354,63 @@ HUGE = "\n".join((
 
 
 def _limit_address_space():
-    # 1 GiB: a screen that builds the huge tower's unit subgroups fails with
-    # MemoryError here instead of filling the machine
+    # 1 GiB: a command that builds the units or the lines of P^1 at a huge
+    # modulus fails with MemoryError here instead of filling the machine
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def _fresh_main(argv):
+    """(stdout, stderr) of main(argv) in a fresh interpreter under 1 GiB;
+    the last stdout line is main's exit code and whether it took under 1 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
+    code = ("import time, modscreen.cli; start = time.perf_counter(); "
+            f"code = modscreen.cli.main({argv!r}); "
+            "print(code, time.perf_counter() - start < 1)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          preexec_fn=_limit_address_space, timeout=120)
+    return proc.stdout, proc.stderr
 
 
 def test_screen_refuses_a_huge_tower_at_once_and_goes_on(tmp_path):
     path = tmp_path / "huge.jsonl"
     path.write_text(HUGE, encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(modscreen.__file__)))
-    code = ("import time, modscreen.cli; start = time.perf_counter(); "
-            f"code = modscreen.cli.main(['screen', '--catalog', {str(path)!r}]); "
-            "print(code, time.perf_counter() - start < 1)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
-                          preexec_fn=_limit_address_space, timeout=120)
-    assert proc.stderr == ("error: huge: unit subgroups mod 1073741824 need "
-                           "536870912 units, cap 10000000\n")
-    assert proc.stdout == (SCREEN_HEADER
-                           + "5.B\t5\t2\tTrue\tTrue\tForcedP1Parametrized\n"
-                           + "3 True\n")
+    out, err = _fresh_main(["screen", "--catalog", str(path)])
+    assert err == ("error: huge: unit subgroups mod 1073741824 need "
+                   "536870912 units, cap 10000000\n")
+    assert out == (SCREEN_HEADER
+                   + "5.B\t5\t2\tTrue\tTrue\tForcedP1Parametrized\n"
+                   + "3 True\n")
+
+
+def test_borel_all_at_a_huge_modulus_is_refused_before_its_units():
+    # phi(2^30) = 2^29 units would be listed for Delta = all
+    out, err = _fresh_main(["genus", "--group", "borel:1073741824:all"])
+    assert err == ("error: unit subgroups mod 1073741824 need 536870912 "
+                   "units, cap 10000000\n")
+    assert out == "3 True\n"
+
+
+def test_borel_all_reads_the_unit_cap_at_call_time(capsys, monkeypatch):
+    monkeypatch.setattr(modscreen.subgroups, "ENUMERATION_CAP", 10)
+    assert run(capsys, "genus", "--group", "borel:25:all") == (
+        3, "", "error: unit subgroups mod 25 need 20 units, cap 10\n")
+    # an explicit generator list and the trivial Delta keep their path
+    assert run(capsys, "order", "--group", "borel:25:24")[:2] == (0, "1000\n")
+    assert run(capsys, "order", "--group", "borel:25:")[:2] == (0, "500\n")
+
+
+@pytest.mark.parametrize("command, printed", [
+    ("fiber-degrees", "degree\tmultiplicity\n5014014656791176\t1\n"),
+    ("point-degree", "5014014656791176\n"),
+], ids=["fiber-degrees", "point-degree"])
+def test_a_full_image_reaches_a_huge_modulus(command, printed):
+    # the full image is the preimage of GL2(Z/1): one orbit there, scaled by
+    # [GL2 : B], with no line of P^1 mod 10007^2 walked
+    n = 10007**2
+    out, err = _fresh_main([command, "--image", "full", "--modulus", str(n),
+                            "--group", f"borel:{n}:{n - 1}"])
+    assert (out, err) == (printed + "0 True\n", "")
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])

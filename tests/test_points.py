@@ -468,6 +468,46 @@ def test_descent_matches_the_walk_at_the_image_modulus(n):
                     == _helpers.reference_index(ctx.image, h)), case
 
 
+def _refuse_walks_above_one(monkeypatch):
+    """Every orbit walk raises at a modulus above 1 from here on."""
+    def at_one(walk):
+        def guarded(h, *args, **kwargs):
+            if h.n != 1:
+                raise AssertionError(f"{walk.__name__} of {h.kind} mod {h.n}")
+            return walk(h, *args, **kwargs)
+        return guarded
+    monkeypatch.setattr(subgroups.BorelGroup, "orbit_sizes",
+                        at_one(subgroups.BorelGroup.orbit_sizes))
+    for name in ("quadratic_pair_orbits", "coset_action"):
+        monkeypatch.setattr(subgroups, name, at_one(getattr(subgroups, name)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 25, 27, 49, 121])
+def test_a_full_image_walks_nothing_above_modulus_one(monkeypatch, n):
+    # GL2 is the preimage of GL2(Z/1): its one orbit there is every coset,
+    # so the fiber is one point of degree [GL2 : +-H]. The trivial-Delta
+    # Borel group lacks -I, where [GL2 : H] is twice that degree.
+    full, walked = FullGroup(n), GeneratedGroup(n, FullGroup(n).generator_quads())
+    groups = _helpers.structural_pool(n) + [borel(n, delta_trivial(n))]
+    expected = []
+    ctx = galois_context(walked)
+    for h in groups:
+        pm_index = gl2_order(n) // adjoin_minus_i(h).order
+        by_walk = (_with_warnings(fiber_degrees, ctx, h)[0],
+                   _with_warnings(point_degree, ctx, h)[0],
+                   index_via_orbit(walked, h))
+        assert by_walk == ((pm_index,), pm_index, gl2_order(n) // h.order)
+        expected.append(by_walk)
+    _refuse_walks_above_one(monkeypatch)
+    with pytest.raises(AssertionError, match=f"^orbit_sizes of borel mod {n}$"):
+        index_via_orbit(walked, groups[1])
+    ctx = galois_context(full)
+    for i, h in enumerate(groups):
+        assert (_with_warnings(fiber_degrees, ctx, h)[0],
+                _with_warnings(point_degree, ctx, h)[0],
+                index_via_orbit(full, h)) == expected[i], (n, i, h.kind)
+
+
 # --------------------------------------------------------- level reduction
 
 def test_level_reduction_pinned_example():
@@ -618,11 +658,14 @@ def test_level_reduction_rhs_is_the_walked_index(n):
 @pytest.mark.parametrize("n", NESTED_MODULI)
 def test_descent_scale_is_the_kernel_orbit(n):
     # over the full preimage of any group mod m, s = [K : K meet H], the
-    # orbit of H*1 under the kernel's generators
+    # orbit of H*1 under the kernel's generators; GL2 mod m given by its
+    # generators stands for that group, since FullGroup(m) itself declares
+    # the preimage of modulus 1
     for i, (h, g) in enumerate(_nested_pairs(n)):
         for grp, m in itertools.product((h, g), divisors(n)):
             walked = coset_action(grp, kernel_generator_quads(n, m))[0]
-            scale = preimage_descent(LiftedGroup(FullGroup(m), n), grp)[2]
+            full_m = GeneratedGroup(m, FullGroup(m).generator_quads())
+            scale = preimage_descent(LiftedGroup(full_m, n), grp)[2]
             assert scale == len(walked), (n, i, m)
 
 

@@ -10,7 +10,7 @@ import modscreen.chain
 import modscreen.subgroups
 from modscreen.chain import StabilizerChain
 from modscreen.cli import main as cli_main
-from modscreen.curves import coset_space, label_prefix
+from modscreen.curves import coset_space, curve_data, label_prefix
 from modscreen.errors import (ComputationCap, EvenPrimeUnsupported,
                               ModulusMismatch, NonDivisor, NonInvertible,
                               NotASubgroup, TooLarge)
@@ -208,7 +208,11 @@ def _cap_cases():
         "borel": (lambda: b.element_quads, "ENUMERATION_CAP", 10,
                   "enumeration of borel mod 5 needs 80 elements, cap 10",
                   "enumeration", 5, 80),
-        "coset-walk": (lambda: index_via_orbit(FullGroup(5), cns), "ORBIT_CAP", 2,
+        # GL2 given by its generators: FullGroup(5) would descend to
+        # modulus 1 and walk nothing
+        "coset-walk": (lambda: index_via_orbit(
+                           GeneratedGroup(5, FullGroup(5).generator_quads()), cns),
+                       "ORBIT_CAP", 2,
                        "coset walk of cartan_nonsplit_normalizer mod 5 "
                        "reached 2 cosets, cap 2", "coset walk", 5, 2),
     }
@@ -458,6 +462,23 @@ def test_reduce_rejects_non_divisor():
 
 def test_lift_of_full_is_full():
     assert lift_subgroup(FullGroup(1), 40).kind == "full"
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_a_lift_of_full_collapses_to_modulus_one(n):
+    # GL2(Z/m) is itself the preimage of GL2(Z/1), so a lift of it at any
+    # m | n is the full group mod n, kept as the preimage of modulus 1
+    full = FullGroup(n)
+    rng = random.Random(3800 + n)
+    quads = [q for q in (tuple(rng.randrange(n) for _ in range(4))
+                         for _ in range(40)) if quad_is_invertible(n, q)]
+    for m in divisors(n):
+        lifted = LiftedGroup(FullGroup(m), n)
+        assert lifted.base.kind == "full" and lifted.base.n == 1, (n, m)
+        assert (lifted.order, lifted.level, curve_data(lifted)) == \
+            (full.order, full.level, curve_data(full)), (n, m)
+        assert [lifted.coset_key(q) for q in quads] == \
+            [full.coset_key(q) for q in quads], (n, m)
 
 
 def test_lift_of_full_rejects_non_multiple():
