@@ -13,9 +13,9 @@ from .errors import (CatalogError, ComputationCap, EvenPrimeUnsupported,
                      NotASubgroup, NotFullDeterminant, OrbitTooLarge,
                      ParseError, TooLarge)
 from .points import (GaloisImageContext, LevelReductionResult, Verdict,
-                     cartan_degree_formula, fiber_degrees, galois_context,
-                     level_reduction, point_degree, point_degree_general,
-                     rr_screen, semidirect_lower_bound)
+                     cartan_degree_formula, fiber_degrees, level_reduction,
+                     point_degree, point_degree_general, rr_screen,
+                     semidirect_lower_bound)
 from .subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                         GeneratedGroup, LiftedGroup, SL2Part, SubgroupSpec,
                         adjoin_minus_i, borel, borel_index, borel_order,
@@ -42,7 +42,7 @@ __all__ = [
     "borel_index", "borel_order", "cartan_degree_formula", "contains_minus_i",
     "coset_space", "curve_data", "curve_genus", "delta_full", "delta_pm1",
     "delta_trivial", "divisors", "emit_table1", "emit_table2", "euler_phi",
-    "factorize", "fiber_degrees", "galois_context", "gl2_order",
+    "factorize", "fiber_degrees", "gl2_order",
     "index_via_orbit", "intermediate_deltas", "kernel_generator_quads",
     "label_prefix", "level", "level_reduction", "lift_subgroup",
     "load_catalog", "map_degree", "nested_index", "nonsplit_cartan_normalizer",

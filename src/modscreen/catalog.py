@@ -19,7 +19,7 @@ from functools import cache
 
 from .curves import curve_genus
 from .errors import NonInvertibleGenerator, ParseError
-from .points import (Verdict, fiber_degrees, galois_context, rr_screen,
+from .points import (GaloisImageContext, Verdict, fiber_degrees, rr_screen,
                      semidirect_lower_bound)
 from .subgroups import (BorelGroup, FullGroup, GeneratedGroup, SubgroupSpec,
                         _check_unit_count, borel, factorize, lift_subgroup,
@@ -238,7 +238,7 @@ def screen_entry(entry: CatalogEntry, n_max: int | None = None,
     rows: list[ScreenRow] = []
     if tower:
         b = tower[0]
-        ctx = galois_context(lift_subgroup(group, b))
+        ctx = GaloisImageContext(lift_subgroup(group, b))
         least = min(fiber_degrees(ctx, _structure_group(b)))
     for modulus in tower:
         min_fiber = least * _tower_scale(b, modulus)

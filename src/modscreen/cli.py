@@ -27,7 +27,8 @@ from .catalog import (CatalogEntry, ScreenReport, emit_table1, emit_table2,
                       load_catalog, screen_entry)
 from .curves import curve_data, label_prefix, map_degree
 from .errors import ComputationCap, ModscreenError
-from .points import fiber_degrees, galois_context, level_reduction, point_degree
+from .points import (GaloisImageContext, fiber_degrees, level_reduction,
+                     point_degree)
 from .subgroups import (FullGroup, SubgroupSpec, _check_unit_count, borel,
                         level, lift_subgroup, nested_index,
                         nonsplit_cartan_normalizer,
@@ -173,16 +174,16 @@ def _cmd_map_degree(args) -> int:
 
 
 def _cmd_point_degree(args) -> int:
-    ctx = galois_context(_resolve_group(args.image, args.modulus, args.catalog),
-                         d_j=args.dj)
+    ctx = GaloisImageContext(
+        _resolve_group(args.image, args.modulus, args.catalog), d_j=args.dj)
     group = _resolve_group(args.group, args.modulus, args.catalog)
     _emit(args, [{"degree": point_degree(ctx, group)}])
     return 0
 
 
 def _cmd_fiber_degrees(args) -> int:
-    ctx = galois_context(_resolve_group(args.image, args.modulus, args.catalog),
-                         d_j=args.dj)
+    ctx = GaloisImageContext(
+        _resolve_group(args.image, args.modulus, args.catalog), d_j=args.dj)
     group = _resolve_group(args.group, args.modulus, args.catalog)
     degrees = fiber_degrees(ctx, group)
     counts = Counter(degrees)
@@ -196,7 +197,8 @@ def _cmd_fiber_degrees(args) -> int:
 
 
 def _cmd_reduce_level(args) -> int:
-    ctx = galois_context(_resolve_group(args.image, args.modulus, args.catalog))
+    ctx = GaloisImageContext(
+        _resolve_group(args.image, args.modulus, args.catalog))
     group = _resolve_group(args.group, args.modulus, args.catalog)
     result = level_reduction(ctx, group, args.m)
     _emit(args, [result._asdict()], result._fields)
@@ -247,7 +249,9 @@ def _cmd_table2(args) -> int:
 def _cmd_verify_formulae(args) -> int:
     # imported here, so that the brute-force checks stay off the import path
     from .verify import verify_formulae
-    return verify_formulae(args)
+    rows = verify_formulae(args.max_modulus)
+    _emit(args, rows, ("check", "computed", "expected", "status"))
+    return 1 if any(row["status"] == "FAIL" for row in rows) else 0
 
 
 # the command line's grammar, read by _read_argv and by build_parser

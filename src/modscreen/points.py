@@ -29,10 +29,10 @@ from enum import Enum
 from .chain import _conjugate
 from .errors import ModulusMismatch, NonIntegral
 from .subgroups import (GeneratedGroup, SubgroupSpec, adjoin_minus_i,
-                        contains_minus_i, factorize, index_via_orbit, level,
-                        lift_subgroup, minus_identity_quad, nested_index,
-                        preimage_descent, reduce_subgroup)
-from .zmod import identity_quad, is_prime
+                        factorize, index_via_orbit, level, lift_subgroup,
+                        minus_identity_quad, nested_index, preimage_descent,
+                        reduce_subgroup)
+from .zmod import is_prime
 
 
 class Verdict(str, Enum):
@@ -44,66 +44,54 @@ class Verdict(str, Enum):
 
 
 class GaloisImageContext:
-    """A Galois image R, the degree of the j-field, and the automorphism set.
+    """A Galois image R and the degree of the j-field.
 
-    R is taken as given, -I or not: under the +- convention (aut=None) every
-    degree is over +-H, and -I is central, so R and +-R have the same orbits
-    on H's cosets. An explicit aut A is carried verbatim for the general
-    formula, which needs R to normalize A, as Galois acting on Aut(E) by
-    conjugation does. d_j must be at least 1 and aut must live at R's modulus.
+    R is taken as given, -I or not: every degree is over +-H, and -I is
+    central, so R and +-R have the same orbits on H's cosets. d_j must be at
+    least 1.
     """
 
-    __slots__ = ("image", "d_j", "aut")
+    __slots__ = ("image", "d_j")
 
-    def __init__(self, image: SubgroupSpec, d_j: int = 1,
-                 aut: SubgroupSpec | None = None):
+    def __init__(self, image: SubgroupSpec, d_j: int = 1):
         if d_j < 1:
             raise ValueError(f"j-field degree must be >= 1, got {d_j}")
-        if aut is not None and aut.n != image.n:
-            raise ModulusMismatch(f"aut mod {aut.n} against image mod {image.n}")
         self.image = image
         self.d_j = d_j
-        self.aut = aut
 
 
-def galois_context(image: SubgroupSpec, d_j: int = 1,
-                   aut: SubgroupSpec | None = None) -> GaloisImageContext:
-    """The context of R as given (GaloisImageContext checks d_j and aut)."""
-    return GaloisImageContext(image=image, d_j=d_j, aut=aut)
-
-
-def _aut_is_plus_minus(aut: SubgroupSpec | None, n: int) -> bool:
-    if aut is None:
-        return True
-    # {I, -I} is one element at n <= 2
-    return (aut.order == len({identity_quad(n), minus_identity_quad(n)})
-            and contains_minus_i(aut))
+def _check_moduli(r: SubgroupSpec, h: SubgroupSpec) -> None:
+    # before -I is adjoined to H, so a mismatch prints no notice
+    if r.n != h.n:
+        raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
 
 
 def point_degree(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
-    """d_j times the index of R meet H in R, for the +-convention."""
-    if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
-        return point_degree_general(ctx, h)
+    """d_j times the index of R meet H in R, over +-H."""
+    _check_moduli(ctx.image, h)
     h = _require_minus_i(h)
     return ctx.d_j * index_via_orbit(ctx.image, h)
 
 
-def point_degree_general(ctx: GaloisImageContext, h: SubgroupSpec) -> int:
+def point_degree_general(ctx: GaloisImageContext, h: SubgroupSpec,
+                         aut: SubgroupSpec | None = None) -> int:
     """d_j * |RA| / |RA meet AH| for a finite automorphism group A that R
     normalizes, as d_j * [RA : RA meet H] / [A : A meet H].
 
-    R normalizes A, so RA is a group containing A, and by Dedekind's law
-    RA meet AH = A (RA meet H), of order |A| |RA meet H| / |A meet H|. Both
-    indices are orbit walks (index_via_orbit); ValueError, before either,
-    when a generator of R conjugates one of A out of A.
+    A defaults to {I, -I}; at j = 0 and 1728 it is Aut(E), which R
+    normalizes as Galois acts on Aut(E) by conjugation. So RA is a group
+    containing A, and by Dedekind's law RA meet AH = A (RA meet H), of order
+    |A| |RA meet H| / |A meet H|. Both indices are orbit walks
+    (index_via_orbit); ValueError, before either, when a generator of R
+    conjugates one of A out of A.
     """
     r = ctx.image
-    if r.n != h.n:
-        raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
     n = r.n
-    aut = ctx.aut
     if aut is None:
         aut = GeneratedGroup(n, [minus_identity_quad(n)])
+    elif aut.n != n:
+        raise ModulusMismatch(f"aut mod {aut.n} against image mod {n}")
+    _check_moduli(r, h)
     r_gens, a_gens = r.generator_quads(), aut.generator_quads()
     if not all(aut.member_quad(_conjugate(n, g, a))
                for g in r_gens for a in a_gens):
@@ -131,12 +119,9 @@ def fiber_degrees(ctx: GaloisImageContext, h: SubgroupSpec) -> tuple[int, ...]:
     GL2(Z/1) for all of GL2, whose fiber is one point of degree
     d_j [GL2 : +-H] with nothing walked above modulus 1.
     """
-    if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
-        raise ValueError("fiber decomposition needs the +- automorphism convention")
-    h = _require_minus_i(h)
     r = ctx.image
-    if r.n != h.n:
-        raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
+    _check_moduli(r, h)
+    h = _require_minus_i(h)
     r, h, scale = preimage_descent(r, h)
     sizes = h.orbit_sizes(r.generator_quads(), whole=True)
     return tuple(sorted(ctx.d_j * scale * size for size in sizes))
@@ -171,10 +156,7 @@ def level_reduction(ctx: GaloisImageContext, h: SubgroupSpec,
     of the reduction of H to l^m, so H <= H' and [H' : H] = |H'| / |H|.
     """
     r = ctx.image
-    if not _aut_is_plus_minus(ctx.aut, r.n):
-        raise ValueError("level reduction needs the +- automorphism convention")
-    if r.n != h.n:
-        raise ModulusMismatch(f"image mod {r.n} against group mod {h.n}")
+    _check_moduli(r, h)
     fac = factorize(h.n)
     if len(fac) != 1:
         raise ValueError(f"modulus {h.n} is not a prime power")

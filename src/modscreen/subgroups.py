@@ -691,8 +691,8 @@ class LiftedGroup(SubgroupSpec):
 
     def reduced(self, m: int) -> SubgroupSpec:
         _check_divisor(self.n, m)
-        g = gcd(m, self.base.n)
-        inner = self.base.reduced(g)
+        # the base itself at its own modulus, with its chain if one is built
+        inner = reduce_subgroup(self.base, gcd(m, self.base.n))
         return lift_subgroup(inner, m)
 
     def with_minus_i(self) -> SubgroupSpec:

@@ -7,7 +7,7 @@ through an explicit random.Random so runs are reproducible.
 import itertools
 
 from modscreen.errors import ModulusMismatch, TooLarge
-from modscreen.points import _aut_is_plus_minus, _require_minus_i
+from modscreen.points import _require_minus_i
 from modscreen.subgroups import (ENUMERATION_CAP, BorelGroup, CartanNormalizer,
                                  FullGroup, coset_action, gl2_order,
                                  identity_quad, lift_subgroup)
@@ -209,8 +209,6 @@ def reference_index(r, h):
 
 def reference_fiber_degrees(ctx, h):
     """Degrees of every closed point over the j-class, sorted ascending."""
-    if not _aut_is_plus_minus(ctx.aut, ctx.image.n):
-        raise ValueError("fiber decomposition needs the +- automorphism convention")
     h = _require_minus_i(h)
     r = ctx.image
     if r.n != h.n:

@@ -16,8 +16,8 @@ import pytest
 from modscreen.catalog import (emit_table1, emit_table2, load_catalog,
                                screen_entry)
 from modscreen.curves import curve_data
-from modscreen.points import (cartan_degree_formula, fiber_degrees,
-                              galois_context, level_reduction, point_degree)
+from modscreen.points import (GaloisImageContext, cartan_degree_formula,
+                              fiber_degrees, level_reduction, point_degree)
 from modscreen.subgroups import (FullGroup, borel, borel_index, borel_order,
                                  factorize, gl2_order, lift_subgroup,
                                  nonsplit_cartan_normalizer)
@@ -78,13 +78,13 @@ def test_criterion_4_classical_curve_data_to_level_sixty():
 def test_criterion_5_cartan_point_degree_closed_form():
     start = time.perf_counter()
     # the hand-checked anchor first
-    ctx5 = galois_context(nonsplit_cartan_normalizer(5))
+    ctx5 = GaloisImageContext(nonsplit_cartan_normalizer(5))
     assert point_degree(ctx5, borel(5, delta_pm1(5))) == 12
     assert cartan_degree_formula(5, 1, 2) == 12
     for ell in (5, 7, 11):
         for n in (1, 2):
             q = ell**n
-            ctx = galois_context(nonsplit_cartan_normalizer(q))
+            ctx = GaloisImageContext(nonsplit_cartan_normalizer(q))
             for delta in unit_subgroups_containing_minus_one(q):
                 assert point_degree(ctx, borel(q, delta)) == \
                     cartan_degree_formula(ell, n, delta.order), \
@@ -109,7 +109,7 @@ def test_criterion_6_level_reduction_property_suite():
             r = lift_subgroup(borel(base_mod, _helpers.random_delta(rng, base_mod)), n)
         h = borel(n, _helpers.random_delta(rng, n))
         m = rng.randint(b, e)  # level(R) divides ell**b, hence ell**m
-        res = level_reduction(galois_context(r), h, m)
+        res = level_reduction(GaloisImageContext(r), h, m)
         assert res.hypothesis_holds, (ell, e, b, m)
         assert res.equal, (ell, e, b, m, r.kind)
         assert res.lhs == res.rhs
@@ -148,7 +148,7 @@ def test_criterion_7_catalog_screen_and_the_56_fiber():
     (target,) = [e for e in entries if e.label == "49.196.9.1"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ctx = galois_context(target.subgroup())
+        ctx = GaloisImageContext(target.subgroup())
     degrees = fiber_degrees(ctx, borel(49, delta_full(49)))
     assert set(degrees) == {56}
 
@@ -161,6 +161,6 @@ def test_criterion_8_fiber_partition_invariant():
         pool = _helpers.structural_pool(n, max_order=200_000)
         r = rng.choice(pool)
         h = rng.choice(pool)
-        degrees = fiber_degrees(galois_context(r), h)
+        degrees = fiber_degrees(GaloisImageContext(r), h)
         assert sum(degrees) == gl2_order(n) // h.order, (n, r.kind, h.kind)
     assert time.perf_counter() - start < 60

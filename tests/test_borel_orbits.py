@@ -21,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import modscreen.subgroups  # noqa: E402
-from modscreen.points import fiber_degrees, galois_context  # noqa: E402
+from modscreen.points import GaloisImageContext, fiber_degrees  # noqa: E402
 from modscreen.subgroups import (FullGroup, GeneratedGroup,  # noqa: E402
                                  LiftedGroup, borel, coset_action, divisors,
                                  index_via_orbit, preimage_descent,
@@ -197,7 +197,7 @@ def test_descent_matches_the_reference_on_generated_bases(case):
     r, h = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ctx = galois_context(r)
+        ctx = GaloisImageContext(r)
         assert preimage_descent(r, h)[0] is r.base
         assert fiber_degrees(ctx, h) == _helpers.reference_fiber_degrees(ctx, h)
     assert index_via_orbit(r, h) == _helpers.reference_index(r, h)

@@ -14,7 +14,7 @@ from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
 from modscreen.cli import main
 from modscreen.errors import (NonInvertibleGenerator, NotFullDeterminant,
                              ParseError, TooLarge)
-from modscreen.points import Verdict, fiber_degrees, galois_context
+from modscreen.points import GaloisImageContext, Verdict, fiber_degrees
 from modscreen.subgroups import (GeneratedGroup, borel, contains_minus_i,
                                  lift_subgroup, minus_identity_quad,
                                  nonsplit_cartan_normalizer)
@@ -384,7 +384,7 @@ def test_screen_walks_one_fiber_per_entry_and_scales_it_up_the_tower(
             lifted = lift_subgroup(group, row.modulus)
             h = borel(row.modulus, delta_pm1(row.modulus))
             assert row.min_fiber_degree == min(fiber_degrees(
-                galois_context(lifted), h)), (entry.label, row.modulus)
+                GaloisImageContext(lifted), h)), (entry.label, row.modulus)
             assert row.min_fiber_degree == min(orbit_sizes(
                 h, lifted.generator_quads(), True)), (entry.label, row.modulus)
 

@@ -622,6 +622,16 @@ def test_notices_are_one_line_without_the_source_path(argv, notices):
 
 
 @pytest.mark.parametrize("argv", [
+    ("point-degree",), ("fiber-degrees",), ("reduce-level", "--m", "1")],
+    ids=lambda argv: argv[0])
+def test_degree_commands_check_the_moduli_first(capsys, recwarn, argv):
+    # one error line and exit 2, with no -I notice for a group never used
+    code, out, err = run(capsys, *argv, "--image", "cns:5", "--group", "borel:7:")
+    assert (code, out, err) == (2, "", "error: image mod 5 against group mod 7\n")
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("argv", [
     ("genus", "--group", "borel:5:"),
     ("order", "--group", "bogus:3"),
 ], ids=["notice", "error"])

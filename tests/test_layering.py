@@ -5,6 +5,7 @@ zmod is the arithmetic: it imports nothing from the package but errors,
 defines no orbit walk and reads no cap. chain, the stabilizer chain, sits on
 zmod alone. No module-level import closes a cycle. An import inside a
 function (cli's of verify) is left out: it runs only when that function does.
+cli is the top: no module imports it, at module level or inside a function.
 """
 
 import ast
@@ -22,10 +23,12 @@ def parse(module):
         return ast.parse(fh.read())
 
 
-def package_imports(module):
-    """The package modules that module imports at module level."""
+def package_imports(module, nested=False):
+    """The package modules that module imports at module level, and also
+    inside its functions when nested."""
+    tree = parse(module)
     out = set()
-    for node in parse(module).body:
+    for node in ast.walk(tree) if nested else tree.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             out.update([node.module] if node.module else
                        [alias.name for alias in node.names])
@@ -66,3 +69,9 @@ def test_module_level_imports_have_no_cycle():
     assert set().union(*graph.values()) <= set(MODULES)
     # static_order raises graphlib.CycleError on a cycle
     assert set(TopologicalSorter(graph).static_order()) == set(MODULES)
+
+
+def test_no_module_imports_the_command_line():
+    assert "cli" in MODULES
+    assert not [module for module in MODULES
+                if module != "cli" and "cli" in package_imports(module, nested=True)]

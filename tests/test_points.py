@@ -10,8 +10,9 @@ import pytest
 from modscreen import chain, points, subgroups
 from modscreen.curves import map_degree
 from modscreen.errors import ModulusMismatch, NonIntegral
-from modscreen.points import (Verdict, cartan_degree_formula, fiber_degrees,
-                              galois_context, level_reduction, point_degree,
+from modscreen.points import (GaloisImageContext, Verdict,
+                              cartan_degree_formula, fiber_degrees,
+                              level_reduction, point_degree,
                               point_degree_general, rr_screen,
                               semidirect_lower_bound)
 from modscreen.subgroups import (FullGroup, GeneratedGroup,
@@ -34,24 +35,32 @@ import _helpers
 
 def test_context_validates_dj():
     with pytest.raises(ValueError):
-        galois_context(FullGroup(5), d_j=0)
+        GaloisImageContext(FullGroup(5), d_j=0)
 
 
 def test_context_validates_aut_modulus():
-    with pytest.raises(ModulusMismatch):
-        galois_context(FullGroup(5), aut=FullGroup(7))
+    with pytest.raises(ModulusMismatch, match="aut mod 7 against image mod 5"):
+        point_degree_general(GaloisImageContext(FullGroup(5)),
+                             borel(5, delta_pm1(5)), aut=FullGroup(7))
 
 
 @pytest.mark.parametrize("d_j", [0, -2])
 def test_a_directly_built_context_validates_dj(d_j):
-    # built past galois_context, a d_j below 1 would give degrees <= 0
+    # a d_j below 1 would give degrees <= 0
     with pytest.raises(ValueError, match="j-field degree must be >= 1"):
         points.GaloisImageContext(FullGroup(5), d_j=d_j)
 
 
-def test_a_directly_built_context_validates_aut_modulus():
-    with pytest.raises(ModulusMismatch):
-        points.GaloisImageContext(FullGroup(5), aut=FullGroup(7))
+def test_a_directly_built_context_validates_aut_modulus(monkeypatch):
+    # A is an argument of the general formula alone, checked before any walk
+    def no_walk(*args):
+        raise AssertionError("walked before the modulus check")
+
+    monkeypatch.setattr(points, "index_via_orbit", no_walk)
+    ctx = points.GaloisImageContext(nonsplit_cartan_normalizer(5))
+    with pytest.raises(ModulusMismatch, match="aut mod 7 against image mod 5"):
+        point_degree_general(ctx, borel(5, delta_pm1(5)),
+                             aut=GeneratedGroup(7, [(6, 0, 0, 6)]))
 
 
 def _count_chains(monkeypatch):
@@ -74,7 +83,7 @@ def test_context_takes_the_image_as_given(monkeypatch):
     image = GeneratedGroup(5, [(1, 1, 0, 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ctx = galois_context(image)
+        ctx = GaloisImageContext(image)
     assert ctx.image is image
     assert chains == []
     assert not contains_minus_i(image)
@@ -102,8 +111,8 @@ def test_degrees_are_the_same_with_minus_i_appended(n):
     for gens in images:
         r = GeneratedGroup(n, gens)
         without += not contains_minus_i(r)
-        ctx = galois_context(r)
-        pm = galois_context(GeneratedGroup(n, gens + [minus_identity_quad(n)]))
+        ctx = GaloisImageContext(r)
+        pm = GaloisImageContext(GeneratedGroup(n, gens + [minus_identity_quad(n)]))
         for h in hs:
             case = (n, gens, h.delta.order)
             assert point_degree(ctx, h) == point_degree(pm, h), case
@@ -119,21 +128,21 @@ def test_degrees_are_the_same_with_minus_i_appended(n):
 # ------------------------------------------------------------ point degree
 
 def test_point_degree_examples():
-    ctx = galois_context(nonsplit_cartan_normalizer(5))
+    ctx = GaloisImageContext(nonsplit_cartan_normalizer(5))
     assert point_degree(ctx, borel(5, delta_pm1(5))) == 12
 
-    full = galois_context(FullGroup(7))
+    full = GaloisImageContext(FullGroup(7))
     h = borel(7, delta_pm1(7))
     assert point_degree(full, h) == gl2_order(7) // h.order
 
-    same = galois_context(borel(7, delta_full(7)), d_j=3)
+    same = GaloisImageContext(borel(7, delta_full(7)), d_j=3)
     assert point_degree(same, borel(7, delta_full(7))) == 3
 
 
 def test_point_degree_scales_with_dj():
     h = borel(5, delta_pm1(5))
-    base = point_degree(galois_context(nonsplit_cartan_normalizer(5)), h)
-    tripled = point_degree(galois_context(nonsplit_cartan_normalizer(5), d_j=3), h)
+    base = point_degree(GaloisImageContext(nonsplit_cartan_normalizer(5)), h)
+    tripled = point_degree(GaloisImageContext(nonsplit_cartan_normalizer(5), d_j=3), h)
     assert tripled == 3 * base
 
 
@@ -141,15 +150,15 @@ def test_point_degree_general_reduces_to_plus_minus():
     r = nonsplit_cartan_normalizer(5)
     h = borel(5, delta_pm1(5))
     pm = GeneratedGroup(5, [(4, 0, 0, 4)])
-    assert point_degree_general(galois_context(r, aut=pm), h) == \
-        point_degree(galois_context(r), h)
+    assert point_degree_general(GaloisImageContext(r), h, aut=pm) == \
+        point_degree(GaloisImageContext(r), h)
 
 
 def test_point_degree_general_with_trivial_aut():
     r = nonsplit_cartan_normalizer(5)
     one = GeneratedGroup(5, [])
     h = borel(5, delta_pm1(5))
-    assert point_degree_general(galois_context(r, aut=one), h) == \
+    assert point_degree_general(GaloisImageContext(r), h, aut=one) == \
         index_via_orbit(r, h)
 
 
@@ -196,18 +205,18 @@ def test_point_degree_general_against_set_arithmetic_mod_seven():
         aut = GeneratedGroup(n, [a_gen])
         if aut.order > 48:
             continue
-        ctx = galois_context(r, aut=aut)
+        ctx = GaloisImageContext(r)
         checked += 1
         if not _normalizes(r, aut):
             with pytest.raises(ValueError, match="does not normalize"):
-                point_degree_general(ctx, h)
+                point_degree_general(ctx, h, aut=aut)
             continue
         want, = _scanned_degrees(ambient, r, aut, [h])
         if want is None:
             with pytest.raises(NonIntegral):
-                point_degree_general(ctx, h)
+                point_degree_general(ctx, h, aut=aut)
         else:
-            assert point_degree_general(ctx, h) == want
+            assert point_degree_general(ctx, h, aut=aut) == want
     assert checked >= 12
 
 
@@ -222,7 +231,7 @@ def test_point_degree_general_default_aut_is_the_plus_minus_path():
         pairs = rng.sample(list(itertools.product(pool, pool)), 8)
         pairs += [(r, borel(n, delta_trivial(n))) for r in rng.sample(pool, 2)]
         for r, h in pairs:
-            ctx = galois_context(r)
+            ctx = GaloisImageContext(r)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 want = point_degree(ctx, h)
@@ -270,9 +279,10 @@ def test_point_degree_general_against_the_scan(n):
                       ([rho], [], [minus_identity_quad(n)], scalars)]
     for gens, a_gens in cases:
         r, aut = GeneratedGroup(n, gens), GeneratedGroup(n, a_gens)
-        ctx = galois_context(r, d_j=2, aut=aut)
+        ctx = GaloisImageContext(r, d_j=2)
         for h, want in zip(hs, _scanned_degrees(ambient, r, aut, hs)):
-            assert point_degree_general(ctx, h) == 2 * want, (gens, a_gens, h.kind)
+            assert point_degree_general(ctx, h, aut=aut) == 2 * want, \
+                (gens, a_gens, h.kind)
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 13])
@@ -294,7 +304,7 @@ def test_point_degree_general_refuses_a_pair_that_does_not_normalize(
                   FullGroup(n)):
             assert not _normalizes(r, aut)
             with pytest.raises(ValueError, match="does not normalize"):
-                point_degree_general(galois_context(r, aut=aut), h)
+                point_degree_general(GaloisImageContext(r), h, aut=aut)
 
 
 @pytest.mark.parametrize("n, want", [(343, (14406, 28812)),
@@ -307,44 +317,28 @@ def test_point_degree_general_is_fast_past_the_paper(n, want):
     h = borel(n, delta_pm1(n))
     got = []
     for rho in _rhos(n):
-        ctx = galois_context(GeneratedGroup(n, _rho_image(rng, n, rho)),
-                             aut=GeneratedGroup(n, [rho]))
+        ctx = GaloisImageContext(GeneratedGroup(n, _rho_image(rng, n, rho)))
         start = time.perf_counter()
-        got.append(point_degree_general(ctx, h))
+        got.append(point_degree_general(ctx, h, aut=GeneratedGroup(n, [rho])))
         assert time.perf_counter() - start < 1.0, (n, rho)
     assert tuple(got) == want
-
-
-@pytest.mark.parametrize("image, gen", [
-    (GeneratedGroup(5, [(2, 0, 0, 1), (1, 0, 0, 2)]), (4, 0, 0, 1)),
-    (nonsplit_cartan_normalizer(5), (2, 0, 0, 2))],
-    ids=["order-2-without-minus-i", "order-4-with-minus-i"])
-def test_only_plus_minus_itself_takes_the_plus_minus_path(image, gen):
-    # {I, -I} is read off the order and -I: an aut of the same order without
-    # -I, or one with -I and more, takes the general formula; the diagonal
-    # units centralize diag(-1, 1), and the scalars are central
-    h = borel(5, delta_pm1(5))
-    ctx = galois_context(image, aut=GeneratedGroup(5, [gen]))
-    assert point_degree(ctx, h) == point_degree_general(ctx, h)
-    with pytest.raises(ValueError):
-        fiber_degrees(ctx, h)
 
 
 # ------------------------------------------------------------------ fibers
 
 def test_fiber_degrees_single_orbit_for_full_image():
     h = borel(9, delta_full(9))
-    ctx = galois_context(FullGroup(9))
+    ctx = GaloisImageContext(FullGroup(9))
     assert fiber_degrees(ctx, h) == (gl2_order(9) // h.order,)
 
 
 def test_fiber_degrees_cartan_over_level_five():
-    ctx = galois_context(nonsplit_cartan_normalizer(5))
+    ctx = GaloisImageContext(nonsplit_cartan_normalizer(5))
     assert fiber_degrees(ctx, borel(5, delta_full(5))) == (6,)
 
 
 def test_fiber_degrees_contain_the_identity_point_degree():
-    ctx = galois_context(nonsplit_cartan_normalizer(7))
+    ctx = GaloisImageContext(nonsplit_cartan_normalizer(7))
     h = borel(7, delta_pm1(7))
     assert point_degree(ctx, h) in set(fiber_degrees(ctx, h))
 
@@ -356,7 +350,7 @@ def test_fiber_degrees_partition_the_coset_space():
         pool = _helpers.structural_pool(n, max_order=20000)
         r = rng.choice(pool)
         h = rng.choice(pool)
-        ctx = galois_context(r)
+        ctx = GaloisImageContext(r)
         degs = fiber_degrees(ctx, h)
         assert sum(degs) == gl2_order(n) // h.order, (n, r.kind, h.kind)
 
@@ -398,17 +392,10 @@ def test_fiber_degrees_match_brute_force_orbits():
 
 
 def test_fiber_degrees_scale_with_dj():
-    ctx1 = galois_context(nonsplit_cartan_normalizer(5))
-    ctx2 = galois_context(nonsplit_cartan_normalizer(5), d_j=2)
+    ctx1 = GaloisImageContext(nonsplit_cartan_normalizer(5))
+    ctx2 = GaloisImageContext(nonsplit_cartan_normalizer(5), d_j=2)
     h = borel(5, delta_pm1(5))
     assert fiber_degrees(ctx2, h) == tuple(2 * d for d in fiber_degrees(ctx1, h))
-
-
-def test_fiber_degrees_reject_general_aut():
-    aut = GeneratedGroup(5, [(2, 0, 0, 1)])
-    ctx = galois_context(FullGroup(5), aut=aut)
-    with pytest.raises(ValueError):
-        fiber_degrees(ctx, borel(5, delta_full(5)))
 
 
 # ------------------------------------------- descent to a lifted image's level
@@ -454,7 +441,7 @@ def test_descent_matches_the_walk_at_the_image_modulus(n):
     for r in _lifted_images(n):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ctx = galois_context(r)
+            ctx = GaloisImageContext(r)
         for i, h in enumerate(_structure_groups(n)):
             case = (n, r.base.n, r.base.kind, i, h.kind)
             # the walk descends to the base object itself
@@ -490,7 +477,7 @@ def test_a_full_image_walks_nothing_above_modulus_one(monkeypatch, n):
     full, walked = FullGroup(n), GeneratedGroup(n, FullGroup(n).generator_quads())
     groups = _helpers.structural_pool(n) + [borel(n, delta_trivial(n))]
     expected = []
-    ctx = galois_context(walked)
+    ctx = GaloisImageContext(walked)
     for h in groups:
         pm_index = gl2_order(n) // adjoin_minus_i(h).order
         by_walk = (_with_warnings(fiber_degrees, ctx, h)[0],
@@ -501,7 +488,7 @@ def test_a_full_image_walks_nothing_above_modulus_one(monkeypatch, n):
     _refuse_walks_above_one(monkeypatch)
     with pytest.raises(AssertionError, match=f"^orbit_sizes of borel mod {n}$"):
         index_via_orbit(walked, groups[1])
-    ctx = galois_context(full)
+    ctx = GaloisImageContext(full)
     for i, h in enumerate(groups):
         assert (_with_warnings(fiber_degrees, ctx, h)[0],
                 _with_warnings(point_degree, ctx, h)[0],
@@ -512,7 +499,7 @@ def test_a_full_image_walks_nothing_above_modulus_one(monkeypatch, n):
 
 def test_level_reduction_pinned_example():
     r = lift_subgroup(nonsplit_cartan_normalizer(5), 25)
-    ctx = galois_context(r)
+    ctx = GaloisImageContext(r)
     res = level_reduction(ctx, borel(25, delta_full(25)), 1)
     assert res.lhs == res.rhs == 5
     assert res.equal
@@ -521,7 +508,7 @@ def test_level_reduction_pinned_example():
 
 def test_level_reduction_when_target_already_at_that_level():
     r = lift_subgroup(nonsplit_cartan_normalizer(5), 25)
-    ctx = galois_context(r)
+    ctx = GaloisImageContext(r)
     h = lift_subgroup(borel(5, delta_pm1(5)), 25)
     res = level_reduction(ctx, h, 1)
     assert res.lhs == res.rhs == 1
@@ -529,7 +516,7 @@ def test_level_reduction_when_target_already_at_that_level():
 
 
 def test_level_reduction_trivial_for_full_image():
-    ctx = galois_context(FullGroup(27))
+    ctx = GaloisImageContext(FullGroup(27))
     h = borel(27, delta_pm1(27))
     res = level_reduction(ctx, h, 1)
     # H' as level_reduction builds it: the full preimage of +-H mod 3
@@ -541,7 +528,7 @@ def test_level_reduction_trivial_for_full_image():
 def test_level_reduction_without_hypothesis_is_advisory():
     # the image has full level here, so the divisibility hypothesis fails,
     # yet the identity may still hold; the result must report both facts
-    ctx = galois_context(nonsplit_cartan_normalizer(25))
+    ctx = GaloisImageContext(nonsplit_cartan_normalizer(25))
     res = level_reduction(ctx, borel(25, delta_pm1(25)), 1)
     assert not res.hypothesis_holds
     assert res.lhs == res.rhs == 25
@@ -551,7 +538,7 @@ def test_level_reduction_non_dividing_indices_raise(monkeypatch):
     # fine index 5 over coarse index 3
     indices = iter([5, 3, 1])
     monkeypatch.setattr(points, "index_via_orbit", lambda r, h: next(indices))
-    ctx = galois_context(FullGroup(25))
+    ctx = GaloisImageContext(FullGroup(25))
     with pytest.raises(NonIntegral):
         level_reduction(ctx, borel(25, delta_full(25)), 1)
 
@@ -572,7 +559,7 @@ def test_level_reduction_randomized_structural_suite():
             r = lift_subgroup(borel(base_mod, _helpers.random_delta(rng, base_mod)), n)
         h = borel(n, _helpers.random_delta(rng, n))
         m = rng.randint(b, e)
-        res = level_reduction(galois_context(r), h, m)
+        res = level_reduction(GaloisImageContext(r), h, m)
         assert res.hypothesis_holds, (ell, e, b, m)
         assert res.equal, (ell, e, b, m, r.kind)
         cases += 1
@@ -585,23 +572,13 @@ def test_level_reduction_hypothesis_reads_the_level_of_plus_minus_image():
                            (3, 0, 0, 7)])
     assert (r.order, contains_minus_i(r), level(r)) == (16, False, 8)
     assert level(adjoin_minus_i(r)) == 4
-    res = level_reduction(galois_context(r), borel(8, delta_pm1(8)), 2)
+    res = level_reduction(GaloisImageContext(r), borel(8, delta_pm1(8)), 2)
     assert (res.lhs, res.rhs, res.hypothesis_holds) == (4, 4, True)
-
-
-def test_level_reduction_refuses_a_non_plus_minus_automorphism_set():
-    # as fiber_degrees does: the orbit indices are the +- convention's
-    ctx = galois_context(nonsplit_cartan_normalizer(25),
-                         aut=GeneratedGroup(25, []))
-    with pytest.raises(ValueError, match="needs the [+]- automorphism"):
-        level_reduction(ctx, borel(25, delta_trivial(25)), 1)
-    with pytest.raises(ValueError, match="needs the [+]- automorphism"):
-        fiber_degrees(ctx, borel(25, delta_trivial(25)))
 
 
 def test_level_reduction_rejects_composite_modulus():
     with pytest.raises(ValueError):
-        level_reduction(galois_context(FullGroup(12)), borel(12, delta_pm1(12)), 1)
+        level_reduction(GaloisImageContext(FullGroup(12)), borel(12, delta_pm1(12)), 1)
 
 
 # ------------------------------------------- index between nested groups
@@ -644,7 +621,7 @@ def test_map_degree_is_the_walked_index(n):
 
 @pytest.mark.parametrize("n", [4, 8, 9, 16, 25, 27])
 def test_level_reduction_rhs_is_the_walked_index(n):
-    ctx = galois_context(FullGroup(n))
+    ctx = GaloisImageContext(FullGroup(n))
     ell, k = _helpers.prime_power_exponent(n)
     for i, (h, _) in enumerate(_nested_pairs(n)):
         for m in range(k + 1):
@@ -684,7 +661,7 @@ def test_degree_monotonicity_along_maps():
             r = nonsplit_cartan_normalizer(n)
         else:
             r = FullGroup(n)
-        ctx = galois_context(r)
+        ctx = GaloisImageContext(r)
         up = point_degree(ctx, h)
         down = point_degree(ctx, hp)
         assert up <= map_degree(h, hp) * down
@@ -725,7 +702,7 @@ def test_cartan_degree_formula_examples():
 def test_cartan_degree_formula_orbit_cross_check_at_49():
     d14 = unit_subgroup(49, [3 ** 3 % 49])  # order 14 subgroup
     assert d14.order == 14
-    ctx = galois_context(nonsplit_cartan_normalizer(49))
+    ctx = GaloisImageContext(nonsplit_cartan_normalizer(49))
     assert point_degree(ctx, borel(49, d14)) == 168
 
 
@@ -759,7 +736,7 @@ def test_formula_matches_orbit_for_all_small_parameters():
     for ell in (5, 7):
         for n in (1, 2):
             q = ell ** n
-            ctx = galois_context(nonsplit_cartan_normalizer(q))
+            ctx = GaloisImageContext(nonsplit_cartan_normalizer(q))
             for delta in unit_subgroups_containing_minus_one(q):
                 got = point_degree(ctx, borel(q, delta))
                 assert got == cartan_degree_formula(ell, n, delta.order)
@@ -768,7 +745,7 @@ def test_formula_matches_orbit_for_all_small_parameters():
 @pytest.mark.parametrize("ell, n", [(3, 3), (3, 4), (5, 3), (7, 3), (5, 4)])
 def test_cartan_degree_formula_past_level_two(ell, n):
     q = ell ** n
-    ctx = galois_context(nonsplit_cartan_normalizer(q))
+    ctx = GaloisImageContext(nonsplit_cartan_normalizer(q))
     for delta in unit_subgroups_containing_minus_one(q):
         got = point_degree(ctx, borel(q, delta))
         assert got == cartan_degree_formula(ell, n, delta.order), delta.order

@@ -520,6 +520,16 @@ def test_lift_then_reduce_roundtrip():
     assert again.element_quads == base.element_quads
 
 
+@pytest.mark.parametrize("base", [
+    GeneratedGroup(5, nonsplit_cartan_normalizer(5).generator_quads()),
+    CartanNormalizer(5)], ids=["generated", "cartan"])
+def test_a_lift_reduced_to_its_base_modulus_is_the_base_itself(base):
+    # no rebuilt base, so a generated one keeps its stabilizer chain
+    lift = LiftedGroup(base, 125)
+    assert reduce_subgroup(lift, 5) is base
+    assert reduce_subgroup(lift, 25).base is base
+
+
 # ------------------------------------------------------------------ level
 
 def test_level_examples():
