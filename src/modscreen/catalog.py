@@ -272,9 +272,10 @@ def emit_table1() -> Table:
     for modulus in (25, 27, 32):
         for delta in intermediate_deltas(modulus):
             genus = _borel_genus(modulus, delta)
-            threshold = (delta.order // 2) * genus
-            verdict = Verdict.FORCED_P1 if genus == 0 else Verdict.INCONCLUSIVE
-            rows.append((modulus, delta.order, genus, threshold, str(verdict)))
+            r = delta.order // 2
+            # the least degree, 1, is forced exactly at genus 0
+            rows.append((modulus, delta.order, genus, r * genus,
+                         rr_screen(1, r, genus)))
     return Table(
         header=("modulus", "delta_order", "genus", "threshold", "verdict"),
         rows=tuple(rows),
@@ -289,8 +290,7 @@ def emit_table2() -> Table:
         for delta in intermediate_deltas(modulus):
             genus = _borel_genus(modulus, delta)
             bound = semidirect_lower_bound(ell, delta.order)
-            verdict = rr_screen(bound, 1, genus)
-            rows.append((ell, delta.order, genus, bound, str(verdict)))
+            rows.append((ell, delta.order, genus, bound, rr_screen(bound, 1, genus)))
     return Table(
         header=("ell", "delta_order", "genus", "degree_lower_bound", "verdict"),
         rows=tuple(rows),

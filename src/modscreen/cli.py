@@ -66,8 +66,7 @@ def _resolve_group(spec: str, modulus: int | None,
             raise ValueError("'file:' group specs need --catalog")
         group = _catalog_entry(catalog_path, rest).subgroup()
     else:
-        raise ValueError(f"unknown group spec {spec!r}; expected "
-                         "full | borel:N:gens | cns:l:d | cnspre:l:d | file:LABEL")
+        raise ValueError(f"unknown group spec {spec!r}; expected {_GROUP_HELP}")
     if modulus is None or modulus == group.n:
         return group
     if modulus % group.n == 0:

@@ -39,8 +39,8 @@ from .zmod import (Quad, UnitSubgroup, _check_modulus, _extend_subgroup,
                    _p1_normalize, _p1_points, _unit_classes, _unit_inverses,
                    divisors, euler_phi, factorize, identity_quad, is_prime,
                    lift_quad, quad_det, quad_inv, quad_is_invertible, quad_mul,
-                   quad_reduce, quadratic_generator, quadratic_mul,
-                   quadratic_pow, unit_group_generators, unit_subgroup, units)
+                   quad_pow, quad_reduce, quadratic_generator,
+                   unit_group_generators, unit_subgroup, units)
 
 ENUMERATION_CAP = 10_000_000
 # cosets one coset_action walk, or one Cartan walk of point pairs (a pair is
@@ -454,9 +454,9 @@ class CartanNormalizer(SubgroupSpec):
         # generated by 1 + l and 1 + l*sqrt(e); the coprime orders let
         # t*(1 + l) stand for two of them. (1 0; 0 -1) adds the normalizer.
         l, n, e = self.ell, self.n, self.eps
-        t = quadratic_pow(n, e, quadratic_generator(l, e), l ** (2 * self.d - 2))
-        cartan = [quadratic_mul(n, e, t, (1 + l, 0)), (1, l % n)]
-        return _dedup(n, [(a, e * b % n, b, a) for a, b in cartan] + [(1, 0, 0, n - 1)])
+        g = quadratic_generator(l, e)
+        t = quad_mul(n, quad_pow(n, g, l ** (2 * self.d - 2)), (1 + l, 0, 0, 1 + l))
+        return _dedup(n, [t, (1, e * l % n, l % n, 1), (1, 0, 0, n - 1)])
 
     def coset_key(self, q: Quad) -> int:
         # The row (1, sqrt(e)) is a left eigenvector of every Cartan element,
@@ -967,11 +967,8 @@ def kernel_generator_quads(n: int, d: int) -> tuple[Quad, ...]:
         if f == e:
             continue
         pe = p**e
-        if f == 0:
-            local = [sigma_quad(pe), tau_quad(pe)]
-            local += [(1, 0, 0, u) for u in unit_group_generators(pe)]
-        else:
-            local = _ladder_quads(p, f, e, pe)
+        local = (FullGroup(pe).generator_quads() if f == 0
+                 else _ladder_quads(p, f, e, pe))
         gens += [lift_quad(q, pe, n) for q in local]
     return _dedup(n, gens)
 

@@ -45,6 +45,16 @@ def identity_quad(n: int) -> Quad:
     return (1 % n, 0, 0, 1 % n)
 
 
+def quad_pow(n: int, q: Quad, k: int) -> Quad:
+    out = identity_quad(n)
+    while k:
+        if k & 1:
+            out = quad_mul(n, out, q)
+        q = quad_mul(n, q, q)
+        k >>= 1
+    return out
+
+
 def quad_reduce(q: Quad, m: int) -> Quad:
     return (q[0] % m, q[1] % m, q[2] % m, q[3] % m)
 
@@ -353,32 +363,18 @@ def _crt2(a: int, m: int, b: int, k: int) -> int:
     return (a + m * t) % (m * k)
 
 
-# the ring O/nO, O = Z[sqrt(eps)] for a non-residue eps mod an odd prime: an
-# element a + b*sqrt(eps) is the pair (a, b), and the matrix (a eps*b; b a)
+# F_{ell^2} = F_ell[sqrt(eps)] for a non-residue eps mod an odd prime ell: the
+# element a + b*sqrt(eps) is the matrix (a eps*b; b a)
 
-def quadratic_mul(n: int, eps: int, x: tuple[int, int],
-                  y: tuple[int, int]) -> tuple[int, int]:
-    a, b = x
-    c, d = y
-    return (a * c + eps * b * d) % n, (a * d + b * c) % n
-
-
-def quadratic_pow(n: int, eps: int, x: tuple[int, int], k: int) -> tuple[int, int]:
-    out = (1 % n, 0)
-    while k:
-        if k & 1:
-            out = quadratic_mul(n, eps, out, x)
-        x = quadratic_mul(n, eps, x, x)
-        k >>= 1
-    return out
-
-
-def quadratic_generator(ell: int, eps: int) -> tuple[int, int]:
-    """The least (a, b) with a + b*sqrt(eps) generating F_{ell^2}^x: its
-    (ell^2 - 1)/p-th power is not 1 for any prime p | ell^2 - 1."""
+@cache
+def quadratic_generator(ell: int, eps: int) -> Quad:
+    """(a eps*b; b a) for the least (a, b) with a + b*sqrt(eps) generating
+    F_{ell^2}^x: its (ell^2 - 1)/p-th power is not I for any prime
+    p | ell^2 - 1. eps*b is left unreduced, so the matrix stands for
+    a + b*sqrt(eps) mod every power of ell."""
     order = ell * ell - 1
-    for z in ((a, b) for a in range(ell) for b in range(1, ell)):
-        if all(quadratic_pow(ell, eps, z, order // p) != (1, 0)
+    for z in ((a, eps * b, b, a) for a in range(ell) for b in range(1, ell)):
+        if all(quad_pow(ell, z, order // p) != (1, 0, 0, 1)
                for p, _ in factorize(order)):
             return z
     raise ValueError(f"{eps} is not a non-residue mod {ell}")

@@ -10,10 +10,9 @@ from modscreen.errors import ModulusMismatch, TooLarge
 from modscreen.points import _require_minus_i
 from modscreen.subgroups import (ENUMERATION_CAP, BorelGroup, CartanNormalizer,
                                  FullGroup, coset_action, gl2_order,
-                                 identity_quad, lift_subgroup)
-from modscreen.zmod import (_p1_normalize, _unit_inverses, quad_inv,
-                            quad_is_invertible, quad_mul, quadratic_mul,
-                            unit_subgroup, units)
+                                 identity_quad, least_nonresidue, lift_subgroup)
+from modscreen.zmod import (_p1_normalize, _unit_inverses, factorize, quad_inv,
+                            quad_is_invertible, quad_mul, unit_subgroup, units)
 
 
 # Reference closure: the element-by-element BFS that the coset-by-coset
@@ -150,9 +149,45 @@ def reference_pair_orbits(n, eps, gens, starts, cap, at_cap):
     return sizes
 
 
-# Reference Mobius map and pair key of O/nO, O = Z[sqrt(eps)]: the map that
-# the pair walk's closed step and CartanNormalizer.coset_key replaced, kept
-# for comparison.
+# The ring O/nO, O = Z[sqrt(eps)], with a + b*sqrt(eps) as the pair (a, b):
+# the arithmetic that the Cartan generators were built in before they were
+# built as matrices, kept for the references below.
+
+def quadratic_mul(n, eps, x, y):
+    a, b = x
+    c, d = y
+    return (a * c + eps * b * d) % n, (a * d + b * c) % n
+
+
+def quadratic_pow(n, eps, x, k):
+    out = (1 % n, 0)
+    while k:
+        if k & 1:
+            out = quadratic_mul(n, eps, out, x)
+        x = quadratic_mul(n, eps, x, x)
+        k >>= 1
+    return out
+
+
+def reference_cartan_generators(ell, d):
+    """CartanNormalizer(ell, d)'s generators built in pairs, as they were
+    before they became matrices: t*(1 + l) with t = g^(l^(2d-2)) for the
+    least pair g generating F_{l^2}^x, then 1 + l*sqrt(e), each as
+    (a e*b; b a), then (1 0; 0 -1), less the identity and repeats."""
+    n, e = ell**d, least_nonresidue(ell)
+    order = ell * ell - 1
+    g = next((a, b) for a in range(ell) for b in range(1, ell)
+             if all(quadratic_pow(ell, e, (a, b), order // p) != (1, 0)
+                    for p, _ in factorize(order)))
+    t = quadratic_pow(n, e, g, ell ** (2 * d - 2))
+    cartan = [quadratic_mul(n, e, t, (1 + ell, 0)), (1, ell % n)]
+    quads = [(a, e * b % n, b, a) for a, b in cartan] + [(1, 0, 0, n - 1)]
+    return tuple(q for i, q in enumerate(quads)
+                 if q != (1, 0, 0, 1) and q not in quads[:i])
+
+
+# Reference Mobius map and pair key of O/nO: the map that the pair walk's
+# closed step and CartanNormalizer.coset_key replaced, kept for comparison.
 
 def quadratic_inv(n, eps, x):
     """x^-1 = conj(x) / norm(x), with norm(a + b*sqrt(eps)) = a^2 - eps*b^2."""

@@ -14,7 +14,7 @@ from modscreen.catalog import (CatalogEntry, emit_table1, emit_table2,
 from modscreen.cli import main
 from modscreen.errors import (NonInvertibleGenerator, NotFullDeterminant,
                              ParseError, TooLarge)
-from modscreen.points import GaloisImageContext, Verdict, fiber_degrees
+from modscreen.points import GaloisImageContext, Verdict, fiber_degrees, rr_screen
 from modscreen.subgroups import (GeneratedGroup, borel, contains_minus_i,
                                  lift_subgroup, minus_identity_quad,
                                  nonsplit_cartan_normalizer)
@@ -546,6 +546,25 @@ def test_table2_rows():
     # the bound beats the genus in every row, so the whole table is forced
     assert all(v == str(Verdict.FORCED_P1) for *_, v in t2.rows)
     assert len(t2.rows) == 12
+
+
+def test_table1_takes_every_verdict_from_the_screen_rule(monkeypatch):
+    """One rr_screen call per row, at the least degree 1 and r = |Delta|/2."""
+    calls = []
+
+    def recording(degree, r, genus):
+        calls.append((degree, r, genus))
+        return rr_screen(degree, r, genus)
+
+    monkeypatch.setattr(catalog, "rr_screen", recording)
+    t1 = emit_table1()
+    assert calls == [(1, d // 2, g) for _, d, g, _, _ in t1.rows]
+    assert [v for *_, v in t1.rows] == [rr_screen(*call) for call in calls]
+
+
+@pytest.mark.parametrize("emit", [emit_table1, emit_table2], ids=["table1", "table2"])
+def test_tables_keep_the_verdict_itself(emit):
+    assert all(type(v) is Verdict for *_, v in emit().rows)
 
 
 def test_table_records_match_tsv():

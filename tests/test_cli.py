@@ -706,7 +706,8 @@ def test_readme_example(capsys, monkeypatch, tmp_path, argv, shown, elided):
 def test_unknown_group_spec_is_a_usage_error(capsys):
     code, _, err = run(capsys, "order", "--group", "bogus:3")
     assert code == 2
-    assert "unknown group spec" in err
+    assert err == ("error: unknown group spec 'bogus:3'; expected "
+                   "full | borel:N:gens | cns:l:d | cnspre:l:d | file:LABEL\n")
 
 
 def test_full_needs_a_modulus(capsys):

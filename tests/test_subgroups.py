@@ -27,8 +27,9 @@ from modscreen.subgroups import (BorelGroup, CartanNormalizer, FullGroup,
                                  reduce_subgroup,
                                  scanned_level, sigma_quad, sl2_order, tau_quad)
 from modscreen.zmod import (_p1_normalize, delta_full, delta_pm1, delta_trivial,
-                            divisors, euler_phi, factorize, quad_det, quad_inv,
-                            quad_is_invertible, quad_mul, quad_reduce, unit_subgroup,
+                            divisors, euler_phi, factorize, is_prime, quad_det,
+                            quad_inv, quad_is_invertible, quad_mul, quad_reduce,
+                            quadratic_generator, unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
 import _helpers
@@ -161,6 +162,29 @@ def test_cartan_generators_have_the_formula_order(monkeypatch, ell, d):
     assert len(gens) == (2 if d == 1 else 3)
     assert all(c.member_quad(g) for g in gens)
     assert GeneratedGroup(c.n, gens).order == c.order
+
+
+CARTAN_LEVELS = [(ell, d) for ell in range(3, 60) if is_prime(ell)
+                 for d in range(1, 8) if ell**d <= 3000]
+
+
+def test_the_cartan_levels_are_the_odd_prime_powers_to_3000():
+    assert len(CARTAN_LEVELS) == 42
+
+
+@pytest.mark.parametrize("ell, d", CARTAN_LEVELS)
+def test_cartan_generators_match_the_pair_construction(ell, d):
+    """The generators built as matrices are, in order, the ones that the
+    ring O/l^d of pairs (a, b) gave."""
+    assert CartanNormalizer(ell, d).generator_quads() == \
+        _helpers.reference_cartan_generators(ell, d)
+
+
+def test_the_generator_of_f_l2_is_searched_once_per_prime():
+    quadratic_generator.cache_clear()
+    for d in (1, 2, 3):
+        CartanNormalizer(13, d).generator_quads()
+    assert quadratic_generator.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("group", [borel(5, delta_full(5)), CartanNormalizer(3, 2),

@@ -11,8 +11,8 @@ from modscreen.subgroups import SubgroupSpec
 from modscreen import catalog, curves, points, subgroups, zmod
 from modscreen.zmod import (UnitSubgroup, delta_full, delta_pm1, delta_trivial,
                             divisors, euler_phi, factorize, is_prime, quad_det,
-                            quad_inv, quad_is_invertible, quad_mul, quad_reduce,
-                            unit_group_generators, unit_subgroup,
+                            quad_inv, quad_is_invertible, quad_mul, quad_pow,
+                            quad_reduce, quadratic_generator, unit_group_generators, unit_subgroup,
                             unit_subgroups_containing_minus_one, units)
 
 import _oracles
@@ -37,6 +37,30 @@ def test_quad_mul_associative():
         n = rng.randint(2, 30)
         a, b, c = (tuple(rng.randrange(n) for _ in range(4)) for _ in range(3))
         assert quad_mul(n, quad_mul(n, a, b), c) == quad_mul(n, a, quad_mul(n, b, c))
+
+
+def test_quad_pow_is_the_repeated_product():
+    rng = random.Random(103)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        q = tuple(rng.randrange(n) for _ in range(4))
+        want = (1 % n, 0, 0, 1 % n)
+        for k in range(12):
+            assert quad_pow(n, q, k) == want, (n, q, k)
+            want = quad_mul(n, want, q)
+
+
+@pytest.mark.parametrize("ell, eps", [(3, 2), (5, 2), (7, 3), (13, 2), (7, 6), (11, 8)])
+def test_quadratic_generator_generates_f_l2(ell, eps):
+    """A generator of the cyclic F_{ell^2}^x as (a eps*b; b a). eps need not
+    be the least non-residue: at (7, 6) and (11, 8) eps*b passes ell, and
+    unreduced it keeps the shape of a + b*sqrt(eps) mod ell^2."""
+    g = quadratic_generator(ell, eps)
+    assert g[0] == g[3] and g[1] == eps * g[2]
+    order = ell * ell - 1
+    assert len({quad_pow(ell, g, k) for k in range(order)}) == order
+    a, b, c, d = quad_pow(ell**2, g, ell)
+    assert a == d and b == eps * c % ell**2
 
 
 def test_quad_det_multiplicative():
