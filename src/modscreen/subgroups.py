@@ -349,11 +349,15 @@ class BorelGroup(SubgroupSpec):
         # gcd(a, c, n) = 1, under (a, c) -> (a/h, h*c). The pairs with
         # gcd(c, n) = d number phi(d) * phi(n/d), and H acts on them through
         # its image mod lcm(d, n/d), freely, so each block splits evenly.
+        # m repeats over d (at l^e only ceil((e+1)/2) values), so each |H mod m|
+        # is counted once
         nu_inf = 0
+        images: dict[int, int] = {}
         for d in divisors(n):
             m = d * (n // d) // gcd(d, n // d)
-            image = len({x % m for x in h.elements})
-            nu_inf += euler_phi(d) * euler_phi(n // d) // image
+            if m not in images:
+                images[m] = len({x % m for x in h.elements})
+            nu_inf += euler_phi(d) * euler_phi(n // d) // images[m]
         return borel_index(n, h), nu2, nu3, nu_inf
 
     def orbit_sizes(self, gens: Sequence[Quad], whole: bool) -> list[int]:

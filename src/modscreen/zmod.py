@@ -112,6 +112,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+@cache
 def euler_phi(n: int) -> int:
     out = 1
     for p, e in factorize(n):
@@ -144,14 +145,15 @@ def _unit_closure(n: int, gens: Iterable[int]) -> tuple[frozenset[int], tuple[in
 
 
 def _extend_subgroup(n: int, sub: frozenset[int], g: int) -> frozenset[int]:
-    """<sub, g> for a closed sub: the union of its g-power translates, the
+    """<sub, g> for a closed sub: the translates sub*g^j for j < k, k the
+    least power with g^k in sub, which the walk g, g^2, ... finds; the
     abelian case of the coset-by-coset (Dimino) step that closes GL2 groups."""
-    out = set(sub)
-    coset = {x * g % n for x in sub}
-    while not coset <= out:
-        out |= coset
-        coset = {x * g % n for x in coset}
-    return frozenset(out)
+    powers = [1]
+    x = g % n
+    while x not in sub:
+        powers.append(x)
+        x = x * g % n
+    return frozenset({s * t % n for s in sub for t in powers})
 
 
 @cache
@@ -369,11 +371,13 @@ def _crt2(a: int, m: int, b: int, k: int) -> int:
 @cache
 def quadratic_generator(ell: int, eps: int) -> Quad:
     """(a eps*b; b a) for the least (a, b) with a + b*sqrt(eps) generating
-    F_{ell^2}^x: its (ell^2 - 1)/p-th power is not I for any prime
-    p | ell^2 - 1. eps*b is left unreduced, so the matrix stands for
-    a + b*sqrt(eps) mod every power of ell."""
+    F_{ell^2}^x: its norm a^2 - eps*b^2 is a unit and its (ell^2 - 1)/p-th
+    power is not I for any prime p | ell^2 - 1. eps*b is left unreduced, so
+    the matrix stands for a + b*sqrt(eps) mod every power of ell. A residue
+    eps raises ValueError: then every unit's (ell^2 - 1)/2-th power is I."""
     order = ell * ell - 1
-    for z in ((a, eps * b, b, a) for a in range(ell) for b in range(1, ell)):
+    for z in ((a, eps * b, b, a) for a in range(ell) for b in range(1, ell)
+              if (a * a - eps * b * b) % ell):
         if all(quad_pow(ell, z, order // p) != (1, 0, 0, 1)
                for p, _ in factorize(order)):
             return z

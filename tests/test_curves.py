@@ -186,6 +186,14 @@ def test_borel_curve_counts_match_the_walk_to_level_64():
     assert wrong == []
 
 
+@pytest.mark.parametrize("n", [72, 100, 108, 144])
+def test_borel_curve_counts_match_the_walk_where_divisors_share_a_cusp_modulus(n):
+    # lcm(d, n/d) takes one value on several pairs {d, n/d} here, as m = 72
+    # at 72 for d = 1, 8, 9 and 72, so each |+-Delta mod m| is read back
+    for delta in _deltas_with_minus_one(n) + (delta_trivial(n),):
+        assert borel(n, delta).curve_counts() == _walked_counts(n, delta), delta
+
+
 @pytest.mark.parametrize("n", [125, 243, 256])
 def test_borel_curve_counts_match_the_walk_at_deep_levels(n):
     for delta in _deltas_with_minus_one(n):

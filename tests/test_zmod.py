@@ -63,6 +63,34 @@ def test_quadratic_generator_generates_f_l2(ell, eps):
     assert a == d and b == eps * c % ell**2
 
 
+def _least_generator_of_f_l2(ell, eps):
+    """The least (a eps*b; b a), b >= 1, whose powers reach all ell^2 - 1
+    units, by walking the powers of each candidate."""
+    order = ell * ell - 1
+    for a in range(ell):
+        for b in range(1, ell):
+            z = x = (a, eps * b, b, a)
+            k = 1
+            while x != (1, 0, 0, 1) and k <= order:
+                x, k = quad_mul(ell, x, z), k + 1
+            if k == order:
+                return z
+
+
+@pytest.mark.parametrize("ell", [p for p in range(3, 60) if is_prime(p)])
+def test_quadratic_generator_takes_only_non_residues(ell):
+    # a residue eps splits F_ell[sqrt(eps)]: no candidate generates, and the
+    # ones of norm 0 mod ell, as (1 1; 1 1) at (5, 1), are singular
+    for eps in range(1, ell):
+        if pow(eps, (ell - 1) // 2, ell) == 1:
+            with pytest.raises(ValueError, match="not a non-residue"):
+                quadratic_generator(ell, eps)
+        else:
+            g = quadratic_generator(ell, eps)
+            assert g == _least_generator_of_f_l2(ell, eps), eps
+            assert quad_det(ell, g) != 0
+
+
 def test_quad_det_multiplicative():
     rng = random.Random(102)
     for _ in range(300):
@@ -134,6 +162,46 @@ def test_unit_subgroup_closure_is_a_group():
             assert all(a * b % n in els for a in els for b in els)
             assert els == reference_unit_closure(n, gens), (n, gens)
             assert d.generators == reference_unit_generators(n, d.elements), (n, gens)
+
+
+def _reference_lattice(n):
+    """Every subgroup of (Z/nZ)^x, elements -> generators, walked upward from
+    the trivial one by reference closures."""
+    found = {frozenset({1 % n}): ()}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for sub in frontier:
+            for u in units(n):
+                if u not in sub:
+                    gens = found[sub] + (u,)
+                    bigger = reference_unit_closure(n, gens)
+                    if bigger not in found:
+                        found[bigger] = gens
+                        new.append(bigger)
+        frontier = new
+    return found
+
+
+class _CountingSet(frozenset):
+    """A frozenset that counts its membership tests."""
+
+    def __contains__(self, x):
+        self.tests += 1
+        return frozenset.__contains__(self, x)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_extend_subgroup_closes_in_one_power_walk(n):
+    # <sub, g> for every subgroup and every unit, after one membership test
+    # for each power g, g^2, ... up to the first inside sub: [<sub, g> : sub]
+    for sub, gens in _reference_lattice(n).items():
+        for g in units(n):
+            want = reference_unit_closure(n, gens + (g,))
+            counted = _CountingSet(sub)
+            counted.tests = 0
+            assert zmod._extend_subgroup(n, counted, g) == want, (sorted(sub), g)
+            assert counted.tests == len(want) // len(sub), (sorted(sub), g)
 
 
 def test_unit_subgroup_rejects_sets_not_closed():
